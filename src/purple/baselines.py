@@ -3,8 +3,10 @@
 Each baseline is fit separately on a single group's rows and returns that
 group's estimated prevalence as the mean predicted probability; ratios of
 those estimates give the baseline's relative prevalence. All baselines use
-the same linear-plus-sigmoid function class and the same Adam loop as the
-core estimator, with the labeling-frequency factor frozen at one.
+the same linear-plus-sigmoid function class as the core estimator, with the
+labeling-frequency factor frozen at one, and train through its Adam driver
+``model._adam_fit``: ``fit_logistic`` supplies only the residual gradient
+and the validation cross-entropy.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from .model import (
     FitResult,
     RelativePrevalenceEstimate,
     TrainConfig,
-    _adam_update,
+    _adam_fit,
     _cross_entropy,
-    _epoch_batches,
     _linear,
     fit as fit_purple,
     predict_condition_score,
@@ -79,41 +80,24 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
     val_targets = np.asarray(val_targets, dtype=np.float64)
     if val_X.n_rows == 0:
         raise ValueError("validation subset is empty")
+
+    def grad(p, rows):
+        if isinstance(rows, slice):
+            Xb, tb = train_X, targets
+        else:
+            Xb, tb = train_X.take_rows(rows), targets[rows]
+        residual = expit(_linear(Xb, p[:d], p[d])) - tb
+        return np.concatenate([Xb.rtvec(residual) / Xb.n_rows, [residual.mean()]])
+
+    def val_loss(p):
+        return _cross_entropy(expit(_linear(val_X, p[:d], p[d])), val_targets)
+
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
-    state = (np.zeros(d + 1), np.zeros(d + 1), 0)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 917]))
-    n = train_X.n_rows
     epochs = max_epochs if max_epochs is not None else config.max_epochs
-    best_params = params.copy()
-    best_ce = np.inf
-    bad = 0
-    for _ in range(epochs):
-        for batch_idx in _epoch_batches(n, config.batch_size, rng):
-            if isinstance(batch_idx, slice):
-                Xb, tb = train_X, targets
-            else:
-                Xb, tb = train_X.take_rows(batch_idx), targets[batch_idx]
-            residual = expit(_linear(Xb, params[:d], params[d])) - tb
-            gw = Xb.rtvec(residual) / Xb.n_rows
-            gb = residual.mean()
-            grad = np.concatenate([gw, [gb]])
-            if config.weight_decay:
-                grad = grad + config.weight_decay * params
-            params, state = _adam_update(params, grad, state, config.learning_rate,
-                                         config.adam_eps)
-        if early_stop:
-            val_p = expit(_linear(val_X, params[:d], params[d]))
-            ce = _cross_entropy(val_p, val_targets)
-            if ce < best_ce:
-                best_ce = ce
-                best_params = params.copy()
-                bad = 0
-            else:
-                bad += 1
-                if bad >= config.patience:
-                    break
-    final = best_params if early_stop else params
-    return LogisticScorer(final[:d], float(final[d]))
+    params, _, _ = _adam_fit(grad, params, train_X.n_rows, config, rng, epochs,
+                             val_loss if early_stop else None)
+    return LogisticScorer(params[:d], float(params[d]))
 
 
 def fit_negative(train: LabeledDataset, val: LabeledDataset,

@@ -13,10 +13,10 @@ import sys
 
 import click
 import numpy as np
-from scipy.special import expit
 
 from ._version import VERSION
-from .baselines import BUILTIN_KINDS, EmConfig, fit_em, fit_negative, fit_supervised
+from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em, fit_negative,
+                        fit_supervised)
 from .checks import assumption_check_report
 from .data import LabeledDataset, SplitSpec, load_dataset, split, split_indices, write_dataset
 from .gauss import GaussSynthConfig, generate_gauss
@@ -249,17 +249,18 @@ def _load_model_file(path: str) -> dict:
         return json.load(fh)
 
 
-def _eval_rows(payload: dict, data, data_path: str, split_i: int, all_rows: bool):
+def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
+    """Rows to score for each stored split: all rows, or its test partition."""
+    splits = [f["split"] for f in payload["fits"]]
     if all_rows:
-        return np.arange(data.n_rows)
+        return {i: np.arange(data.n_rows) for i in splits}
     if _file_sha256(data_path) != payload["data"]["sha256"]:
         raise click.UsageError(
             "data file differs from the one the model was fit on; pass --all-rows "
             "to score every row instead of the held-out test partitions")
     spec = SplitSpec(tuple(payload["split"]["fractions"]), payload["split"]["seed"],
                      payload["split"]["n_repeats"])
-    _, _, test_idx = split_indices(data, spec, split_i)
-    return test_idx
+    return {i: split_indices(data, spec, i)[2] for i in splits}
 
 
 def _split_rp(payload: dict, data, rows: np.ndarray, fit_entry: dict,
@@ -280,9 +281,8 @@ def _split_rp(payload: dict, data, rows: np.ndarray, fit_entry: dict,
             raise click.ClickException(f"model has no scorer for group {name!r}")
         if not mask.any():
             raise click.ClickException(f"no evaluation rows for group {name!r}")
-        w = np.asarray(scorers[name]["w"])
-        z = sub.features.matvec(w) + scorers[name]["b"]
-        alphas[name] = float(expit(z)[mask].mean())
+        scorer = LogisticScorer(np.asarray(scorers[name]["w"]), scorers[name]["b"])
+        alphas[name] = float(scorer.predict(sub.features)[mask].mean())
     if alphas[group_b] < 1e-12:
         raise click.ClickException(f"estimated prevalence for {group_b!r} is zero")
     return alphas[group_a] / alphas[group_b]
@@ -322,11 +322,11 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
             requests.append(("pair", a.strip(), b.strip()))
     if vs_complement:
         requests.append(("vs-complement", vs_complement.strip(), None))
+    rows_by_split = _eval_rows(payload, data, data_path, all_rows)
     for kind, a, b in requests:
         per_split = []
         for fit_entry in payload["fits"]:
-            split_i = fit_entry["split"]
-            rows = _eval_rows(payload, data, data_path, split_i, all_rows)
+            rows = rows_by_split[fit_entry["split"]]
             if kind == "pair":
                 per_split.append(_split_rp(payload, data, rows, fit_entry, a, b))
             else:
@@ -365,23 +365,8 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
     spec = SplitSpec(tuple(payload["split"]["fractions"]), payload["split"]["seed"],
                      payload["split"]["n_repeats"])
     train, val, test = split(data, spec, split_index)
-    result = FitResult(
-        model=PurpleModel.from_dict(entry["model"]),
-        selected_lambda=entry["selected_lambda"],
-        val_auc=entry["val_auc"],
-        val_cross_entropy=entry["val_cross_entropy"],
-        epochs_run=entry["epochs_run"],
-        loss_trace=[],
-        degenerate=entry["degenerate"],
-    )
-    cfg_d = payload["train"]
-    config = TrainConfig(
-        learning_rate=cfg_d["learning_rate"], adam_eps=cfg_d["adam_eps"],
-        weight_decay=cfg_d["weight_decay"], lambda_grid=tuple(cfg_d["lambda_grid"]),
-        max_epochs=cfg_d["max_epochs"], patience=cfg_d["patience"],
-        batch_size=cfg_d["batch_size"],
-    )
-    report = assumption_check_report(result, train, val, test, config, n_bins=bins,
+    report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
+                                     TrainConfig.from_dict(payload["train"]), n_bins=bins,
                                      ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
     _write_json({"version": VERSION, "model": model_path, "data": data_path,
                  "split_index": split_index, **report.to_dict()}, out)

@@ -7,12 +7,15 @@ Two on-disk formats are supported:
 * ``sparse-pu`` -- first line ``#sparse d=<dims>``; each data row is
   ``<g> <s> <y|?> <i>:<v> <i>:<v> ...`` with strictly ascending indices.
 
+Feature values must be finite in both; ``nan`` and ``inf`` are parse errors.
+
 Group identifiers are stored as dense small integers plus a name table;
 all reports and files use the names.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -316,6 +319,8 @@ def _load_dense_csv(path: str) -> LabeledDataset:
                 rows.append([float(t) for t in toks[3:]])
             except ValueError as e:
                 raise ParseError(f"line {lineno}: bad feature value ({e})") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"line {lineno}: non-finite feature value")
     feats = FeatureMatrix(np.asarray(rows, dtype=np.float64).reshape(len(rows), d))
     ids, names = _finish_groups(groups)
     return LabeledDataset(feats, ids, names, np.asarray(s_vals), _finish_y(y_vals, path))
@@ -357,6 +362,8 @@ def _load_sparse_pu(path: str) -> LabeledDataset:
                     raise ParseError(f"line {lineno}: bad entry {tok!r}") from None
                 if i < 0 or i >= d:
                     raise ParseError(f"line {lineno}: index {i} outside [0, {d})")
+                if not math.isfinite(v):
+                    raise ParseError(f"line {lineno}: non-finite feature value in {tok!r}")
                 if i <= prev:
                     raise ParseError(f"line {lineno}: indices must be strictly ascending")
                 prev = i

@@ -307,8 +307,8 @@ def _aggregate(method: str, sweep_value, true_rp: float, cells: list[dict]) -> d
                 "flags": c["flags"],
             })
     if ok:
-        est = RelativePrevalenceEstimate(
-            group_a="a", group_b="b", value=0.0,
+        est = RelativePrevalenceEstimate.from_splits(
+            group_a="a", group_b="b",
             per_split_values=[c["rp_estimate"] for c in ok],
             true_value=true_rp,
             flags=sorted({f for c in ok for f in c["flags"]}),

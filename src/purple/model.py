@@ -8,13 +8,15 @@ are meaningful outputs.
 
 Training is plain Adam on the analytic gradient with optional L1 on the
 weights, early stopping on validation cross-entropy, and model selection
-across the L1 grid by validation AUC against the observed labels.
+across the L1 grid by validation AUC against the observed labels. The loop
+itself is ``_adam_fit``, which the baselines' logistic fits share: callers
+pass a gradient on a row set and, for early stopping, a validation loss.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -60,6 +62,9 @@ class PurpleModel:
     def from_dict(cls, d: dict) -> "PurpleModel":
         return cls(np.asarray(d["w"]), d["b"], np.asarray(d["theta"]), list(d["group_names"]))
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PurpleModel) and self.to_dict() == other.to_dict()
+
 
 @dataclass
 class TrainConfig:
@@ -80,15 +85,11 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "adam_eps": self.adam_eps,
-            "weight_decay": self.weight_decay,
-            "lambda_grid": list(self.lambda_grid),
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "batch_size": self.batch_size,
-        }
+        return {**asdict(self), "lambda_grid": list(self.lambda_grid)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        return cls(**{**d, "lambda_grid": tuple(d["lambda_grid"])})
 
 
 @dataclass
@@ -114,6 +115,14 @@ class FitResult:
             "lambda_metrics": self.lambda_metrics,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "FitResult":
+        """Inverse of ``to_dict``; keys it does not write are ignored."""
+        kept = ("selected_lambda", "val_auc", "val_cross_entropy", "epochs_run",
+                "degenerate", "lambda_metrics")
+        return cls(model=PurpleModel.from_dict(d["model"]),
+                   loss_trace=[tuple(t) for t in d["loss_trace"]], **{k: d[k] for k in kept})
+
 
 @dataclass
 class RelativePrevalenceEstimate:
@@ -127,22 +136,17 @@ class RelativePrevalenceEstimate:
     ratio_to_true: float | None = None
     flags: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.per_split_values:
-            self.value = float(np.mean(self.per_split_values))
-        if self.true_value is not None:
-            self.ratio_to_true = self.value / self.true_value
+    @classmethod
+    def from_splits(cls, group_a: str, group_b: str, per_split_values: list[float],
+                    true_value: float | None = None,
+                    flags: list[str] | None = None) -> "RelativePrevalenceEstimate":
+        """The mean over splits, with its ratio to ``true_value`` when known."""
+        value = float(np.mean(per_split_values))
+        return cls(group_a, group_b, value, list(per_split_values), true_value,
+                   None if true_value is None else value / true_value, list(flags or []))
 
     def to_dict(self) -> dict:
-        return {
-            "group_a": self.group_a,
-            "group_b": self.group_b,
-            "value": self.value,
-            "per_split_values": list(self.per_split_values),
-            "true_value": self.true_value,
-            "ratio_to_true": self.ratio_to_true,
-            "flags": list(self.flags),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -254,53 +258,64 @@ def _epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainConfig,
-                      lam: float, n_groups: int, rng: np.random.Generator):
-    d = train.n_dims
-    n_params = d + 1 + n_groups
-    params = np.zeros(n_params)
-    state = (np.zeros(n_params), np.zeros(n_params), 0)
-    s_train = train.s.astype(np.float64)
-    s_val = val.s.astype(np.float64)
+def _adam_fit(grad, params: np.ndarray, n_rows: int, config: TrainConfig,
+              rng: np.random.Generator, epochs: int, val_loss=None):
+    """The training loop of every fit: Adam with weight decay over shuffled
+    minibatches; ``grad(params, rows)`` is the gradient on ``rows`` (a slice
+    for the full batch, else an index array).
 
-    def unpack(p):
-        return p[:d], float(p[d]), p[d + 1:]
-
-    def eval_probs(dataset, p):
-        w, b, theta = unpack(p)
-        f = expit(_linear(dataset.features, w, b))
-        return f * expit(theta)[dataset.group]
-
-    best_params = params.copy()
-    best_ce = np.inf
-    bad = 0
-    trace: list[tuple[int, float, float]] = []
+    With ``val_loss(params)``, stops ``config.patience`` epochs after the best
+    validation loss and returns that epoch's parameters; without it, runs all
+    ``epochs`` and returns the last. Returns ``(params, best_loss, epochs_run)``.
+    """
+    state = (np.zeros(params.size), np.zeros(params.size), 0)
+    best_params, best_loss, bad = params, np.inf, 0
     epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
-        for batch_idx in _epoch_batches(train.n_rows, config.batch_size, rng):
-            batch = train if isinstance(batch_idx, slice) else train.take_rows(batch_idx)
-            w, b, theta = unpack(params)
-            model = PurpleModel(w, b, theta, train.group_names)
-            gw, gb, gtheta = gradients(model, batch, lam)
-            grad = np.concatenate([gw, [gb], gtheta])
+    for epoch in range(1, epochs + 1):
+        for rows in _epoch_batches(n_rows, config.batch_size, rng):
+            g = grad(params, rows)
             if config.weight_decay:
-                grad = grad + config.weight_decay * params
-            params, state = _adam_update(params, grad, state, config.learning_rate,
+                g = g + config.weight_decay * params
+            # _adam_update returns a new array, so best_params is never mutated.
+            params, state = _adam_update(params, g, state, config.learning_rate,
                                          config.adam_eps)
-        train_loss = _cross_entropy(eval_probs(train, params), s_train) \
-            + lam * float(np.abs(params[:d]).sum())
-        val_ce = _cross_entropy(eval_probs(val, params), s_val)
-        trace.append((epoch, train_loss, val_ce))
-        if val_ce < best_ce:
-            best_ce = val_ce
-            best_params = params.copy()
-            bad = 0
+        if val_loss is None:
+            continue
+        current = val_loss(params)
+        if current < best_loss:
+            best_params, best_loss, bad = params, current, 0
         else:
             bad += 1
             if bad >= config.patience:
                 break
-    w, b, theta = unpack(best_params)
-    return PurpleModel(w, b, theta, train.group_names), best_ce, trace, epoch
+    return (params if val_loss is None else best_params), best_loss, epoch
+
+
+def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainConfig,
+                      lam: float, rng: np.random.Generator):
+    d = train.n_dims
+    s_val = val.s.astype(np.float64)
+    trace: list[tuple[int, float, float]] = []
+
+    def model_at(p):
+        return PurpleModel(p[:d], p[d], p[d + 1:], train.group_names)
+
+    def grad(p, rows):
+        batch = train if isinstance(rows, slice) else train.take_rows(rows)
+        gw, gb, gtheta = gradients(model_at(p), batch, lam)
+        return np.concatenate([gw, [gb], gtheta])
+
+    def val_loss(p):
+        model = model_at(p)
+        train_loss = loss(model, train, lam)
+        val_ce = _cross_entropy(predict_diagnosis(model, val.features, val.group), s_val)
+        trace.append((len(trace) + 1, train_loss, val_ce))
+        return val_ce
+
+    params = np.zeros(d + 1 + len(train.group_names))
+    params, best_ce, epochs = _adam_fit(grad, params, train.n_rows, config, rng,
+                                        config.max_epochs, val_loss)
+    return model_at(params), best_ce, trace, epochs
 
 
 def fit(train: LabeledDataset, val: LabeledDataset, config: TrainConfig | None = None,
@@ -325,12 +340,10 @@ def fit(train: LabeledDataset, val: LabeledDataset, config: TrainConfig | None =
         warnings.warn("training data has no positive observed labels; fit is degenerate",
                       RuntimeWarning, stacklevel=2)
 
-    n_groups = len(train.group_names)
     candidates = []
     for li, lam in enumerate(config.lambda_grid):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), li]))
-        model, val_ce, trace, epochs = _train_one_lambda(train, val, config, lam,
-                                                         n_groups, rng)
+        model, val_ce, trace, epochs = _train_one_lambda(train, val, config, lam, rng)
         probs = predict_diagnosis(model, val.features, val.group)
         try:
             val_auc = auc(probs, val.s)

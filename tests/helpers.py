@@ -1,8 +1,12 @@
-"""Shared test utilities: random instances and the finite-difference oracle."""
+"""Shared test utilities: random instances, the finite-difference oracle and
+a timed suite run."""
+
+import time
 
 import numpy as np
 
 from purple.data import FeatureMatrix, LabeledDataset
+from purple.harness import make_suite, run_suite
 from purple.model import PurpleModel, loss
 
 
@@ -49,3 +53,11 @@ def rel_err(a, b, floor=1e-4):
     (the finite-difference noise floor sits around 1e-10)."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def timed_suite_run(name, **kwargs):
+    """``run_suite(make_suite(name, **kwargs))`` and its wall time in seconds.
+    Lives here so a worker process can import it by name."""
+    t0 = time.perf_counter()
+    report = run_suite(make_suite(name, **kwargs))
+    return report, time.perf_counter() - t0

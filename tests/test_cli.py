@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from purple.baselines import EmConfig, baseline_relative_prevalence
 from purple.cli import main
-from purple.data import load_dataset
+from purple.data import SplitSpec, load_dataset, split
+from purple.model import TrainConfig
 
 
 @pytest.fixture()
@@ -135,6 +137,27 @@ class TestFitEstimateCheck:
         blob = json.loads(open(model).read())
         entry = blob["fits"][0]["scorers"]["a"]
         assert {"c_hat", "converged", "n_iters", "c_init"} <= set(entry)
+
+    @pytest.mark.parametrize("method", ["negative", "em"])
+    def test_estimate_matches_library_per_split(self, runner, tmp_path, method):
+        data_path = simulate_small(runner, str(tmp_path / "d.pu"))
+        model, out = str(tmp_path / "m.json"), str(tmp_path / "e.json")
+        result = runner.invoke(main, [
+            "fit", "--data", data_path, "--method", method, "--max-epochs", "60",
+            "--splits", "2", "--seed", "3", "--em-max-iters", "3", "--out", model])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["estimate", "--model", model, "--data", data_path,
+                                      "--pairs", "a:b", "--out", out])
+        assert result.exit_code == 0, result.output
+        got = json.loads(open(out).read())["estimates"][0]["per_split_values"]
+        data = load_dataset(data_path)
+        want = []
+        for i in range(2):
+            train, val, test = split(data, SplitSpec(seed=3, n_repeats=2), i)
+            want.append(baseline_relative_prevalence(
+                method, train, val, test, "a", "b", seed=3,
+                config=TrainConfig(max_epochs=60), em_config=EmConfig(max_iters=3)).value)
+        assert got == want
 
     def test_unknown_method(self, runner, tmp_path):
         data = simulate_small(runner, str(tmp_path / "d.csv"))

@@ -100,6 +100,13 @@ class TestDenseCsv:
         with pytest.raises(ParseError, match="some rows"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        p = tmp_path / "d.csv"
+        p.write_text(f"g,s,y,x0,x1\na,1,1,0.0,1.0\nb,0,0,0.5,{bad}\n")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            load_dataset(str(p))
+
 
 class TestSparsePu:
     def test_sparse_row_example(self, tmp_path):
@@ -121,6 +128,13 @@ class TestSparsePu:
         p = tmp_path / "d.pu"
         p.write_text("#sparse d=5\na 0 ? 3:1 2:1\n")
         with pytest.raises(ParseError, match="ascending"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        p = tmp_path / "d.pu"
+        p.write_text(f"#sparse d=5\na 0 ? 1:1\na 1 ? 0:2 4:{bad}\n")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
             load_dataset(str(p))
 
     def test_missing_header(self, tmp_path):

@@ -9,8 +9,11 @@ from purple.baselines import group_prevalences
 from purple.data import FeatureMatrix, LabeledDataset, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import (
+    FitResult,
     PurpleModel,
+    RelativePrevalenceEstimate,
     TrainConfig,
+    _adam_fit,
     _adam_update,
     fit,
     gradients,
@@ -148,6 +151,49 @@ class TestAdam:
         assert np.all(np.abs(params2) <= 0.001 + 1e-12)
 
 
+class TestAdamFit:
+    """The shared training loop, driven by a constant gradient (so each
+    epoch's parameters differ) and a scripted validation loss."""
+
+    @staticmethod
+    def replay(params, n_steps, cfg):
+        state = (np.zeros(params.size), np.zeros(params.size), 0)
+        for _ in range(n_steps):
+            params, state = _adam_update(params, np.ones(params.size), state,
+                                         cfg.learning_rate, cfg.adam_eps)
+        return params
+
+    def test_early_stop_restores_best_epoch(self):
+        cfg = TrainConfig(patience=3)
+        script = [5.0, 4.0, 3.0, 3.5, 3.2, 3.1, 2.0, 1.0]
+        seen = []
+
+        def val_loss(p):
+            seen.append(p)
+            return script[len(seen) - 1]
+
+        params, best, epochs = _adam_fit(lambda p, rows: np.ones(p.size), np.zeros(2), 10,
+                                         cfg, np.random.default_rng(0), 50, val_loss)
+        assert epochs == 6  # best at epoch 3, then patience=3 worse epochs
+        assert best == 3.0
+        np.testing.assert_array_equal(params, seen[2])
+        np.testing.assert_array_equal(params, self.replay(np.zeros(2), 3, cfg))
+
+    def test_without_val_loss_runs_every_epoch(self):
+        cfg = TrainConfig(batch_size=4)
+        calls = []
+
+        def grad(p, rows):
+            calls.append(len(rows))
+            return np.ones(p.size)
+
+        params, best, epochs = _adam_fit(grad, np.zeros(3), 10, cfg,
+                                         np.random.default_rng(0), 7)
+        assert epochs == 7 and best == np.inf
+        assert calls == [4, 4, 2] * 7
+        np.testing.assert_array_equal(params, self.replay(np.zeros(3), 21, cfg))
+
+
 class TestFit:
     def small_data(self, seed=0):
         data = generate_gauss(GaussSynthConfig(n_a=600, n_b=900), seed)
@@ -198,6 +244,24 @@ class TestFit:
         window = np.convolve(train_losses, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(window) <= 1e-9)
 
+    @pytest.mark.parametrize("max_epochs,patience", [(400, 3), (25, 100)])
+    def test_loss_trace_has_one_entry_per_epoch(self, max_epochs, patience):
+        tr, va, _ = self.small_data()
+        cfg = TrainConfig(learning_rate=0.05, lambda_grid=(1e-3, 0.0),
+                          max_epochs=max_epochs, patience=patience)
+        res = fit(tr, va, cfg, seed=0)
+        assert [t[0] for t in res.loss_trace] == list(range(1, res.epochs_run + 1))
+        if patience > max_epochs:
+            assert res.epochs_run == max_epochs
+        else:
+            assert res.epochs_run < max_epochs
+
+    def test_fit_result_round_trip(self):
+        tr, va, _ = self.small_data()
+        res = fit(tr, va, TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=20), seed=0)
+        assert FitResult.from_dict(res.to_dict()) == res
+        assert FitResult.from_dict(json.loads(json.dumps(res.to_dict()))) == res
+
     def test_labeling_frequency_ratio_recovered(self):
         # individual frequencies are not identifiable; their ratio is.
         ratios = []
@@ -209,6 +273,29 @@ class TestFit:
             c = res.model.c
             ratios.append(c[0] / c[1])
         assert abs(np.mean(ratios) - 2.0) < 0.3
+
+
+class TestSerialization:
+    def test_train_config_round_trip(self):
+        cfg = TrainConfig(learning_rate=0.05, adam_eps=1e-6, weight_decay=0.1,
+                          lambda_grid=(0.5, 0.0), max_epochs=7, patience=2, batch_size=16)
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_model_equality_compares_values(self):
+        m = PurpleModel(np.array([1.0, 2.0]), 0.5, np.zeros(2), ["a", "b"])
+        assert m == PurpleModel.from_dict(m.to_dict())
+        assert m != PurpleModel(np.array([1.0, 2.5]), 0.5, np.zeros(2), ["a", "b"])
+
+    def test_estimate_from_splits(self):
+        est = RelativePrevalenceEstimate.from_splits("a", "b", [1.0, 2.0, 3.0], 4.0, ["x"])
+        assert est.value == 2.0 and est.ratio_to_true == 0.5
+        assert est.to_dict()["per_split_values"] == [1.0, 2.0, 3.0]
+        assert RelativePrevalenceEstimate.from_splits("a", "b", [1.0]).ratio_to_true is None
+
+    def test_constructor_keeps_its_arguments(self):
+        est = RelativePrevalenceEstimate("a", "b", 9.0, per_split_values=[1.0], true_value=2.0)
+        assert est.value == 9.0 and est.ratio_to_true is None
 
 
 class TestRelativePrevalence:
