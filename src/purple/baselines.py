@@ -65,6 +65,10 @@ class EmFit:
     n_iters: int
     c_init: float
 
+    def to_dict(self) -> dict:
+        return {**self.scorer.to_dict(), "c_hat": self.c_hat, "converged": self.converged,
+                "n_iters": self.n_iters, "c_init": self.c_init}
+
 
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
                  seed: int = 0, init: LogisticScorer | None = None,
@@ -201,30 +205,25 @@ def register_estimator(name: str, fn: Callable) -> None:
     _EXTERNAL[name] = fn
 
 
-def _per_group_fit(kind: str, train: LabeledDataset, val: LabeledDataset,
-                   eval_data: LabeledDataset, config: TrainConfig, seed: int,
-                   em_config: EmConfig | None) -> list[GroupPrevalenceEstimate]:
-    out = []
-    for gid in eval_data.present_groups():
-        name = eval_data.group_names[gid]
+def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, groups,
+                      config: TrainConfig | None, seed: int, em_config: EmConfig | None = None
+                      ) -> dict[int, tuple[LogisticScorer, EmFit | None]]:
+    """``{gid: (scorer, em)}``: a ``negative``, ``supervised`` or ``em`` scorer
+    fit on each group's own rows, with the whole EM fit for ``em``."""
+    out = {}
+    for gid in groups:
         sub_train = train.take_rows(np.flatnonzero(train.group == gid))
         sub_val = val.take_rows(np.flatnonzero(val.group == gid))
-        sub_eval = eval_data.take_rows(np.flatnonzero(eval_data.group == gid))
         try:
-            flags: tuple[str, ...] = ()
-            if kind == "negative":
-                scorer = fit_negative(sub_train, sub_val, config, seed)
-            elif kind == "supervised":
-                scorer = fit_supervised(sub_train, sub_val, config, seed)
-            else:
+            if kind == "em":
                 em = fit_em(sub_train, sub_val, em_config, config, seed)
-                scorer = em.scorer
-                if not em.converged:
-                    flags = ("em-non-converged",)
-            alpha = float(scorer.predict(sub_eval.features).mean())
+                out[gid] = (em.scorer, em)
+            else:
+                fit_one = fit_negative if kind == "negative" else fit_supervised
+                out[gid] = (fit_one(sub_train, sub_val, config, seed), None)
         except ValueError as e:
-            raise ValueError(f"{kind} baseline failed for group {name!r}: {e}") from e
-        out.append(GroupPrevalenceEstimate(name, alpha, flags))
+            raise ValueError(f"{kind} baseline failed for group "
+                             f"{train.group_names[gid]!r}: {e}") from e
     return out
 
 
@@ -240,8 +239,15 @@ def group_prevalences(kind: str, train: LabeledDataset, val: LabeledDataset,
     the caller already has one.
     """
     if kind in ("negative", "supervised", "em"):
-        return _per_group_fit(kind, train, val, eval_data,
-                              config or _UNREGULARIZED, seed, em_config)
+        fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
+                                 config or _UNREGULARIZED, seed, em_config)
+        out = []
+        for gid, (scorer, em) in fits.items():
+            sub_eval = eval_data.take_rows(np.flatnonzero(eval_data.group == gid))
+            alpha = float(scorer.predict(sub_eval.features).mean())
+            flags = ("em-non-converged",) if em is not None and not em.converged else ()
+            out.append(GroupPrevalenceEstimate(eval_data.group_names[gid], alpha, flags))
+        return out
     if kind == "purple":
         result = purple_fit or fit_purple(train, val, config, seed)
         if result.degenerate:

@@ -15,8 +15,9 @@ import click
 import numpy as np
 
 from ._version import VERSION
-from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em, fit_negative,
-                        fit_supervised)
+# fit_em is unused here but kept importable: perfbench's tracer wraps cli.fit_em.
+from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
+                        fit_group_scorers)
 from .checks import assumption_check_report
 from .data import LabeledDataset, SplitSpec, load_dataset, split, split_indices, write_dataset
 from .gauss import GaussSynthConfig, generate_gauss
@@ -215,20 +216,10 @@ def fit_cmd(data_path, method, lambda_grid, learning_rate, max_epochs, patience,
             result = fit_purple(train, val, config, seed)
             fits.append({"split": i, **result.to_dict()})
         else:
-            by_group = {}
-            for gid in train.present_groups():
-                name = train.group_names[gid]
-                sub_train = train.take_rows(np.flatnonzero(train.group == gid))
-                sub_val = val.take_rows(np.flatnonzero(val.group == gid))
-                if method == "negative":
-                    by_group[name] = fit_negative(sub_train, sub_val, config, seed).to_dict()
-                elif method == "supervised":
-                    by_group[name] = fit_supervised(sub_train, sub_val, config, seed).to_dict()
-                else:
-                    em = fit_em(sub_train, sub_val, em_config, config, seed)
-                    by_group[name] = {**em.scorer.to_dict(), "c_hat": em.c_hat,
-                                      "converged": em.converged, "n_iters": em.n_iters,
-                                      "c_init": em.c_init}
+            scorers = fit_group_scorers(method, train, val, train.present_groups(), config,
+                                        seed, em_config)
+            by_group = {train.group_names[gid]: (em or scorer).to_dict()
+                        for gid, (scorer, em) in scorers.items()}
             fits.append({"split": i, "scorers": by_group})
     payload = {
         "version": VERSION,

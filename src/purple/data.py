@@ -37,7 +37,7 @@ class FeatureMatrix:
 
     def __init__(self, values):
         if sp.issparse(values):
-            self._m = values.tocsr().astype(np.float64)
+            self._m = values.tocsr().astype(np.float64, copy=False)
         else:
             arr = np.asarray(values, dtype=np.float64)
             if arr.ndim != 2:

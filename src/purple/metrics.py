@@ -10,15 +10,13 @@ import numpy as np
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average of their rank range."""
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Start of each run of equal sorted values (NaNs never tie); a run
+    # spanning sorted positions i..j gets rank (i + j) / 2 + 1.
+    starts = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
+    ends = np.append(starts[1:], x.size) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

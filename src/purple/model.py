@@ -11,6 +11,8 @@ weights, early stopping on validation cross-entropy, and model selection
 across the L1 grid by validation AUC against the observed labels. The loop
 itself is ``_adam_fit``, which the baselines' logistic fits share: callers
 pass a gradient on a row set and, for early stopping, a validation loss.
+Full batch, the core fit takes one forward pass per epoch: the gradient call
+also yields the training loss that ``loss_trace`` records.
 """
 
 from __future__ import annotations
@@ -197,28 +199,42 @@ def _cross_entropy(p: np.ndarray, s: np.ndarray) -> float:
     return float(-(s * np.log(p) + (1.0 - s) * np.log(1.0 - p)).mean())
 
 
+def _forward(model: PurpleModel, batch: LabeledDataset):
+    """Per-row condition score f, labeling frequency c_g and p = f * c_g."""
+    if batch.n_rows == 0:
+        raise ValueError("batch must be non-empty")
+    f = expit(_linear(batch.features, model.w, model.b))
+    cg = expit(model.theta)[batch.group]
+    return f, cg, f * cg
+
+
+def _objective(model: PurpleModel, p: np.ndarray, s: np.ndarray, lam: float) -> float:
+    return _cross_entropy(p, s) + lam * float(np.abs(model.w).sum())
+
+
 def loss(model: PurpleModel, batch: LabeledDataset, lam: float) -> float:
     """Mean cross-entropy of the diagnosis probability against s, plus
     lam * ||w||_1 (bias and theta unpenalized)."""
-    if batch.n_rows == 0:
-        raise ValueError("batch must be non-empty")
-    p = predict_diagnosis(model, batch.features, batch.group)
-    return _cross_entropy(p, batch.s.astype(np.float64)) + lam * float(np.abs(model.w).sum())
+    _, _, p = _forward(model, batch)
+    return _objective(model, p, batch.s.astype(np.float64), lam)
 
 
-def gradients(model: PurpleModel, batch: LabeledDataset, lam: float):
+def gradients(model: PurpleModel, batch: LabeledDataset, lam: float, *,
+              with_loss: bool = False):
     """Exact analytic gradient of ``loss`` w.r.t. (w, b, theta).
 
     The L1 subgradient uses sign(w) with sign(0) = 0. Rows whose clamped
     probability sits on the clamp boundary contribute zero, matching the
     (flat) clamped loss there.
+
+    With ``with_loss`` this is the fused kernel: it returns ``(loss, gw, gb,
+    gtheta)``, the loss taken from the same forward pass and bit-identical to
+    ``loss(model, batch, lam)``. It keeps ``_cross_entropy``'s soft-target
+    form, two logs per row: ``fit_logistic`` shares that function with
+    probability targets, which a one-log-per-row form for 0/1 labels breaks.
     """
-    if batch.n_rows == 0:
-        raise ValueError("batch must be non-empty")
+    f, cg, p = _forward(model, batch)
     X, s, g = batch.features, batch.s.astype(np.float64), batch.group
-    f = expit(_linear(X, model.w, model.b))
-    cg = expit(model.theta)[g]
-    p = f * cg
     active = (p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR)
     one_minus_p = np.maximum(1.0 - p, PROB_FLOOR)
     # d(ce)/dz = -(1-f) on positives, p(1-f)/(1-p) on negatives; same shape
@@ -231,6 +247,8 @@ def gradients(model: PurpleModel, batch: LabeledDataset, lam: float):
     gw = X.rtvec(dz) / n + lam * np.sign(model.w)
     gb = float(dz.mean())
     gtheta = np.bincount(g, weights=dtheta_row, minlength=model.theta.size) / n
+    if with_loss:
+        return _objective(model, p, s, lam), gw, gb, gtheta
     return gw, gb, gtheta
 
 
@@ -293,28 +311,53 @@ def _adam_fit(grad, params: np.ndarray, n_rows: int, config: TrainConfig,
 
 def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainConfig,
                       lam: float, rng: np.random.Generator):
+    """One Adam fit at one L1 strength, with ``loss_trace`` entries
+    ``(epoch, train loss, val cross-entropy)`` at each epoch's end point.
+
+    Full batch, the next epoch's gradient evaluates at that end point, so it
+    supplies the train loss from the same forward pass; only the last
+    epoch's entry needs a separate ``loss`` call.
+    """
     d = train.n_dims
     s_val = val.s.astype(np.float64)
+    full_batch = config.batch_size is None or config.batch_size >= train.n_rows
     trace: list[tuple[int, float, float]] = []
+    pending = None  # parameters of the trace entry still missing its train loss
 
     def model_at(p):
         return PurpleModel(p[:d], p[d], p[d + 1:], train.group_names)
 
+    def record_train_loss(value):
+        nonlocal pending
+        epoch, _, val_ce = trace[-1]
+        trace[-1] = (epoch, value, val_ce)
+        pending = None
+
     def grad(p, rows):
-        batch = train if isinstance(rows, slice) else train.take_rows(rows)
-        gw, gb, gtheta = gradients(model_at(p), batch, lam)
+        if p is pending:
+            train_loss, gw, gb, gtheta = gradients(model_at(p), train, lam, with_loss=True)
+            record_train_loss(train_loss)
+        else:
+            batch = train if isinstance(rows, slice) else train.take_rows(rows)
+            gw, gb, gtheta = gradients(model_at(p), batch, lam)
         return np.concatenate([gw, [gb], gtheta])
 
     def val_loss(p):
+        nonlocal pending
         model = model_at(p)
-        train_loss = loss(model, train, lam)
         val_ce = _cross_entropy(predict_diagnosis(model, val.features, val.group), s_val)
-        trace.append((len(trace) + 1, train_loss, val_ce))
+        if full_batch:
+            trace.append((len(trace) + 1, np.nan, val_ce))
+            pending = p
+        else:
+            trace.append((len(trace) + 1, loss(model, train, lam), val_ce))
         return val_ce
 
     params = np.zeros(d + 1 + len(train.group_names))
     params, best_ce, epochs = _adam_fit(grad, params, train.n_rows, config, rng,
                                         config.max_epochs, val_loss)
+    if pending is not None:
+        record_train_loss(loss(model_at(pending), train, lam))
     return model_at(params), best_ce, trace, epochs
 
 

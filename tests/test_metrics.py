@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from purple.metrics import auc, auprc, calibration
+from purple.metrics import _average_ranks, auc, auprc, calibration
 
 
 def auc_pair_counting(scores, labels):
@@ -27,6 +27,26 @@ def auprc_rank_walk(scores, labels):
             hits += 1
             total += hits / rank
     return total / hits
+
+
+def average_ranks_brute_force(x):
+    """O(n^2) oracle: 1 + the number of smaller values + half the number of
+    other equal values."""
+    x = np.asarray(x, dtype=float)
+    return np.array([1.0 + (x < v).sum() + 0.5 * ((x == v).sum() - 1) for v in x])
+
+
+class TestAverageRanks:
+    def test_matches_brute_force_on_heavy_ties(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 50, 301):
+            for levels in (1, 2, 5, n):
+                x = rng.integers(0, levels, size=n).astype(float) / 3.0
+                np.testing.assert_array_equal(_average_ranks(x), average_ranks_brute_force(x))
+
+    def test_infinite_and_signed_zero_ties(self):
+        x = np.array([np.inf, 0.0, -np.inf, -0.0, np.inf, 1.0, -np.inf])
+        np.testing.assert_array_equal(_average_ranks(x), average_ranks_brute_force(x))
 
 
 class TestAuc:

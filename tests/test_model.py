@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from helpers import fd_gradients, random_model, rel_err, tiny_batch
 
 from purple.baselines import group_prevalences
 from purple.data import FeatureMatrix, LabeledDataset, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import (
+    PROB_FLOOR,
     FitResult,
     PurpleModel,
     RelativePrevalenceEstimate,
@@ -133,6 +135,38 @@ class TestGradients:
         sparse = LabeledDataset(FeatureMatrix(sp.csr_matrix(x)), group, ["a", "b"], s)
         for a, b in zip(gradients(m, dense, 1e-3), gradients(m, sparse, 1e-3)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+class TestFusedLossAndGradients:
+    """``gradients(..., with_loss=True)`` takes the loss from its own forward
+    pass; it must be the same bits as the separate ``loss`` and
+    ``gradients``."""
+
+    @staticmethod
+    def clamped_batch(sparse):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40, 5))
+        x[rng.uniform(size=x.shape) < 0.4] = 0.0
+        group = rng.integers(0, 3, 40)
+        x[:3], group[:3] = 50.0, 2  # score and c both round to 1: p on the upper clamp
+        group[3:6] = 0  # c = sigmoid(-40): p on the lower clamp
+        s = rng.integers(0, 2, 40)
+        s[:6] = [1, 0, 1, 0, 1, 0]
+        feats = FeatureMatrix(sp.csr_matrix(x) if sparse else x)
+        m = PurpleModel(rng.uniform(0.2, 1.0, 5), 0.3, np.array([-40.0, 0.2, 40.0]),
+                        ["a", "b", "c"])
+        return m, LabeledDataset(feats, group, ["a", "b", "c"], s)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    def test_bitwise_equal_to_loss_and_gradients(self, sparse, lam):
+        m, batch = self.clamped_batch(sparse)
+        p = predict_diagnosis(m, batch.features, batch.group)
+        assert np.any(p <= PROB_FLOOR) and np.any(p >= 1.0 - PROB_FLOOR)
+        fused_loss, *fused_grad = gradients(m, batch, lam, with_loss=True)
+        assert fused_loss == loss(m, batch, lam)
+        for a, b in zip(fused_grad, gradients(m, batch, lam)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAdam:
@@ -273,6 +307,52 @@ class TestFit:
             c = res.model.c
             ratios.append(c[0] / c[1])
         assert abs(np.mean(ratios) - 2.0) < 0.3
+
+
+class TestLossTrace:
+    """Each ``loss_trace`` train loss is ``loss`` at that epoch's end point,
+    replayed by running ``_adam_fit`` for exactly that many epochs."""
+
+    LAM = 1e-3
+
+    def replay_losses(self, tr, cfg, seed, n_epochs):
+        d = tr.n_dims
+
+        def model_at(p):
+            return PurpleModel(p[:d], p[d], p[d + 1:], tr.group_names)
+
+        def grad(p, rows):
+            batch = tr if isinstance(rows, slice) else tr.take_rows(rows)
+            gw, gb, gtheta = gradients(model_at(p), batch, self.LAM)
+            return np.concatenate([gw, [gb], gtheta])
+
+        out = []
+        for k in range(1, n_epochs + 1):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            params, _, _ = _adam_fit(grad, np.zeros(d + 1 + len(tr.group_names)), tr.n_rows,
+                                     cfg, rng, k, val_loss=None)
+            out.append(loss(model_at(params), tr, self.LAM))
+        return out
+
+    @pytest.mark.parametrize("batch_size", [None, 64])
+    def test_train_loss_at_each_epoch_end(self, batch_size):
+        data = generate_gauss(GaussSynthConfig(n_a=300, n_b=450), 0)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        cfg = TrainConfig(learning_rate=0.02, lambda_grid=(self.LAM,), max_epochs=12,
+                          patience=13, batch_size=batch_size)
+        res = fit(tr, va, cfg, seed=4)
+        assert res.epochs_run == 12
+        assert [t[1] for t in res.loss_trace] == self.replay_losses(tr, cfg, 4, 12)
+
+    def test_early_stop_fills_the_last_entry(self):
+        data = generate_gauss(GaussSynthConfig(n_a=600, n_b=900), 0)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        cfg = TrainConfig(learning_rate=0.05, lambda_grid=(self.LAM,), max_epochs=400,
+                          patience=3)
+        res = fit(tr, va, cfg, seed=0)
+        assert res.epochs_run < cfg.max_epochs
+        assert len(res.loss_trace) == res.epochs_run
+        assert res.loss_trace[-1][1] == self.replay_losses(tr, cfg, 0, res.epochs_run)[-1]
 
 
 class TestSerialization:
