@@ -4,9 +4,10 @@ Each baseline is fit separately on a single group's rows and returns that
 group's estimated prevalence as the mean predicted probability; ratios of
 those estimates give the baseline's relative prevalence. All baselines use
 the same linear-plus-sigmoid function class as the core estimator, with the
-labeling-frequency factor frozen at one, and train through its Adam driver
-``model._adam_fit``: ``fit_logistic`` supplies only the residual gradient
-and the validation cross-entropy.
+labeling-frequency factor frozen at one, and train through its two solvers:
+``model._lbfgs_fit`` on the full batch and ``model._adam_fit`` on
+minibatches. ``fit_logistic`` supplies only the cross-entropy and its
+gradient and the validation cross-entropy.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .model import (
     TrainConfig,
     _adam_fit,
     _cross_entropy,
+    _full_batch,
+    _lbfgs_fit,
     _linear,
     fit as fit_purple,
     predict_condition_score,
@@ -50,9 +53,11 @@ class LogisticScorer:
 class EmConfig:
     max_iters: int = 100
     tol: float = 1e-5
-    # The M-step refit is a warm-started partial fit (generalized EM) with
-    # its own step size; the outer alternation, not the core method's
-    # pinned learning rate, owns the M-step solver quality.
+    # The M-step refit is a warm-started L-BFGS solve capped at inner_epochs
+    # iterations (a partial fit, generalized EM, when the cap binds). Only
+    # minibatch EM runs Adam, with its own inner_learning_rate, so that the
+    # outer alternation, not the core method's learning rate, owns the
+    # M-step quality there.
     inner_epochs: int = 100
     inner_learning_rate: float = 0.03
 
@@ -73,11 +78,15 @@ class EmFit:
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
                  seed: int = 0, init: LogisticScorer | None = None,
                  early_stop: bool = True, max_epochs: int | None = None) -> LogisticScorer:
-    """Logistic fit by Adam, supporting soft targets in [0, 1].
+    """Logistic fit supporting soft targets in [0, 1]: L-BFGS on the full
+    batch, Adam on minibatches, with ``config.weight_decay`` as a
+    ``0.5 * weight_decay * ||params||^2`` penalty.
 
-    With ``early_stop`` the best-validation-cross-entropy parameters are
-    restored; otherwise the loop runs a fixed number of epochs (used for
-    warm-started partial M-steps).
+    With ``early_stop``, a fit stopped by validation cross-entropy or by its
+    budget returns its best-validation parameters, and a converged L-BFGS
+    fit its optimum; without it, the fit runs to convergence or to
+    ``max_epochs`` iterations or epochs (used for warm-started M-steps).
+    ``seed`` only drives minibatch shuffling.
     """
     d = train_X.n_dims
     targets = np.asarray(targets, dtype=np.float64)
@@ -85,22 +94,33 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
     if val_X.n_rows == 0:
         raise ValueError("validation subset is empty")
 
-    def grad(p, rows):
-        if isinstance(rows, slice):
-            Xb, tb = train_X, targets
-        else:
-            Xb, tb = train_X.take_rows(rows), targets[rows]
-        residual = expit(_linear(Xb, p[:d], p[d])) - tb
-        return np.concatenate([Xb.rtvec(residual) / Xb.n_rows, [residual.mean()]])
-
     def val_loss(p):
         return _cross_entropy(expit(_linear(val_X, p[:d], p[d])), val_targets)
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 917]))
     epochs = max_epochs if max_epochs is not None else config.max_epochs
-    params, _, _ = _adam_fit(grad, params, train_X.n_rows, config, rng, epochs,
-                             val_loss if early_stop else None)
+    if _full_batch(config, train_X.n_rows):
+        def objective(p):
+            z = _linear(train_X, p[:d], p[d])
+            residual = expit(z) - targets
+            # Mean cross-entropy in its log-sum-exp form: exact and unclamped,
+            # so it stays consistent with the gradient when rows saturate.
+            f = float(np.mean(np.logaddexp(0.0, z) - targets * z))
+            return f, np.concatenate([train_X.rtvec(residual) / train_X.n_rows,
+                                      [residual.mean()]])
+
+        params = _lbfgs_fit(objective, params, epochs, weight_decay=config.weight_decay,
+                            val_loss=(lambda p, _: val_loss(p)) if early_stop else None,
+                            patience=config.patience)[0]
+    else:
+        def grad(p, rows):
+            Xb, tb = train_X.take_rows(rows), targets[rows]
+            residual = expit(_linear(Xb, p[:d], p[d])) - tb
+            return np.concatenate([Xb.rtvec(residual) / Xb.n_rows, [residual.mean()]])
+
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 917]))
+        params = _adam_fit(grad, params, train_X.n_rows, config, rng, epochs,
+                           val_loss if early_stop else None)[0]
     return LogisticScorer(params[:d], float(params[d]))
 
 

@@ -191,9 +191,13 @@ def _train_config(lambda_grid, learning_rate, max_epochs, patience, batch_size):
 @click.option("--method", default="purple", show_default=True,
               help="purple, negative, supervised, or em.")
 @click.option("--lambda-grid", default=None, help="Comma-separated L1 strengths.")
-@click.option("--learning-rate", default=None, type=float)
-@click.option("--max-epochs", default=None, type=int)
-@click.option("--patience", default=None, type=int)
+@click.option("--learning-rate", default=None, type=float,
+              help="Adam step size; minibatch fits only.")
+@click.option("--max-epochs", default=None, type=int,
+              help="Budget per fit: Adam epochs on minibatches, L-BFGS iterations "
+                   "on the full batch.")
+@click.option("--patience", default=None, type=int,
+              help="Early-stopping patience, in the same units as --max-epochs.")
 @click.option("--batch-size", default=None, type=int, help="0 means full batch.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--splits", default=5, show_default=True)

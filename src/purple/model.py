@@ -6,13 +6,14 @@ which cancels in the ratio of group means, so only ratio-type quantities
 (relative prevalence, labeling-frequency ratios, diagnosis probabilities)
 are meaningful outputs.
 
-Training is plain Adam on the analytic gradient with optional L1 on the
-weights, early stopping on validation cross-entropy, and model selection
-across the L1 grid by validation AUC against the observed labels. The loop
-itself is ``_adam_fit``, which the baselines' logistic fits share: callers
-pass a gradient on a row set and, for early stopping, a validation loss.
-Full batch, the core fit takes one forward pass per epoch: the gradient call
-also yields the training loss that ``loss_trace`` records.
+Training minimizes the cross-entropy of the analytic model with optional L1
+on the weights, with early stopping on validation cross-entropy, and selects
+across the L1 grid by validation AUC against the observed labels. Full-batch
+fits run ``_lbfgs_fit``, a numpy L-BFGS that takes OWL-QN orthant steps for
+the L1 term; its objective is the fused ``gradients(..., with_loss=True)``,
+so each evaluation is one forward pass. Minibatch fits run ``_adam_fit``.
+The baselines' logistic fits share both solvers: callers pass an objective
+or a minibatch gradient and, for early stopping, a validation loss.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ from .metrics import auc
 PROB_FLOOR = 1e-12
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
+# L-BFGS: pairs kept, and the stopping rule of scipy's L-BFGS-B defaults
+# (max |g| below _LBFGS_GTOL, or a relative decrease of f below _LBFGS_FTOL).
+_LBFGS_MEMORY = 10
+_LBFGS_GTOL = 1e-5
+_LBFGS_FTOL = 1e7 * np.finfo(np.float64).eps
+_ARMIJO_C1 = 1e-4
+_MAX_BACKTRACKS = 60
 
 
 @dataclass
@@ -267,6 +275,11 @@ def _adam_update(params, grad, state, lr, eps):
     return params, (m, v, t)
 
 
+def _full_batch(config: TrainConfig, n_rows: int) -> bool:
+    """Whether a fit on ``n_rows`` rows takes the full-batch solver."""
+    return config.batch_size is None or config.batch_size >= n_rows
+
+
 def _epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):
     if batch_size is None or batch_size >= n:
         yield slice(None)
@@ -278,7 +291,7 @@ def _epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):
 
 def _adam_fit(grad, params: np.ndarray, n_rows: int, config: TrainConfig,
               rng: np.random.Generator, epochs: int, val_loss=None):
-    """The training loop of every fit: Adam with weight decay over shuffled
+    """The minibatch loop: Adam with weight decay over shuffled
     minibatches; ``grad(params, rows)`` is the gradient on ``rows`` (a slice
     for the full batch, else an index array).
 
@@ -309,67 +322,168 @@ def _adam_fit(grad, params: np.ndarray, n_rows: int, config: TrainConfig,
     return (params if val_loss is None else best_params), best_loss, epoch
 
 
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g for the L-BFGS inverse-Hessian estimate H held in ``pairs``,
+    a list of ``(s, y, 1/s.y)`` oldest first."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
+               n_l1: int = 0, weight_decay: float = 0.0, val_loss=None, patience: int = 0):
+    """The full-batch solver: L-BFGS with Armijo backtracking. ``objective(p)``
+    returns ``(f, g)``; any ``l1 * ||p[:n_l1]||_1`` term is in ``f`` and enters
+    ``g`` as ``l1 * sign(p)`` with sign(0) = 0, and is handled by OWL-QN
+    orthant steps (Andrew & Gao 2007), which keep exact zeros. Weight decay
+    adds ``0.5 * weight_decay * ||p||^2`` to the objective.
+
+    With ``val_loss(params, f)``, called at each iteration's iterate, stops
+    ``patience`` iterations after the best validation loss. A fit that
+    converges returns its last iterate, the optimum; one that stops early or
+    runs out of budget returns its best-validation iterate. Returns
+    ``(params, val_loss at params, iterations, stop)``, with ``stop`` one of
+    ``"converged"``, ``"early-stopped"`` or ``"budget"``; without
+    ``val_loss``, the returned iterate is always the last and its loss inf.
+    """
+    def evaluate(x):
+        f, g = objective(x)
+        if weight_decay:
+            f, g = f + 0.5 * weight_decay * float(x @ x), g + weight_decay * x
+        return f, g
+
+    def smooth(x, g):  # the gradient without the L1 term
+        if not l1:
+            return g
+        return np.concatenate([g[:n_l1] - l1 * np.sign(x[:n_l1]), g[n_l1:]])
+
+    def pseudo(x, g):  # OWL-QN pseudo-gradient: the steepest one-sided slope
+        if not l1:
+            return g
+        gw = g[:n_l1]  # at w = 0 this is the smooth gradient
+        at_zero = np.where(gw + l1 < 0.0, gw + l1, np.where(gw - l1 > 0.0, gw - l1, 0.0))
+        return np.concatenate([np.where(x[:n_l1] == 0.0, at_zero, gw), g[n_l1:]])
+
+    x = params
+    f, g = evaluate(x)
+    pg = pseudo(x, g)
+    pairs: list = []
+    best_params, best_loss, bad = x, np.inf, 0
+    current, it, stop = np.inf, 0, "budget"
+    while it < max_iter:
+        d = _two_loop(pg, pairs)
+        if l1:  # keep only the components that descend along -pg
+            d[:n_l1] = np.where(d[:n_l1] * pg[:n_l1] < 0.0, d[:n_l1], 0.0)
+            orthant = np.where(x[:n_l1] != 0.0, np.sign(x[:n_l1]), -np.sign(pg[:n_l1]))
+        if not pairs:  # no curvature yet: a first step of length at most 1
+            d /= max(np.linalg.norm(d), 1.0)
+        step = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + step * d
+            if l1:
+                x_new[:n_l1] = np.where(np.sign(x_new[:n_l1]) == orthant, x_new[:n_l1], 0.0)
+            f_new, g_new = evaluate(x_new)
+            if f_new <= f + _ARMIJO_C1 * float(pg @ (x_new - x)):
+                break
+            step *= 0.5
+        else:
+            if pairs:  # a poor curvature estimate: restart from steepest descent
+                pairs = []
+                continue
+            stop = "converged"  # no decrease left at float precision
+            break
+        it += 1
+        s_k, y_k = x_new - x, smooth(x_new, g_new) - smooth(x, g)
+        sy = float(s_k @ y_k)
+        if sy > np.finfo(np.float64).eps * float(y_k @ y_k):
+            pairs = (pairs + [(s_k, y_k, 1.0 / sy)])[-_LBFGS_MEMORY:]
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        pg = pseudo(x, g)
+        if val_loss is not None:
+            current = val_loss(x, f)
+            if current < best_loss:
+                best_params, best_loss, bad = x, current, 0
+            else:
+                bad += 1
+                if bad >= patience:
+                    stop = "early-stopped"
+                    break
+        if np.max(np.abs(pg)) < _LBFGS_GTOL or decrease < _LBFGS_FTOL:
+            stop = "converged"
+            break
+    if val_loss is None or stop == "converged":
+        return x, current, it, stop
+    return best_params, best_loss, it, stop
+
+
 def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainConfig,
                       lam: float, rng: np.random.Generator):
-    """One Adam fit at one L1 strength, with ``loss_trace`` entries
-    ``(epoch, train loss, val cross-entropy)`` at each epoch's end point.
-
-    Full batch, the next epoch's gradient evaluates at that end point, so it
-    supplies the train loss from the same forward pass; only the last
-    epoch's entry needs a separate ``loss`` call.
+    """One fit at one L1 strength: L-BFGS full batch, Adam on minibatches.
+    ``loss_trace`` has one entry ``(iteration or epoch, train loss, val
+    cross-entropy)`` per iteration or epoch, at its end point; L-BFGS's
+    train loss is the accepted iterate's objective value, which includes
+    the weight-decay term when one is set.
+    Returns ``(model, its val cross-entropy, trace, iterations or epochs,
+    stop reason)``.
     """
     d = train.n_dims
     s_val = val.s.astype(np.float64)
-    full_batch = config.batch_size is None or config.batch_size >= train.n_rows
     trace: list[tuple[int, float, float]] = []
-    pending = None  # parameters of the trace entry still missing its train loss
 
     def model_at(p):
         return PurpleModel(p[:d], p[d], p[d + 1:], train.group_names)
 
-    def record_train_loss(value):
-        nonlocal pending
-        epoch, _, val_ce = trace[-1]
-        trace[-1] = (epoch, value, val_ce)
-        pending = None
-
-    def grad(p, rows):
-        if p is pending:
-            train_loss, gw, gb, gtheta = gradients(model_at(p), train, lam, with_loss=True)
-            record_train_loss(train_loss)
-        else:
-            batch = train if isinstance(rows, slice) else train.take_rows(rows)
-            gw, gb, gtheta = gradients(model_at(p), batch, lam)
-        return np.concatenate([gw, [gb], gtheta])
-
-    def val_loss(p):
-        nonlocal pending
-        model = model_at(p)
-        val_ce = _cross_entropy(predict_diagnosis(model, val.features, val.group), s_val)
-        if full_batch:
-            trace.append((len(trace) + 1, np.nan, val_ce))
-            pending = p
-        else:
-            trace.append((len(trace) + 1, loss(model, train, lam), val_ce))
+    def record(p, train_loss):
+        val_ce = _cross_entropy(predict_diagnosis(model_at(p), val.features, val.group), s_val)
+        trace.append((len(trace) + 1, train_loss, val_ce))
         return val_ce
 
     params = np.zeros(d + 1 + len(train.group_names))
-    params, best_ce, epochs = _adam_fit(grad, params, train.n_rows, config, rng,
-                                        config.max_epochs, val_loss)
-    if pending is not None:
-        record_train_loss(loss(model_at(pending), train, lam))
-    return model_at(params), best_ce, trace, epochs
+    if _full_batch(config, train.n_rows):
+        def objective(p):
+            f, gw, gb, gtheta = gradients(model_at(p), train, lam, with_loss=True)
+            return f, np.concatenate([gw, [gb], gtheta])
+
+        params, best_ce, n, stop = _lbfgs_fit(
+            objective, params, config.max_epochs, l1=lam, n_l1=d,
+            weight_decay=config.weight_decay, val_loss=record, patience=config.patience)
+    else:
+        def grad(p, rows):
+            gw, gb, gtheta = gradients(model_at(p), train.take_rows(rows), lam)
+            return np.concatenate([gw, [gb], gtheta])
+
+        params, best_ce, n = _adam_fit(grad, params, train.n_rows, config, rng,
+                                       config.max_epochs,
+                                       lambda p: record(p, loss(model_at(p), train, lam)))
+        stop = "budget" if n >= config.max_epochs else "early-stopped"
+    return model_at(params), best_ce, trace, n, stop
 
 
 def fit(train: LabeledDataset, val: LabeledDataset, config: TrainConfig | None = None,
         seed: int = 0) -> FitResult:
     """Fit the model over the L1 grid.
 
-    Per grid value: zero-initialized Adam with early stopping on validation
-    cross-entropy (best parameters restored). Across the grid, the fit with
-    the highest validation AUC against the observed labels wins; both
-    metrics are retained per grid value for inspection. Deterministic given
-    the seed (which only drives minibatch shuffling).
+    Per grid value: a zero-initialized fit with early stopping on validation
+    cross-entropy, by L-BFGS (OWL-QN when the L1 strength is positive) on
+    the full batch and by Adam on minibatches. A converged L-BFGS fit keeps
+    its optimum; a fit stopped early or by its budget returns its
+    best-validation parameters.
+    ``config.max_epochs`` and ``config.patience`` count L-BFGS iterations or
+    Adam epochs. Across the grid, the fit with the highest validation AUC
+    against the observed labels wins; both metrics, the iterations or epochs
+    run and the stop reason (``"converged"``, ``"early-stopped"`` or
+    ``"budget"``; Adam never reports ``"converged"``) are retained per grid
+    value for inspection. Deterministic given the seed, which only drives
+    minibatch shuffling: a full-batch fit draws no random numbers.
     """
     config = config or TrainConfig()
     if train.n_dims != val.n_dims:
@@ -386,23 +500,22 @@ def fit(train: LabeledDataset, val: LabeledDataset, config: TrainConfig | None =
     candidates = []
     for li, lam in enumerate(config.lambda_grid):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), li]))
-        model, val_ce, trace, epochs = _train_one_lambda(train, val, config, lam, rng)
+        model, val_ce, trace, epochs, stop = _train_one_lambda(train, val, config, lam, rng)
         probs = predict_diagnosis(model, val.features, val.group)
         try:
             val_auc = auc(probs, val.s)
         except ValueError:
             val_auc = float("nan")
-        candidates.append((model, float(lam), val_auc, val_ce, epochs, trace))
+        candidates.append((model, float(lam), val_auc, val_ce, epochs, trace, stop))
 
     def selection_key(cand):
-        _, _, val_auc, val_ce, _, _ = cand
+        _, _, val_auc, val_ce, _, _, _ = cand
         # Highest AUC wins; cross-entropy breaks ties and covers the
         # single-class case where AUC is undefined.
         auc_key = -np.inf if np.isnan(val_auc) else val_auc
         return (auc_key, -val_ce)
 
-    best = max(candidates, key=selection_key)
-    model, lam, val_auc, val_ce, epochs, trace = best
+    model, lam, val_auc, val_ce, epochs, trace, _ = max(candidates, key=selection_key)
     return FitResult(
         model=model,
         selected_lambda=lam,
@@ -412,7 +525,7 @@ def fit(train: LabeledDataset, val: LabeledDataset, config: TrainConfig | None =
         loss_trace=trace,
         degenerate=degenerate,
         lambda_metrics=[{"lambda": c[1], "val_auc": c[2], "val_cross_entropy": c[3],
-                         "epochs": c[4]} for c in candidates],
+                         "epochs": c[4], "stop": c[6]} for c in candidates],
     )
 
 

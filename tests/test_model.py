@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import minimize
 from helpers import fd_gradients, random_model, rel_err, tiny_batch
 
 from purple.baselines import group_prevalences
@@ -17,6 +19,7 @@ from purple.model import (
     TrainConfig,
     _adam_fit,
     _adam_update,
+    _lbfgs_fit,
     fit,
     gradients,
     loss,
@@ -228,6 +231,93 @@ class TestAdamFit:
         np.testing.assert_array_equal(params, self.replay(np.zeros(3), 21, cfg))
 
 
+class TestLbfgsFit:
+    """``_lbfgs_fit`` on the core objective against scipy's L-BFGS-B run to
+    tight tolerances. Weight decay ``WD`` and column scales 1 to 16 make the
+    objective well conditioned near its optimum, so the solver's stop at
+    ``max|g| < 1e-5`` lands within 1e-5 of it after a dozen iterations.
+    Without them the shared-constant direction of ``sigmoid(w.x+b) *
+    sigmoid(theta_g)`` is nearly flat, and any solver stopping at that
+    gradient, scipy's own L-BFGS-B at its defaults included, lands up to
+    2e-4 from the optimum."""
+
+    WD = 10.0
+
+    @staticmethod
+    def train_set(sparse, noise_dims=0):
+        """A Gaussian training set with scaled columns, plus ``noise_dims``
+        columns of small pure noise that a large enough L1 strength zeroes."""
+        data = generate_gauss(GaussSynthConfig(n_a=1000, n_b=1500), 0)
+        tr, _, _ = split(data, SplitSpec(seed=0), 0)
+        noise = 0.1 * np.random.default_rng(1).standard_normal((tr.n_rows, noise_dims))
+        x = np.hstack([tr.features.dense_rows() * [1.0, 2.0, 4.0, 8.0, 16.0], noise])
+        return replace(tr, features=FeatureMatrix(sp.csr_matrix(x) if sparse else x))
+
+    def objective(self, tr, lam):
+        d = tr.n_dims
+
+        def fg(p):
+            m = PurpleModel(p[:d], p[d], p[d + 1:], tr.group_names)
+            f, gw, gb, gtheta = gradients(m, tr, lam, with_loss=True)
+            return f, np.concatenate([gw, [gb], gtheta])
+
+        return fg
+
+    def decayed(self, fg):
+        def out(p):
+            f, g = fg(p)
+            return f + 0.5 * self.WD * float(p @ p), g + self.WD * p
+
+        return out
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_matches_scipy_at_lambda_zero(self, sparse):
+        tr = self.train_set(sparse)
+        fg = self.objective(tr, 0.0)
+        start = np.zeros(tr.n_dims + 3)
+        params, _, iters, stop = _lbfgs_fit(fg, start, 1000, weight_decay=self.WD)
+        oracle = minimize(self.decayed(fg), start, jac=True, method="L-BFGS-B",
+                          options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-10})
+        assert stop == "converged" and iters < 1000
+        np.testing.assert_allclose(params, oracle.x, rtol=0, atol=1e-5)
+        assert abs(self.decayed(fg)(params)[0] - oracle.fun) < 1e-9
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_owlqn_matches_split_variable_oracle(self, sparse):
+        lam, noise_dims = 1e-2, 3
+        tr = self.train_set(sparse, noise_dims)
+        d = tr.n_dims
+        fg = self.objective(tr, lam)
+        smooth = self.decayed(self.objective(tr, 0.0))
+        start = np.zeros(d + 3)
+        params, _, _, stop = _lbfgs_fit(fg, start, 1000, l1=lam, n_l1=d,
+                                        weight_decay=self.WD)
+
+        def split_objective(q):  # w = u - v with u, v >= 0, so |w| = u + v at the optimum
+            f, g = smooth(np.concatenate([q[:d] - q[d:2 * d], q[2 * d:]]))
+            return (f + lam * q[:2 * d].sum(),
+                    np.concatenate([g[:d] + lam, lam - g[:d], g[d:]]))
+
+        oracle = minimize(split_objective, np.zeros(2 * d + 3), jac=True, method="L-BFGS-B",
+                          bounds=[(0.0, None)] * (2 * d) + [(None, None)] * 3,
+                          options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-10})
+        u, v = oracle.x[:d], oracle.x[d:2 * d]
+        zero = (u == 0.0) & (v == 0.0)
+        assert stop == "converged"
+        assert zero[-noise_dims:].all() and not zero[:-noise_dims].any()
+        np.testing.assert_array_equal(params[:d][zero], 0.0)
+        np.testing.assert_allclose(params, np.concatenate([u - v, oracle.x[2 * d:]]),
+                                   rtol=0, atol=1e-5)
+        assert abs(self.decayed(fg)(params)[0] - oracle.fun) < 1e-9
+
+    def test_full_batch_fit_draws_no_random_numbers(self):
+        data = generate_gauss(GaussSynthConfig(n_a=600, n_b=900), 0)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        cfg = TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=200, patience=10)
+        runs = [json.dumps(fit(tr, va, cfg, seed=seed).to_dict()) for seed in (0, 1, 99)]
+        assert runs[0] == runs[1] == runs[2]
+
+
 class TestFit:
     def small_data(self, seed=0):
         data = generate_gauss(GaussSynthConfig(n_a=600, n_b=900), seed)
@@ -246,6 +336,7 @@ class TestFit:
         r1 = fit(tr, va, cfg, seed=3)
         r2 = fit(tr, va, cfg, seed=3)
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
+        assert r1.lambda_metrics[0]["stop"] == "budget"  # Adam never reports converged
 
     def test_selected_lambda_in_grid(self):
         tr, va, _ = self.small_data()
@@ -285,10 +376,9 @@ class TestFit:
                           max_epochs=max_epochs, patience=patience)
         res = fit(tr, va, cfg, seed=0)
         assert [t[0] for t in res.loss_trace] == list(range(1, res.epochs_run + 1))
-        if patience > max_epochs:
-            assert res.epochs_run == max_epochs
-        else:
-            assert res.epochs_run < max_epochs
+        stop = {m["lambda"]: m["stop"] for m in res.lambda_metrics}[res.selected_lambda]
+        assert stop in ("converged", "budget" if patience > max_epochs else "early-stopped")
+        assert (res.epochs_run == max_epochs) == (stop == "budget")
 
     def test_fit_result_round_trip(self):
         tr, va, _ = self.small_data()
@@ -310,27 +400,34 @@ class TestFit:
 
 
 class TestLossTrace:
-    """Each ``loss_trace`` train loss is ``loss`` at that epoch's end point,
-    replayed by running ``_adam_fit`` for exactly that many epochs."""
+    """Each ``loss_trace`` train loss is ``loss`` at that iteration's or
+    epoch's end point, replayed by running ``_lbfgs_fit`` (full batch) or
+    ``_adam_fit`` (minibatch) for exactly that many."""
 
     LAM = 1e-3
 
     def replay_losses(self, tr, cfg, seed, n_epochs):
         d = tr.n_dims
+        start = np.zeros(d + 1 + len(tr.group_names))
 
         def model_at(p):
             return PurpleModel(p[:d], p[d], p[d + 1:], tr.group_names)
 
+        def objective(p):
+            f, gw, gb, gtheta = gradients(model_at(p), tr, self.LAM, with_loss=True)
+            return f, np.concatenate([gw, [gb], gtheta])
+
         def grad(p, rows):
-            batch = tr if isinstance(rows, slice) else tr.take_rows(rows)
-            gw, gb, gtheta = gradients(model_at(p), batch, self.LAM)
+            gw, gb, gtheta = gradients(model_at(p), tr.take_rows(rows), self.LAM)
             return np.concatenate([gw, [gb], gtheta])
 
         out = []
         for k in range(1, n_epochs + 1):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-            params, _, _ = _adam_fit(grad, np.zeros(d + 1 + len(tr.group_names)), tr.n_rows,
-                                     cfg, rng, k, val_loss=None)
+            if cfg.batch_size is None:
+                params = _lbfgs_fit(objective, start, k, l1=self.LAM, n_l1=d)[0]
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+                params = _adam_fit(grad, start, tr.n_rows, cfg, rng, k)[0]
             out.append(loss(model_at(params), tr, self.LAM))
         return out
 

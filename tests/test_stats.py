@@ -1,30 +1,8 @@
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
-from purple.stats import paired_t_test, regularized_incomplete_beta, student_t_cdf
-
-
-class TestIncompleteBeta:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            a = float(rng.uniform(0.2, 40.0))
-            b = float(rng.uniform(0.2, 40.0))
-            x = float(rng.uniform(0.0, 1.0))
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-                float(scipy.special.betainc(a, b, x)), abs=1e-12)
-
-    def test_endpoints(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)
+from purple.stats import paired_t_test, student_t_cdf
 
 
 class TestStudentTCdf:
