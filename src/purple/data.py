@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice, repeat
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,18 +97,6 @@ class FeatureMatrix:
         index_map = np.full(self.n_dims, -1, dtype=np.int64)
         index_map[keep] = np.arange(keep.size)
         return FeatureMatrix(self._m[:, keep]), index_map
-
-    def iter_sparse_rows(self) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-        """Yield (indices, values) of the nonzero entries of each row."""
-        if sp.issparse(self._m):
-            m = self._m
-            for i in range(m.shape[0]):
-                lo, hi = m.indptr[i], m.indptr[i + 1]
-                yield m.indices[lo:hi], m.data[lo:hi]
-        else:
-            for row in self._m:
-                idx = np.flatnonzero(row)
-                yield idx, row[idx]
 
     def dense_rows(self) -> np.ndarray:
         if sp.issparse(self._m):
@@ -259,36 +248,39 @@ def group_summary(data: LabeledDataset) -> dict[str, tuple[int, int, float]]:
 # ---------------------------------------------------------------------------
 # File I/O
 
+# ``.pu`` files are read and written this many rows at a time: enough that
+# a block's entries go through a handful of C-level calls, few enough that
+# its token lists stay small. On a 21k-row file with 179k entries, parsing
+# it whole raised the peak memory of a simulate/fit/estimate round trip
+# from 74 to 120 MB.
+_PU_BLOCK_ROWS = 2048
+_LABELS = frozenset({"0", "1"})
+_Y_TOKENS = _LABELS | {"?"}
+
 
 def _format_value(v: float) -> str:
     return repr(float(v))
 
 
 def _parse_label(tok: str, what: str, lineno: int) -> int:
-    if tok not in ("0", "1"):
+    if tok not in _LABELS:
         raise ParseError(f"line {lineno}: {what} must be 0 or 1, got {tok!r}")
     return int(tok)
 
 
 def _finish_groups(raw_groups: list[str]) -> tuple[np.ndarray, list[str]]:
-    names: list[str] = []
-    index: dict[str, int] = {}
-    ids = np.empty(len(raw_groups), dtype=np.int64)
-    for i, g in enumerate(raw_groups):
-        if g not in index:
-            index[g] = len(names)
-            names.append(g)
-        ids[i] = index[g]
-    return ids, names
+    names = list(dict.fromkeys(raw_groups))  # in order of first appearance
+    index = {g: k for k, g in enumerate(names)}
+    return np.fromiter(map(index.__getitem__, raw_groups), np.int64, len(raw_groups)), names
 
 
-def _finish_y(raw_y: list[int | None], path: str) -> np.ndarray | None:
-    known = [v for v in raw_y if v is not None]
-    if not known:
+def _finish_y(y_toks: list[str], path: str) -> np.ndarray | None:
+    unknown = y_toks.count("?")
+    if unknown == len(y_toks):
         return None
-    if len(known) != len(raw_y):
+    if unknown:
         raise ParseError(f"{path}: y is present on some rows and '?' on others")
-    return np.asarray(raw_y, dtype=np.int8)
+    return (np.array(y_toks) == "1").astype(np.int8)
 
 
 def _load_dense_csv(path: str) -> LabeledDataset:
@@ -303,7 +295,7 @@ def _load_dense_csv(path: str) -> LabeledDataset:
                 raise ParseError(f"line 1: expected feature column x{j}, got {name!r}")
         groups: list[str] = []
         s_vals: list[int] = []
-        y_vals: list[int | None] = []
+        y_toks: list[str] = []
         rows: list[list[float]] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -314,7 +306,9 @@ def _load_dense_csv(path: str) -> LabeledDataset:
                 raise ParseError(f"line {lineno}: expected {3 + d} fields, got {len(toks)}")
             groups.append(toks[0])
             s_vals.append(_parse_label(toks[1], "s", lineno))
-            y_vals.append(None if toks[2] == "?" else _parse_label(toks[2], "y", lineno))
+            if toks[2] != "?":
+                _parse_label(toks[2], "y", lineno)
+            y_toks.append(toks[2])
             try:
                 rows.append([float(t) for t in toks[3:]])
             except ValueError as e:
@@ -323,7 +317,102 @@ def _load_dense_csv(path: str) -> LabeledDataset:
                 raise ParseError(f"line {lineno}: non-finite feature value")
     feats = FeatureMatrix(np.asarray(rows, dtype=np.float64).reshape(len(rows), d))
     ids, names = _finish_groups(groups)
-    return LabeledDataset(feats, ids, names, np.asarray(s_vals), _finish_y(y_vals, path))
+    return LabeledDataset(feats, ids, names, np.asarray(s_vals), _finish_y(y_toks, path))
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length if none is."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _convert(convert, toks: list[str]) -> list:
+    """``convert`` applied to each token, stopping before the first it rejects."""
+    try:
+        return list(map(convert, toks))
+    except ValueError:  # find the culprit, one token at a time
+        out = []
+        for tok in toks:
+            try:
+                out.append(convert(tok))
+            except ValueError:
+                return out
+        raise
+
+
+def _parse_pu_block(block: list[str], lineno: int, d: int, heads: tuple[list, list, list]):
+    """Parse a block of ``.pu`` data lines, the first of them numbered ``lineno``.
+
+    Appends each non-empty line's group, s and y tokens to ``heads`` and
+    returns the block's entry count per line, indices and values. Each rule
+    is checked over the whole block and cuts it short at its first failure,
+    so what is raised is the first failure in file order, with the message
+    of the first rule that line or entry breaks.
+    """
+    stripped = list(map(str.rstrip, block, repeat("\n")))
+    linenos = [k for k, line in enumerate(stripped, start=lineno) if line]
+    lines = [line for line in stripped if line]
+    fields = list(map(str.split, lines, repeat(" "), repeat(3)))
+    fault = None  # (line number, message) of the earliest failure found so far
+
+    n = _first(np.fromiter(map(len, fields), np.intp, len(fields)) < 3)
+    if n < len(fields):
+        fault = (linenos[n], f"expected '<g> <s> <y|?> ...', got {lines[n]!r}")
+    s_toks, y_toks = [f[1] for f in fields[:n]], [f[2] for f in fields[:n]]
+    if not (_LABELS.issuperset(s_toks) and _Y_TOKENS.issuperset(y_toks)):
+        n = next(k for k in range(n) if s_toks[k] not in _LABELS or y_toks[k] not in _Y_TOKENS)
+        fault = (linenos[n], f"s must be 0 or 1, got {s_toks[n]!r}" if s_toks[n] not in _LABELS
+                 else f"y must be 0 or 1, got {y_toks[n]!r}")
+    del fields[n:], s_toks[n:], y_toks[n:]
+    heads[0].extend(f[0] for f in fields)
+    heads[1].extend(s_toks)
+    heads[2].extend(y_toks)
+    counts = [f[3].count(" ") + 1 if len(f) == 4 else 0 for f in fields]
+    entries = " ".join([f[3] for f in fields if len(f) == 4])
+    per_line = np.array(counts, dtype=np.intp)
+    ends = np.cumsum(per_line)
+    line_of = lambda k: linenos[int(np.searchsorted(ends, k, side="right"))]
+
+    # Exactly one colon per entry, so that re-splitting the block on ':'
+    # keeps each index beside its value ('3 4:1:2' must not read as two
+    # entries). Bytes suffice: neither byte occurs inside a UTF-8 character.
+    n = sum(counts)
+    buf = np.frombuffer(entries.encode(), dtype=np.uint8)
+    colons = np.bincount(np.searchsorted(np.flatnonzero(buf == 32), np.flatnonzero(buf == 58)),
+                         minlength=n)
+    k = _first(colons != 1)
+    if k < n:
+        toks = entries.split(" ")
+        fault = (line_of(k), f"expected '<index>:<value>', got {toks[k]!r}" if colons[k] == 0
+                 else f"bad entry {toks[k]!r}")  # no float holds a colon
+        n, entries = k, " ".join(toks[:k])
+    halves = entries.replace(":", " ").split(" ") if n else []
+    i_strs, v_strs = halves[0::2], halves[1::2]
+
+    # Python's own int() and float() decide which tokens are numbers.
+    ints, vals = _convert(int, i_strs), _convert(float, v_strs)
+    if min(len(ints), len(vals)) < n:
+        n = min(len(ints), len(vals))
+        fault = (line_of(n), f"bad entry {i_strs[n] + ':' + v_strs[n]!r}")
+    try:
+        idx = np.array(ints[:n], dtype=np.int64)
+    except OverflowError:  # compare as Python ints instead
+        idx = np.array(ints[:n], dtype=object)
+    val = np.array(vals[:n], dtype=np.float64)
+    outside = (idx < 0) | (idx >= d)
+    nonfinite = ~np.isfinite(val)
+    descending = np.zeros(n, dtype=bool)
+    descending[1:] = idx[1:] <= idx[:-1]
+    starts = ends - per_line
+    descending[starts[starts < n]] = False
+    k = _first(outside | nonfinite | descending)
+    if k < n:
+        fault = (line_of(k), f"index {ints[k]} outside [0, {d})" if outside[k]
+                 else f"non-finite feature value in {i_strs[k] + ':' + v_strs[k]!r}"
+                 if nonfinite[k] else "indices must be strictly ascending")
+    if fault:
+        raise ParseError(f"line {fault[0]}: {fault[1]}")
+    return counts, idx, val
 
 
 def _load_sparse_pu(path: str) -> LabeledDataset:
@@ -334,49 +423,28 @@ def _load_sparse_pu(path: str) -> LabeledDataset:
         try:
             d = int(first[len("#sparse d="):])
         except ValueError:
-            raise ParseError(f"line 1: bad dimensionality in {first!r}") from None
-        groups: list[str] = []
-        s_vals: list[int] = []
-        y_vals: list[int | None] = []
-        indptr = [0]
-        indices: list[int] = []
-        values: list[float] = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            toks = line.split(" ")
-            if len(toks) < 3:
-                raise ParseError(f"line {lineno}: expected '<g> <s> <y|?> ...', got {line!r}")
-            groups.append(toks[0])
-            s_vals.append(_parse_label(toks[1], "s", lineno))
-            y_vals.append(None if toks[2] == "?" else _parse_label(toks[2], "y", lineno))
-            prev = -1
-            for tok in toks[3:]:
-                if ":" not in tok:
-                    raise ParseError(f"line {lineno}: expected '<index>:<value>', got {tok!r}")
-                i_str, v_str = tok.split(":", 1)
-                try:
-                    i, v = int(i_str), float(v_str)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad entry {tok!r}") from None
-                if i < 0 or i >= d:
-                    raise ParseError(f"line {lineno}: index {i} outside [0, {d})")
-                if not math.isfinite(v):
-                    raise ParseError(f"line {lineno}: non-finite feature value in {tok!r}")
-                if i <= prev:
-                    raise ParseError(f"line {lineno}: indices must be strictly ascending")
-                prev = i
-                indices.append(i)
-                values.append(v)
-            indptr.append(len(indices))
-    mat = sp.csr_matrix(
-        (np.asarray(values, dtype=np.float64), np.asarray(indices, dtype=np.int32),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(groups), d),
-    )
+            d = -1  # reported below, as a negative count is
+        if d < 0:
+            raise ParseError(f"line 1: bad dimensionality in {first!r}")
+        heads: tuple[list, list, list] = ([], [], [])
+        counts: list[int] = []
+        indices = [np.empty(0, dtype=np.int64)]
+        values = [np.empty(0, dtype=np.float64)]
+        lineno = 2
+        while block := list(islice(fh, _PU_BLOCK_ROWS)):
+            c, i, v = _parse_pu_block(block, lineno, d, heads)
+            lineno += len(block)
+            counts += c
+            indices.append(i)
+            values.append(v)
+    groups, s_toks, y_toks = heads
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    mat = sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
+                        shape=(len(groups), d))
     ids, names = _finish_groups(groups)
-    return LabeledDataset(FeatureMatrix(mat), ids, names, np.asarray(s_vals), _finish_y(y_vals, path))
+    return LabeledDataset(FeatureMatrix(mat), ids, names, np.asarray(list(map(int, s_toks))),
+                          _finish_y(y_toks, path))
 
 
 def _infer_format(path: str) -> str:
@@ -398,32 +466,62 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
     raise ValueError(f"unknown dataset format {fmt!r}")
 
 
+def _write_dense_csv(data: LabeledDataset, fh) -> None:
+    names, y = data.group_names, data.y
+    fh.write("g,s,y," + ",".join(f"x{j}" for j in range(data.n_dims)) + "\n")
+    dense = data.features.dense_rows()
+    for i in range(data.n_rows):
+        ytok = "?" if y is None else str(int(y[i]))
+        feats = ",".join(_format_value(v) for v in dense[i])
+        fh.write(f"{names[data.group[i]]},{int(data.s[i])},{ytok},{feats}\n")
+
+
+def _write_sparse_pu(data: LabeledDataset, fh) -> None:
+    """Write the stored entries of each row, a block of rows per ``write``.
+
+    Within a block, each distinct column index and each distinct value, by
+    its bit pattern so that ``-0.0`` keeps its sign, is formatted once.
+    """
+    m = data.features.raw
+    csr = m if sp.issparse(m) else sp.csr_matrix(m)
+    names, indptr = data.group_names, csr.indptr
+    y = ["?"] * data.n_rows if data.y is None else data.y.tolist()
+    fh.write(f"#sparse d={data.n_dims}\n")
+    for lo in range(0, data.n_rows, _PU_BLOCK_ROWS):
+        hi = min(lo + _PU_BLOCK_ROWS, data.n_rows)
+        a, b = indptr[lo], indptr[hi]
+        cols, col_of = np.unique(csr.indices[a:b], return_inverse=True)
+        bits, val_of = np.unique(csr.data[a:b].view(np.uint64), return_inverse=True)
+        prefixes = [f" {j}:" for j in cols.tolist()]
+        texts = [_format_value(v) for v in bits.view(np.float64).tolist()]
+        entries = list(map(str.__add__, map(prefixes.__getitem__, col_of.tolist()),
+                           map(texts.__getitem__, val_of.tolist())))
+        ptr = (indptr[lo:hi + 1] - a).tolist()
+        heads = map("{} {} {}".format, map(names.__getitem__, data.group[lo:hi].tolist()),
+                    data.s[lo:hi].tolist(), y[lo:hi])
+        fh.write("".join([head + "".join(entries[p:q]) + "\n"
+                          for head, p, q in zip(heads, ptr, ptr[1:])]))
+
+
 def write_dataset(data: LabeledDataset, path: str, format: str | None = None) -> None:
     """Write a dataset file; format inferred from extension unless given.
 
     Floats are written with shortest round-trip formatting, so write/load
     reproduces features exactly. ``latent_p`` and provenance are not part
-    of either format and are dropped.
+    of either format and are dropped. A group name holding the format's
+    field separator or a line break is rejected before the file is opened.
     """
     fmt = format or _infer_format(path)
-    names = data.group_names
-    y = data.y
+    if fmt == "dense-csv":
+        writer, separator = _write_dense_csv, ","
+    elif fmt == "sparse-pu":
+        writer, separator = _write_sparse_pu, " "
+    else:
+        raise ValueError(f"unknown dataset format {fmt!r}")
+    for name in data.group_names:
+        for ch in separator + "\n\r":  # reading splits lines at \r too
+            if ch in name:
+                raise ValueError(f"group name {name!r} cannot be written to a {fmt} "
+                                 f"file: it contains {ch!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "dense-csv":
-            d = data.n_dims
-            fh.write("g,s,y," + ",".join(f"x{j}" for j in range(d)) + "\n")
-            dense = data.features.dense_rows()
-            for i in range(data.n_rows):
-                ytok = "?" if y is None else str(int(y[i]))
-                feats = ",".join(_format_value(v) for v in dense[i])
-                fh.write(f"{names[data.group[i]]},{int(data.s[i])},{ytok},{feats}\n")
-        elif fmt == "sparse-pu":
-            fh.write(f"#sparse d={data.n_dims}\n")
-            for i, (idx, vals) in enumerate(data.features.iter_sparse_rows()):
-                ytok = "?" if y is None else str(int(y[i]))
-                entries = "".join(f" {int(j)}:{_format_value(v)}" for j, v in zip(idx, vals))
-                fh.write(f"{names[data.group[i]]} {int(data.s[i])} {ytok}{entries}\n")
-        else:
-            raise ValueError(f"unknown dataset format {fmt!r}")
-
-
+        writer(data, fh)

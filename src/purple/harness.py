@@ -4,8 +4,10 @@ every split, and serialize deterministic reports.
 Every cell of a suite -- a (method, sweep point, split) triple -- runs with
 a seed derived from the base seed and the cell's coordinates, so cells are
 independent and the full report is a pure function of the suite
-configuration. A failed cell is recorded with its error and never defaults
-to a number.
+configuration. A cell whose estimator fails -- raises ``ValueError``
+(``numpy.linalg.LinAlgError`` is one) or ``FloatingPointError`` -- is
+recorded with its error and never defaults to a number; any other
+exception is a bug and propagates out of ``run_suite``.
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ def _run_cell(suite: ExperimentSuite, data: LabeledDataset, sweep_value, split_i
                                            seed=seed, config=suite.train,
                                            em_config=suite.em)
         return {"split": split_i, "rp_estimate": est.value, "flags": est.flags}
-    except Exception as e:  # a failed cell must not sink the suite
+    except (ValueError, FloatingPointError) as e:
         return {"split": split_i, "error": f"{type(e).__name__}: {e}"}
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -143,6 +145,12 @@ class TestSparsePu:
         with pytest.raises(ParseError, match="line 1"):
             load_dataset(str(p))
 
+    def test_negative_dimensionality(self, tmp_path):
+        p = tmp_path / "d.pu"
+        p.write_text("#sparse d=-1\na 0 ?\n")
+        with pytest.raises(ParseError, match="line 1: bad dimensionality"):
+            load_dataset(str(p))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt,ext", [("dense-csv", "csv"), ("sparse-pu", "pu")])
@@ -161,6 +169,24 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.y, data.y)
         np.testing.assert_array_equal(back.group, data.group)
         assert back.group_names == data.group_names
+
+    @pytest.mark.parametrize("ext,name", [("pu", "a b"), ("pu", "a\nb"), ("pu", "a\rb"),
+                                          ("csv", "a,b"), ("csv", "a\nb"), ("csv", "a\rb")])
+    def test_unwritable_group_name_rejected(self, tmp_path, ext, name):
+        data = make_dataset((3, 3))
+        data.group_names[1] = name
+        p = tmp_path / f"d.{ext}"
+        with pytest.raises(ValueError, match=re.escape(f"group name {name!r}")):
+            write_dataset(data, str(p))
+        assert not p.exists()
+
+    @pytest.mark.parametrize("ext,name", [("pu", "a,b"), ("csv", "a b")])
+    def test_other_format_separator_round_trips(self, tmp_path, ext, name):
+        data = make_dataset((3, 3))
+        data.group_names[1] = name
+        p = tmp_path / f"d.{ext}"
+        write_dataset(data, str(p))
+        assert load_dataset(str(p)).group_names == ["a", name]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -144,7 +144,7 @@ class TestRunSuite:
 
     def test_failed_cells_recorded_not_defaulted(self):
         def exploding(train, val, eval_data, seed):
-            raise RuntimeError("boom")
+            raise ValueError("boom")
 
         register_estimator("exploding", exploding)
         report = run_suite(tiny_suite(methods=("purple", "exploding")))
@@ -156,6 +156,15 @@ class TestRunSuite:
         # failed cells are absent from the CSV
         rows = list(csv.reader(io.StringIO(results_csv_bytes(report).decode())))
         assert len(rows) - 1 == 4  # header + purple cells only
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_library_bug_propagates(self, jobs):
+        def buggy(train, val, eval_data, seed):
+            raise TypeError("not an estimator failure")
+
+        register_estimator("buggy", buggy)
+        with pytest.raises(TypeError, match="not an estimator failure"):
+            run_suite(tiny_suite(methods=("negative", "buggy")), jobs=jobs)
 
     def test_csv_row_count(self):
         report = run_suite(tiny_suite())

@@ -1,17 +1,23 @@
-"""Invariants of the full-batch fit, checked on generated Gaussian data sets.
+"""Invariants checked on generated inputs: the full-batch fit, dataset file
+round trips and parse errors, and splitting.
 
-Example counts stay small: each example runs two fits over a two-value L1
-grid.
+Fit example counts stay small: each example runs two fits over a two-value
+L1 grid.
 """
 
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purple.data import FeatureMatrix, SplitSpec, split
+from purple import data
+from purple.data import (FeatureMatrix, LabeledDataset, ParseError, SplitSpec, load_dataset,
+                         split, split_indices, write_dataset)
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import TrainConfig, fit, relative_prevalence
 
@@ -59,3 +65,169 @@ def test_swapping_groups_gives_the_reciprocal_estimate(n_a, n_b, seed):
     swapped = relative_prevalence(fit(swap_groups(tr), swap_groups(va), CFG).model,
                                   swap_groups(te), "a", "b")
     np.testing.assert_allclose(ab * swapped, 1.0, rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Dataset files and splits
+
+IO_PROPERTY = settings(max_examples=100, deadline=None)
+# Rows per block while reading and writing .pu: tiny blocks put the block
+# boundaries between the rows of a small example.
+block_rows = st.sampled_from([1, 2, 3, data._PU_BLOCK_ROWS])
+feature_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets(draw, sparse):
+    """A small data set whose group table is in order of first appearance,
+    as a loader builds it; ``sparse`` stores explicit zeros and ``-0.0``."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    order = list(dict.fromkeys(raw))
+    group = np.array([order.index(g) for g in raw], dtype=np.int64)
+    s = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    y = None
+    if draw(st.booleans()):
+        y = s | np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    stored = np.array(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d)),
+                      dtype=bool).reshape(n, d)
+    values = draw(st.lists(feature_values, min_size=int(stored.sum()),
+                           max_size=int(stored.sum())))
+    if sparse:
+        indptr = np.r_[0, np.cumsum(stored.sum(axis=1))]
+        x = sp.csr_matrix((np.array(values, dtype=np.float64), np.nonzero(stored)[1], indptr),
+                          shape=(n, d))
+    else:
+        x = np.zeros((n, d))
+        x[stored] = values
+    return LabeledDataset(FeatureMatrix(x), group, [f"g{k}" for k in range(len(order))], s, y)
+
+
+def write_bytes(dataset, path):
+    write_dataset(dataset, str(path))
+    return path.read_bytes()
+
+
+def assert_same_rows(back, dataset, bitwise=True):
+    a, b = back.features.raw, dataset.features.raw
+    if sp.issparse(b):
+        for name in ("indptr", "indices"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+    else:
+        got = back.features.dense_rows()
+        if bitwise:
+            got, b = got.view(np.uint64), b.view(np.uint64)
+        np.testing.assert_array_equal(got, b)
+    np.testing.assert_array_equal(back.group, dataset.group)
+    assert back.group_names == dataset.group_names
+    np.testing.assert_array_equal(back.s, dataset.s)
+    assert (back.y is None) == (dataset.y is None)
+    if dataset.y is not None:
+        np.testing.assert_array_equal(back.y, dataset.y)
+
+
+@IO_PROPERTY
+@given(dataset=st.one_of(datasets(sparse=True), datasets(sparse=False)), rows=block_rows)
+def test_pu_round_trip_is_exact(tmp_path_factory, dataset, rows):
+    # Dense zeros, -0.0 among them, are not stored in .pu and load as 0.0.
+    path = tmp_path_factory.mktemp("pu") / "d.pu"
+    with mock.patch.object(data, "_PU_BLOCK_ROWS", rows):
+        first = write_bytes(dataset, path)
+        back = load_dataset(str(path))
+        assert write_bytes(back, path) == first
+    assert_same_rows(back, dataset, bitwise=dataset.features.is_sparse)
+
+
+@IO_PROPERTY
+@given(dataset=datasets(sparse=False))
+def test_csv_round_trip_is_exact(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    first = write_bytes(dataset, path)
+    back = load_dataset(str(path))
+    assert write_bytes(back, path) == first
+    assert_same_rows(back, dataset)
+
+
+D = 8
+GOOD_ENTRY_VALUES = ["1", "1.0", "-2.5", "-0.0", "1e-320", "7"]
+BAD_ENTRIES = ["3", "4:1:2", ":1", "1:", "x:1", "-1:1", "5:nan", "", f"{D}:1", "2:inf",
+               "0:1", f"{D - 1}:1"]  # the last two break the order unless placed well
+HEADS = ["a 0 ?", "b 1 ?", "a 1 1", "b 0 0"]
+
+
+def first_bad_line(text):
+    """The line-by-line reference: the number of the first line that breaks
+    a ``.pu`` rule, or None. The header is valid and y is never mixed."""
+    for lineno, line in enumerate(text.split("\n")[1:], start=2):
+        if not line:
+            continue
+        prev = -1
+        for tok in line.split(" ")[3:]:
+            if ":" not in tok:
+                return lineno
+            i_str, v_str = tok.split(":", 1)
+            try:
+                i, v = int(i_str), float(v_str)
+            except ValueError:
+                return lineno
+            if not (0 <= i < D and math.isfinite(v) and i > prev):
+                return lineno
+            prev = i
+    return None
+
+
+@st.composite
+def pu_texts(draw):
+    lines = [f"#sparse d={D}"]
+    for _ in range(draw(st.integers(0, 7))):
+        cols = sorted(draw(st.sets(st.integers(0, D - 1), max_size=4)))
+        toks = [f"{j}:{draw(st.sampled_from(GOOD_ENTRY_VALUES))}" for j in cols]
+        for _ in range(draw(st.integers(0, 1))):
+            toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(BAD_ENTRIES)))
+        if draw(st.booleans()) and len(toks) > 1:
+            k = draw(st.integers(0, len(toks) - 2))
+            toks[k], toks[k + 1] = toks[k + 1], toks[k]
+        head = "" if draw(st.integers(0, 9)) == 0 else draw(st.sampled_from(HEADS))
+        lines.append(" ".join([head] + toks) if head else "")
+    # A file has y on every row or on none.
+    if draw(st.booleans()):
+        lines = [line.replace(" 1 1", " 1 ?").replace(" 0 0", " 0 ?") for line in lines]
+    else:
+        lines = [line.replace(" 0 ?", " 0 0").replace(" 1 ?", " 1 1") for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+@IO_PROPERTY
+@given(text=pu_texts(), rows=block_rows)
+def test_malformed_pu_names_the_first_bad_line(tmp_path_factory, text, rows):
+    path = tmp_path_factory.mktemp("bad") / "d.pu"
+    path.write_text(text)
+    bad = first_bad_line(text)
+    with mock.patch.object(data, "_PU_BLOCK_ROWS", rows):
+        if bad is None:
+            load_dataset(str(path))
+        else:
+            with pytest.raises(ParseError, match=f"^line {bad}: "):
+                load_dataset(str(path))
+
+
+@IO_PROPERTY
+@given(sizes=st.lists(st.integers(3, 40), min_size=1, max_size=4), seed=seeds,
+       repeat=st.integers(0, 2), fv=st.floats(0.05, 0.45), ft=st.floats(0.05, 0.45))
+def test_split_indices_partition_each_group(sizes, seed, repeat, fv, ft):
+    group = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = group.size
+    dataset = LabeledDataset(FeatureMatrix(np.zeros((n, 1))), group,
+                             [f"g{k}" for k in range(len(sizes))], np.zeros(n, dtype=np.int8))
+    spec = SplitSpec((1.0 - fv - ft, fv, ft), seed=seed, n_repeats=3)
+    parts = split_indices(dataset, spec, repeat)
+    for part in parts:
+        assert np.all(np.diff(part) > 0)
+    np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+    for gid, size in enumerate(sizes):
+        _, val, test = (np.count_nonzero(group[part] == gid) for part in parts)
+        assert (val, test) == (math.floor(fv * size), math.floor(ft * size))
