@@ -32,7 +32,6 @@ from .data import (
 from .gauss import (
     GaussSynthConfig,
     generate_gauss,
-    generate_violation,
     make_separable,
     shift_sweep_config,
 )

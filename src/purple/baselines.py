@@ -4,15 +4,14 @@ Each baseline is fit separately on a single group's rows and returns that
 group's estimated prevalence as the mean predicted probability; ratios of
 those estimates give the baseline's relative prevalence. All baselines use
 the same linear-plus-sigmoid function class as the core estimator, with the
-labeling-frequency factor frozen at one, and train through its two solvers:
-``model._lbfgs_fit`` on the full batch and ``model._adam_fit`` on
-minibatches. ``fit_logistic`` supplies only the cross-entropy and its
-gradient and the validation cross-entropy.
+labeling-frequency factor frozen at one, and train through its solver,
+``model._lbfgs_fit``. ``fit_logistic`` supplies only the cross-entropy and
+its gradient and the validation cross-entropy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,9 +22,7 @@ from .model import (
     FitResult,
     RelativePrevalenceEstimate,
     TrainConfig,
-    _adam_fit,
     _cross_entropy,
-    _full_batch,
     _lbfgs_fit,
     _linear,
     fit as fit_purple,
@@ -54,12 +51,8 @@ class EmConfig:
     max_iters: int = 100
     tol: float = 1e-5
     # The M-step refit is a warm-started L-BFGS solve capped at inner_epochs
-    # iterations (a partial fit, generalized EM, when the cap binds). Only
-    # minibatch EM runs Adam, with its own inner_learning_rate, so that the
-    # outer alternation, not the core method's learning rate, owns the
-    # M-step quality there.
+    # iterations (a partial fit, generalized EM, when the cap binds).
     inner_epochs: int = 100
-    inner_learning_rate: float = 0.03
 
 
 @dataclass
@@ -76,17 +69,14 @@ class EmFit:
 
 
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
-                 seed: int = 0, init: LogisticScorer | None = None,
-                 early_stop: bool = True, max_epochs: int | None = None) -> LogisticScorer:
-    """Logistic fit supporting soft targets in [0, 1]: L-BFGS on the full
-    batch, Adam on minibatches, with ``config.weight_decay`` as a
-    ``0.5 * weight_decay * ||params||^2`` penalty.
+                 init: LogisticScorer | None = None, early_stop: bool = True,
+                 max_epochs: int | None = None) -> LogisticScorer:
+    """Logistic fit supporting soft targets in [0, 1], by L-BFGS.
 
     With ``early_stop``, a fit stopped by validation cross-entropy or by its
-    budget returns its best-validation parameters, and a converged L-BFGS
-    fit its optimum; without it, the fit runs to convergence or to
-    ``max_epochs`` iterations or epochs (used for warm-started M-steps).
-    ``seed`` only drives minibatch shuffling.
+    budget returns its best-validation parameters, and a converged fit its
+    optimum; without it, the fit runs to convergence or to ``max_epochs``
+    iterations (used for warm-started M-steps).
     """
     d = train_X.n_dims
     targets = np.asarray(targets, dtype=np.float64)
@@ -94,53 +84,42 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
     if val_X.n_rows == 0:
         raise ValueError("validation subset is empty")
 
-    def val_loss(p):
+    def objective(p):
+        z = _linear(train_X, p[:d], p[d])
+        residual = expit(z) - targets
+        # Mean cross-entropy in its log-sum-exp form: exact and unclamped,
+        # so it stays consistent with the gradient when rows saturate.
+        f = float(np.mean(np.logaddexp(0.0, z) - targets * z))
+        return f, np.concatenate([train_X.rtvec(residual) / train_X.n_rows,
+                                  [residual.mean()]])
+
+    def val_loss(p, _):
         return _cross_entropy(expit(_linear(val_X, p[:d], p[d])), val_targets)
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
-    epochs = max_epochs if max_epochs is not None else config.max_epochs
-    if _full_batch(config, train_X.n_rows):
-        def objective(p):
-            z = _linear(train_X, p[:d], p[d])
-            residual = expit(z) - targets
-            # Mean cross-entropy in its log-sum-exp form: exact and unclamped,
-            # so it stays consistent with the gradient when rows saturate.
-            f = float(np.mean(np.logaddexp(0.0, z) - targets * z))
-            return f, np.concatenate([train_X.rtvec(residual) / train_X.n_rows,
-                                      [residual.mean()]])
-
-        params = _lbfgs_fit(objective, params, epochs, weight_decay=config.weight_decay,
-                            val_loss=(lambda p, _: val_loss(p)) if early_stop else None,
-                            patience=config.patience)[0]
-    else:
-        def grad(p, rows):
-            Xb, tb = train_X.take_rows(rows), targets[rows]
-            residual = expit(_linear(Xb, p[:d], p[d])) - tb
-            return np.concatenate([Xb.rtvec(residual) / Xb.n_rows, [residual.mean()]])
-
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 917]))
-        params = _adam_fit(grad, params, train_X.n_rows, config, rng, epochs,
-                           val_loss if early_stop else None)[0]
+    params = _lbfgs_fit(objective, params,
+                        max_epochs if max_epochs is not None else config.max_epochs,
+                        val_loss=val_loss if early_stop else None,
+                        patience=config.patience)[0]
     return LogisticScorer(params[:d], float(params[d]))
 
 
 def fit_negative(train: LabeledDataset, val: LabeledDataset,
-                 config: TrainConfig | None = None, seed: int = 0) -> LogisticScorer:
+                 config: TrainConfig | None = None) -> LogisticScorer:
     """Treat every unlabeled row as negative and fit to the observed labels."""
     s = train.s
     if s.min() == s.max():
         raise ValueError("observed labels are single-class; cannot fit")
-    return fit_logistic(train.features, s, val.features, val.s,
-                        config or _UNREGULARIZED, seed)
+    return fit_logistic(train.features, s, val.features, val.s, config or _UNREGULARIZED)
 
 
 def fit_supervised(train: LabeledDataset, val: LabeledDataset,
-                   config: TrainConfig | None = None, seed: int = 0) -> LogisticScorer:
+                   config: TrainConfig | None = None) -> LogisticScorer:
     """Fit to the true labels; an oracle upper bound, unusable on real data."""
     if train.y is None or val.y is None:
         raise ValueError("supervised baseline requires true labels y")
     return fit_logistic(train.features, train.y, val.features, val.y,
-                        config or _UNREGULARIZED, seed)
+                        config or _UNREGULARIZED)
 
 
 def em_soft_labels(f: np.ndarray, s: np.ndarray, c_hat: float) -> np.ndarray:
@@ -163,7 +142,7 @@ def em_update_c(s: np.ndarray, f: np.ndarray) -> float:
 
 
 def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | None = None,
-           config: TrainConfig | None = None, seed: int = 0) -> EmFit:
+           config: TrainConfig | None = None) -> EmFit:
     """Alternate soft-label imputation and scorer refits until the
     labeling-frequency estimate stabilizes.
 
@@ -173,21 +152,19 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     """
     em_config = em_config or EmConfig()
     config = config or _UNREGULARIZED
-    inner = replace(config, learning_rate=em_config.inner_learning_rate)
     s = train.s.astype(np.float64)
     if s.sum() == 0:
         raise ValueError("EM requires at least one observed positive")
     c_init = min(max(2.0 * float(s.mean()), 1e-3), 1.0 - 1e-3)
     c_hat = c_init
-    scorer = fit_logistic(train.features, s, val.features, val.s, inner, seed)
+    scorer = fit_logistic(train.features, s, val.features, val.s, config)
     converged = False
     iters = 0
     for iters in range(1, em_config.max_iters + 1):
         f = scorer.predict(train.features)
         q = em_soft_labels(f, train.s, c_hat)
-        scorer = fit_logistic(train.features, q, val.features, val.s, inner, seed,
-                              init=scorer, early_stop=False,
-                              max_epochs=em_config.inner_epochs)
+        scorer = fit_logistic(train.features, q, val.features, val.s, config, init=scorer,
+                              early_stop=False, max_epochs=em_config.inner_epochs)
         c_new = em_update_c(train.s, scorer.predict(train.features))
         delta = abs(c_new - c_hat)
         c_hat = c_new
@@ -226,7 +203,7 @@ def register_estimator(name: str, fn: Callable) -> None:
 
 
 def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, groups,
-                      config: TrainConfig | None, seed: int, em_config: EmConfig | None = None
+                      config: TrainConfig | None, em_config: EmConfig | None = None
                       ) -> dict[int, tuple[LogisticScorer, EmFit | None]]:
     """``{gid: (scorer, em)}``: a ``negative``, ``supervised`` or ``em`` scorer
     fit on each group's own rows, with the whole EM fit for ``em``."""
@@ -236,11 +213,11 @@ def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, gro
         sub_val = val.take_rows(np.flatnonzero(val.group == gid))
         try:
             if kind == "em":
-                em = fit_em(sub_train, sub_val, em_config, config, seed)
+                em = fit_em(sub_train, sub_val, em_config, config)
                 out[gid] = (em.scorer, em)
             else:
                 fit_one = fit_negative if kind == "negative" else fit_supervised
-                out[gid] = (fit_one(sub_train, sub_val, config, seed), None)
+                out[gid] = (fit_one(sub_train, sub_val, config), None)
         except ValueError as e:
             raise ValueError(f"{kind} baseline failed for group "
                              f"{train.group_names[gid]!r}: {e}") from e
@@ -256,11 +233,12 @@ def group_prevalences(kind: str, train: LabeledDataset, val: LabeledDataset,
     For the core method the returned values are group means of the
     constant-factor condition score: meaningless individually but with
     exact meaning in ratio. ``purple_fit`` short-circuits refitting when
-    the caller already has one.
+    the caller already has one. ``seed`` is passed to registered
+    estimators; the built-in fits draw no random numbers.
     """
     if kind in ("negative", "supervised", "em"):
         fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
-                                 config or _UNREGULARIZED, seed, em_config)
+                                 config or _UNREGULARIZED, em_config)
         out = []
         for gid, (scorer, em) in fits.items():
             sub_eval = eval_data.take_rows(np.flatnonzero(eval_data.group == gid))
@@ -269,7 +247,7 @@ def group_prevalences(kind: str, train: LabeledDataset, val: LabeledDataset,
             out.append(GroupPrevalenceEstimate(eval_data.group_names[gid], alpha, flags))
         return out
     if kind == "purple":
-        result = purple_fit or fit_purple(train, val, config, seed)
+        result = purple_fit or fit_purple(train, val, config)
         if result.degenerate:
             raise ValueError("core fit is degenerate (no observed positives in training)")
         scores = predict_condition_score(result.model, eval_data.features)

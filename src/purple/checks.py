@@ -60,7 +60,6 @@ class ModelFitComparison:
 def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset,
                                       test: LabeledDataset,
                                       config: TrainConfig | None = None,
-                                      seed: int = 0,
                                       constrained: FitResult | None = None,
                                       ) -> ModelFitComparison:
     """Held-out AUC/AUPRC of the constrained product model versus one
@@ -72,7 +71,7 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
     groups = train.present_groups()
     if len(groups) < 2:
         raise ValueError("model-fit comparison needs at least two groups")
-    result = constrained or fit_purple(train, val, config, seed)
+    result = constrained or fit_purple(train, val, config)
     constrained_scores = predict_diagnosis(result.model, test.features, test.group)
 
     unconstrained_scores = np.empty(test.n_rows, dtype=np.float64)
@@ -86,7 +85,7 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
         sub_train = train.take_rows(rows)
         sub_val = val.take_rows(np.flatnonzero(val.group == gid))
         scorer = fit_logistic(sub_train.features, sub_train.s, sub_val.features,
-                              sub_val.s, config, seed)
+                              sub_val.s, config)
         mask = test.group == gid
         unconstrained_scores[mask] = scorer.predict(test.features)[mask]
         seen |= mask
@@ -141,8 +140,8 @@ def assumption_check_report(result: FitResult, train: LabeledDataset,
                             val: LabeledDataset, test: LabeledDataset,
                             config: TrainConfig | None = None, n_bins: int = 10,
                             ece_warn: float = DEFAULT_ECE_WARN,
-                            delta_auc_warn: float = DEFAULT_DELTA_AUC_WARN,
-                            seed: int = 0) -> AssumptionCheckReport:
+                            delta_auc_warn: float = DEFAULT_DELTA_AUC_WARN
+                            ) -> AssumptionCheckReport:
     """Run both checks for a fitted model on held-out data.
 
     Calibration is computed on the diagnosis probability against the
@@ -155,6 +154,6 @@ def assumption_check_report(result: FitResult, train: LabeledDataset,
     for gid in test.present_groups():
         mask = test.group == gid
         cal[test.group_names[gid]] = calibration(probs[mask], test.s[mask], n_bins)
-    comparison = compare_constrained_unconstrained(train, val, test, config, seed,
+    comparison = compare_constrained_unconstrained(train, val, test, config,
                                                    constrained=result)
     return AssumptionCheckReport(cal, comparison, ece_warn, delta_auc_warn)

@@ -171,18 +171,14 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, pool, pick, min_coun
                f"{len(v_sym)} suspicious symptoms)")
 
 
-def _train_config(lambda_grid, learning_rate, max_epochs, patience, batch_size):
+def _train_config(lambda_grid, max_epochs, patience):
     kwargs = {}
     if lambda_grid is not None:
         kwargs["lambda_grid"] = tuple(float(x) for x in lambda_grid.split(","))
-    if learning_rate is not None:
-        kwargs["learning_rate"] = learning_rate
     if max_epochs is not None:
         kwargs["max_epochs"] = max_epochs
     if patience is not None:
         kwargs["patience"] = patience
-    if batch_size is not None:
-        kwargs["batch_size"] = batch_size if batch_size > 0 else None
     return TrainConfig(**kwargs)
 
 
@@ -191,37 +187,33 @@ def _train_config(lambda_grid, learning_rate, max_epochs, patience, batch_size):
 @click.option("--method", default="purple", show_default=True,
               help="purple, negative, supervised, or em.")
 @click.option("--lambda-grid", default=None, help="Comma-separated L1 strengths.")
-@click.option("--learning-rate", default=None, type=float,
-              help="Adam step size; minibatch fits only.")
 @click.option("--max-epochs", default=None, type=int,
-              help="Budget per fit: Adam epochs on minibatches, L-BFGS iterations "
-                   "on the full batch.")
+              help="Budget per fit, in L-BFGS iterations.")
 @click.option("--patience", default=None, type=int,
-              help="Early-stopping patience, in the same units as --max-epochs.")
-@click.option("--batch-size", default=None, type=int, help="0 means full batch.")
+              help="Early-stopping patience, in L-BFGS iterations.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--splits", default=5, show_default=True)
 @click.option("--em-max-iters", default=100, show_default=True)
 @click.option("--em-tol", default=1e-5, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def fit_cmd(data_path, method, lambda_grid, learning_rate, max_epochs, patience,
-            batch_size, seed, splits, em_max_iters, em_tol, out):
+def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
+            em_max_iters, em_tol, out):
     """Fit a method on each train/val split and save the models."""
     if method not in BUILTIN_KINDS:
         raise click.UsageError(f"unknown method {method!r}; expected one of {BUILTIN_KINDS}")
     data = load_dataset(data_path)
-    config = _train_config(lambda_grid, learning_rate, max_epochs, patience, batch_size)
+    config = _train_config(lambda_grid, max_epochs, patience)
     em_config = EmConfig(max_iters=em_max_iters, tol=em_tol)
     spec = SplitSpec(seed=seed, n_repeats=splits)
     fits = []
     for i in range(splits):
         train, val, _ = split(data, spec, i)
         if method == "purple":
-            result = fit_purple(train, val, config, seed)
+            result = fit_purple(train, val, config)
             fits.append({"split": i, **result.to_dict()})
         else:
             scorers = fit_group_scorers(method, train, val, train.present_groups(), config,
-                                        seed, em_config)
+                                        em_config)
             by_group = {train.group_names[gid]: (em or scorer).to_dict()
                         for gid, (scorer, em) in scorers.items()}
             fits.append({"split": i, "scorers": by_group})

@@ -480,10 +480,15 @@ def _write_sparse_pu(data: LabeledDataset, fh) -> None:
     """Write the stored entries of each row, a block of rows per ``write``.
 
     Within a block, each distinct column index and each distinct value, by
-    its bit pattern so that ``-0.0`` keeps its sign, is formatted once.
+    its bit pattern so that ``-0.0`` keeps its sign, is formatted once. A CSR
+    with unsorted or repeated column indices is written as its canonical
+    copy, duplicates summed, since the loader requires ascending indices.
     """
     m = data.features.raw
     csr = m if sp.issparse(m) else sp.csr_matrix(m)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
     names, indptr = data.group_names, csr.indptr
     y = ["?"] * data.n_rows if data.y is None else data.y.tolist()
     fh.write(f"#sparse d={data.n_dims}\n")

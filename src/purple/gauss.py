@@ -63,27 +63,35 @@ def _streams(seed: int):
             for k in (_STREAM_X, _STREAM_Y, _STREAM_S)]
 
 
-def _generate(cfg: GaussSynthConfig, seed: int, violation_delta: float) -> LabeledDataset:
-    rng_x, rng_y, rng_s = _streams(seed)
-    n = cfg.n_a + cfg.n_b
-    group = np.concatenate([np.zeros(cfg.n_a, dtype=np.int64),
-                            np.ones(cfg.n_b, dtype=np.int64)])
-    std = np.sqrt(cfg.variance)
-    # Standard normals first: the x stream is identical across mean/c sweeps.
-    x = rng_x.standard_normal((n, cfg.n_dims)) * std
-    x[:cfg.n_a] += cfg.mean_a
-    x[cfg.n_a:] += cfg.mean_b
+def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
+    """Draw one dataset from the generative model.
 
-    w = cfg.hyperplane
+    Row order is group a's block followed by group b's. ``latent_p`` stores
+    the exact per-row condition probability, so s=1 implies y=1 by
+    construction and the true relative prevalence is recoverable downstream.
+    A nonzero ``violation_delta`` breaks the shared condition probability:
+    it adds +delta/2 in group a and -delta/2 in group b, clamped to [0, 1].
+    """
+    rng_x, rng_y, rng_s = _streams(seed)
+    n = config.n_a + config.n_b
+    group = np.concatenate([np.zeros(config.n_a, dtype=np.int64),
+                            np.ones(config.n_b, dtype=np.int64)])
+    std = np.sqrt(config.variance)
+    # Standard normals first: the x stream is identical across mean/c sweeps.
+    x = rng_x.standard_normal((n, config.n_dims)) * std
+    x[:config.n_a] += config.mean_a
+    x[config.n_a:] += config.mean_b
+
+    w = config.hyperplane
     z = x @ w / np.linalg.norm(w)
     latent_p = expit(z)
-    if violation_delta != 0.0:
-        half = violation_delta / 2.0
+    if config.violation_delta != 0.0:
+        half = config.violation_delta / 2.0
         latent_p = latent_p + np.where(group == 0, half, -half)
         latent_p = np.clip(latent_p, 0.0, 1.0)
 
     y = (rng_y.uniform(size=n) < latent_p).astype(np.int8)
-    c_row = np.where(group == 0, cfg.c["a"], cfg.c["b"])
+    c_row = np.where(group == 0, config.c["a"], config.c["b"])
     s = ((rng_s.uniform(size=n) < c_row) & (y == 1)).astype(np.int8)
 
     data = LabeledDataset(
@@ -93,22 +101,12 @@ def _generate(cfg: GaussSynthConfig, seed: int, violation_delta: float) -> Label
         s=s,
         y=y,
         latent_p=latent_p,
-        gen_info={"seed": int(seed), "c": dict(cfg.c), "separable": False,
-                  "violation_delta": float(violation_delta)},
+        gen_info={"seed": int(seed), "c": dict(config.c), "separable": False,
+                  "violation_delta": float(config.violation_delta)},
     )
-    if cfg.separable:
+    if config.separable:
         data = make_separable(data)
     return data
-
-
-def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
-    """Draw one dataset from the generative model.
-
-    Row order is group a's block followed by group b's. ``latent_p`` stores
-    the exact per-row condition probability, so s=1 implies y=1 by
-    construction and the true relative prevalence is recoverable downstream.
-    """
-    return _generate(config, seed, config.violation_delta)
 
 
 def make_separable(data: LabeledDataset) -> LabeledDataset:
@@ -150,18 +148,3 @@ def shift_sweep_config(v: float) -> GaussSynthConfig:
     """
     cfg = GaussSynthConfig()
     return replace(cfg, mean_b=float(v) * np.ones(cfg.n_dims))
-
-
-def generate_violation(config: GaussSynthConfig, delta: float, seed: int) -> LabeledDataset:
-    """Generate data where group a's condition probability exceeds group b's.
-
-    Applies a symmetric additive offset of +delta/2 (group a) and -delta/2
-    (group b) to the shared logistic probability, clamped to [0, 1], so the
-    pooled base rate stays roughly constant while the pointwise gap equals
-    delta away from the clamp boundaries. Unlike the config field, the
-    explicit delta is not capped at 1, so fully saturating offsets are
-    expressible.
-    """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    return _generate(config, seed, float(delta))

@@ -44,7 +44,7 @@ SUITE_NAMES = ("separability", "label-frequency", "covariate-shift", "violation"
                "semisynth")
 
 _GAUSS_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=4000, patience=30)
-_SEMISYNTH_TRAIN = TrainConfig(max_epochs=250, patience=10, batch_size=1024)
+_SEMISYNTH_TRAIN = TrainConfig(max_epochs=250, patience=10)
 
 # Seed-derivation tags; distinct per purpose so streams never collide.
 _TAG_DATA, _TAG_SPLIT, _TAG_CELL, _TAG_CORPUS, _TAG_SYMPTOMS, _TAG_LABELS = range(6)
@@ -103,8 +103,7 @@ class ExperimentSuite:
             "fractions": list(self.fractions),
             "train": self.train.to_dict(),
             "em": {"max_iters": self.em.max_iters, "tol": self.em.tol,
-                   "inner_epochs": self.em.inner_epochs,
-                   "inner_learning_rate": self.em.inner_learning_rate},
+                   "inner_epochs": self.em.inner_epochs},
             "accuracy_definition": "abs(ratio_to_true - 1) per split",
             "split_stratification": "by group",
         }

@@ -8,12 +8,12 @@ are meaningful outputs.
 
 Training minimizes the cross-entropy of the analytic model with optional L1
 on the weights, with early stopping on validation cross-entropy, and selects
-across the L1 grid by validation AUC against the observed labels. Full-batch
-fits run ``_lbfgs_fit``, a numpy L-BFGS that takes OWL-QN orthant steps for
-the L1 term; its objective is the fused ``gradients(..., with_loss=True)``,
-so each evaluation is one forward pass. Minibatch fits run ``_adam_fit``.
-The baselines' logistic fits share both solvers: callers pass an objective
-or a minibatch gradient and, for early stopping, a validation loss.
+across the L1 grid by validation AUC against the observed labels. Every fit
+runs ``_lbfgs_fit`` on the full batch, a numpy L-BFGS that takes OWL-QN
+orthant steps for the L1 term; its objective is the fused
+``gradients(..., with_loss=True)``, so each evaluation is one forward pass.
+The baselines' logistic fits share the solver: callers pass an objective
+and, for early stopping, a validation loss.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .data import FeatureMatrix, LabeledDataset
 from .metrics import auc
 
 PROB_FLOOR = 1e-12
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
 # L-BFGS: pairs kept, and the stopping rule of scipy's L-BFGS-B defaults
 # (max |g| below _LBFGS_GTOL, or a relative decrease of f below _LBFGS_FTOL).
 _LBFGS_MEMORY = 10
@@ -78,27 +76,32 @@ class PurpleModel:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
+    """The L1 grid, and each fit's budget and early-stopping patience, both
+    counted in L-BFGS iterations."""
+
     lambda_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0)
     max_epochs: int = 500
     patience: int = 10
-    batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if any(l < 0 for l in self.lambda_grid):
             raise ValueError("lambda values must be non-negative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "lambda_grid": list(self.lambda_grid)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Inverse of ``to_dict``. Also reads configs from when fits could run
+        minibatch Adam with weight decay: the Adam settings are dropped, and
+        ``batch_size``/``weight_decay`` are accepted only at the values that
+        meant a full-batch fit without decay."""
+        d = {k: v for k, v in d.items() if k not in ("learning_rate", "adam_eps")}
+        for key, plain in (("batch_size", None), ("weight_decay", 0.0)):
+            value = d.pop(key, plain)
+            if value != plain:
+                raise ValueError(f"unsupported {key}={value!r}: every fit is full batch "
+                                 "without weight decay")
         return cls(**{**d, "lambda_grid": tuple(d["lambda_grid"])})
 
 
@@ -264,64 +267,6 @@ def gradients(model: PurpleModel, batch: LabeledDataset, lam: float, *,
 # Training loop
 
 
-def _adam_update(params, grad, state, lr, eps):
-    m, v, t = state
-    t += 1
-    m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
-    v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - _ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - _ADAM_BETA2 ** t)
-    params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, (m, v, t)
-
-
-def _full_batch(config: TrainConfig, n_rows: int) -> bool:
-    """Whether a fit on ``n_rows`` rows takes the full-batch solver."""
-    return config.batch_size is None or config.batch_size >= n_rows
-
-
-def _epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):
-    if batch_size is None or batch_size >= n:
-        yield slice(None)
-        return
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
-def _adam_fit(grad, params: np.ndarray, n_rows: int, config: TrainConfig,
-              rng: np.random.Generator, epochs: int, val_loss=None):
-    """The minibatch loop: Adam with weight decay over shuffled
-    minibatches; ``grad(params, rows)`` is the gradient on ``rows`` (a slice
-    for the full batch, else an index array).
-
-    With ``val_loss(params)``, stops ``config.patience`` epochs after the best
-    validation loss and returns that epoch's parameters; without it, runs all
-    ``epochs`` and returns the last. Returns ``(params, best_loss, epochs_run)``.
-    """
-    state = (np.zeros(params.size), np.zeros(params.size), 0)
-    best_params, best_loss, bad = params, np.inf, 0
-    epoch = 0
-    for epoch in range(1, epochs + 1):
-        for rows in _epoch_batches(n_rows, config.batch_size, rng):
-            g = grad(params, rows)
-            if config.weight_decay:
-                g = g + config.weight_decay * params
-            # _adam_update returns a new array, so best_params is never mutated.
-            params, state = _adam_update(params, g, state, config.learning_rate,
-                                         config.adam_eps)
-        if val_loss is None:
-            continue
-        current = val_loss(params)
-        if current < best_loss:
-            best_params, best_loss, bad = params, current, 0
-        else:
-            bad += 1
-            if bad >= config.patience:
-                break
-    return (params if val_loss is None else best_params), best_loss, epoch
-
-
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     """-H g for the L-BFGS inverse-Hessian estimate H held in ``pairs``,
     a list of ``(s, y, 1/s.y)`` oldest first."""
@@ -339,12 +284,12 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
 
 
 def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
-               n_l1: int = 0, weight_decay: float = 0.0, val_loss=None, patience: int = 0):
-    """The full-batch solver: L-BFGS with Armijo backtracking. ``objective(p)``
-    returns ``(f, g)``; any ``l1 * ||p[:n_l1]||_1`` term is in ``f`` and enters
-    ``g`` as ``l1 * sign(p)`` with sign(0) = 0, and is handled by OWL-QN
-    orthant steps (Andrew & Gao 2007), which keep exact zeros. Weight decay
-    adds ``0.5 * weight_decay * ||p||^2`` to the objective.
+               n_l1: int = 0, val_loss=None, patience: int = 0):
+    """The solver of every fit: L-BFGS with Armijo backtracking on the full
+    batch. ``objective(p)`` returns ``(f, g)``; any ``l1 * ||p[:n_l1]||_1``
+    term is in ``f`` and enters ``g`` as ``l1 * sign(p)`` with sign(0) = 0,
+    and is handled by OWL-QN orthant steps (Andrew & Gao 2007), which keep
+    exact zeros.
 
     With ``val_loss(params, f)``, called at each iteration's iterate, stops
     ``patience`` iterations after the best validation loss. A fit that
@@ -354,12 +299,6 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
     ``"converged"``, ``"early-stopped"`` or ``"budget"``; without
     ``val_loss``, the returned iterate is always the last and its loss inf.
     """
-    def evaluate(x):
-        f, g = objective(x)
-        if weight_decay:
-            f, g = f + 0.5 * weight_decay * float(x @ x), g + weight_decay * x
-        return f, g
-
     def smooth(x, g):  # the gradient without the L1 term
         if not l1:
             return g
@@ -373,7 +312,7 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
         return np.concatenate([np.where(x[:n_l1] == 0.0, at_zero, gw), g[n_l1:]])
 
     x = params
-    f, g = evaluate(x)
+    f, g = objective(x)
     pg = pseudo(x, g)
     pairs: list = []
     best_params, best_loss, bad = x, np.inf, 0
@@ -390,7 +329,7 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
             x_new = x + step * d
             if l1:
                 x_new[:n_l1] = np.where(np.sign(x_new[:n_l1]) == orthant, x_new[:n_l1], 0.0)
-            f_new, g_new = evaluate(x_new)
+            f_new, g_new = objective(x_new)
             if f_new <= f + _ARMIJO_C1 * float(pg @ (x_new - x)):
                 break
             step *= 0.5
@@ -426,14 +365,11 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
 
 
 def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainConfig,
-                      lam: float, rng: np.random.Generator):
-    """One fit at one L1 strength: L-BFGS full batch, Adam on minibatches.
-    ``loss_trace`` has one entry ``(iteration or epoch, train loss, val
-    cross-entropy)`` per iteration or epoch, at its end point; L-BFGS's
-    train loss is the accepted iterate's objective value, which includes
-    the weight-decay term when one is set.
-    Returns ``(model, its val cross-entropy, trace, iterations or epochs,
-    stop reason)``.
+                      lam: float):
+    """One L-BFGS fit at one L1 strength. ``loss_trace`` has one entry
+    ``(iteration, train loss, val cross-entropy)`` per iteration, at the
+    accepted iterate. Returns ``(model, its val cross-entropy, trace,
+    iterations, stop reason)``.
     """
     d = train.n_dims
     s_val = val.s.astype(np.float64)
@@ -447,43 +383,29 @@ def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainC
         trace.append((len(trace) + 1, train_loss, val_ce))
         return val_ce
 
-    params = np.zeros(d + 1 + len(train.group_names))
-    if _full_batch(config, train.n_rows):
-        def objective(p):
-            f, gw, gb, gtheta = gradients(model_at(p), train, lam, with_loss=True)
-            return f, np.concatenate([gw, [gb], gtheta])
+    def objective(p):
+        f, gw, gb, gtheta = gradients(model_at(p), train, lam, with_loss=True)
+        return f, np.concatenate([gw, [gb], gtheta])
 
-        params, best_ce, n, stop = _lbfgs_fit(
-            objective, params, config.max_epochs, l1=lam, n_l1=d,
-            weight_decay=config.weight_decay, val_loss=record, patience=config.patience)
-    else:
-        def grad(p, rows):
-            gw, gb, gtheta = gradients(model_at(p), train.take_rows(rows), lam)
-            return np.concatenate([gw, [gb], gtheta])
-
-        params, best_ce, n = _adam_fit(grad, params, train.n_rows, config, rng,
-                                       config.max_epochs,
-                                       lambda p: record(p, loss(model_at(p), train, lam)))
-        stop = "budget" if n >= config.max_epochs else "early-stopped"
+    params, best_ce, n, stop = _lbfgs_fit(
+        objective, np.zeros(d + 1 + len(train.group_names)), config.max_epochs,
+        l1=lam, n_l1=d, val_loss=record, patience=config.patience)
     return model_at(params), best_ce, trace, n, stop
 
 
-def fit(train: LabeledDataset, val: LabeledDataset, config: TrainConfig | None = None,
-        seed: int = 0) -> FitResult:
+def fit(train: LabeledDataset, val: LabeledDataset,
+        config: TrainConfig | None = None) -> FitResult:
     """Fit the model over the L1 grid.
 
-    Per grid value: a zero-initialized fit with early stopping on validation
-    cross-entropy, by L-BFGS (OWL-QN when the L1 strength is positive) on
-    the full batch and by Adam on minibatches. A converged L-BFGS fit keeps
-    its optimum; a fit stopped early or by its budget returns its
-    best-validation parameters.
-    ``config.max_epochs`` and ``config.patience`` count L-BFGS iterations or
-    Adam epochs. Across the grid, the fit with the highest validation AUC
-    against the observed labels wins; both metrics, the iterations or epochs
-    run and the stop reason (``"converged"``, ``"early-stopped"`` or
-    ``"budget"``; Adam never reports ``"converged"``) are retained per grid
-    value for inspection. Deterministic given the seed, which only drives
-    minibatch shuffling: a full-batch fit draws no random numbers.
+    Per grid value: a zero-initialized L-BFGS fit (OWL-QN when the L1
+    strength is positive) with early stopping on validation cross-entropy.
+    A converged fit keeps its optimum; a fit stopped early or by its budget
+    returns its best-validation parameters. ``config.max_epochs`` and
+    ``config.patience`` count L-BFGS iterations. Across the grid, the fit
+    with the highest validation AUC against the observed labels wins; both
+    metrics, the iterations run and the stop reason (``"converged"``,
+    ``"early-stopped"`` or ``"budget"``) are retained per grid value for
+    inspection. Deterministic: a fit draws no random numbers.
     """
     config = config or TrainConfig()
     if train.n_dims != val.n_dims:
@@ -498,9 +420,8 @@ def fit(train: LabeledDataset, val: LabeledDataset, config: TrainConfig | None =
                       RuntimeWarning, stacklevel=2)
 
     candidates = []
-    for li, lam in enumerate(config.lambda_grid):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), li]))
-        model, val_ce, trace, epochs, stop = _train_one_lambda(train, val, config, lam, rng)
+    for lam in config.lambda_grid:
+        model, val_ce, trace, epochs, stop = _train_one_lambda(train, val, config, lam)
         probs = predict_diagnosis(model, val.features, val.group)
         try:
             val_auc = auc(probs, val.s)

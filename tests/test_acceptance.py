@@ -15,6 +15,7 @@ tests/test_checks.py::TestModelFitComparison::test_interaction_flagged).
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 from purple.baselines import baseline_relative_prevalence
 from purple.checks import assumption_check_report
 from purple.data import SplitSpec, split
-from purple.gauss import GaussSynthConfig, generate_gauss, generate_violation
+from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
     _GAUSS_TRAIN,
     make_suite,
@@ -177,8 +178,8 @@ def test_criterion_6_semisynth_sweep(semisynth_run):
 
 def _check_report_for(dataset, seed):
     train, val, test = split(dataset, SplitSpec(seed=seed), 0)
-    result = fit(train, val, _GAUSS_TRAIN, seed=seed)
-    return assumption_check_report(result, train, val, test, _GAUSS_TRAIN, seed=seed)
+    result = fit(train, val, _GAUSS_TRAIN)
+    return assumption_check_report(result, train, val, test, _GAUSS_TRAIN)
 
 
 def test_criterion_7_checks_well_specified():
@@ -202,7 +203,7 @@ def test_criterion_7_checks_well_specified():
 def test_criterion_7_checks_flag_violation():
     deltas = []
     for seed in range(5):
-        data = generate_violation(GaussSynthConfig(), 0.4, seed)
+        data = generate_gauss(replace(GaussSynthConfig(), violation_delta=0.4), seed)
         rpt = _check_report_for(data, seed)
         deltas.append(rpt.comparison.delta_auc)
     ok = all(d > 0.01 for d in deltas)

@@ -19,7 +19,7 @@ from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import true_relative_prevalence
 from purple.model import TrainConfig, relative_prevalence, fit as fit_purple
 
-FAST = TrainConfig(lambda_grid=(0.0,), learning_rate=0.02, max_epochs=1500, patience=50)
+FAST = TrainConfig(lambda_grid=(0.0,), max_epochs=1500, patience=50)
 
 
 def identical_groups_data(c_a=0.5, c_b=0.25, n=4000, seed=0):
@@ -67,8 +67,8 @@ class TestSupervised:
         data = identical_groups_data(c_a=1.0, c_b=1.0, seed=4)
         np.testing.assert_array_equal(data.s, data.y)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        neg = fit_negative(tr, va, FAST, seed=0)
-        sup = fit_supervised(tr, va, FAST, seed=0)
+        neg = fit_negative(tr, va, FAST)
+        sup = fit_supervised(tr, va, FAST)
         np.testing.assert_array_equal(neg.w, sup.w)
         assert neg.b == sup.b
 
@@ -76,9 +76,8 @@ class TestSupervised:
         # calibration-in-the-large of a converged logistic fit with intercept
         data = identical_groups_data(seed=5)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        cfg = TrainConfig(lambda_grid=(0.0,), learning_rate=0.05, max_epochs=3000,
-                          patience=3000)
-        scorer = fit_supervised(tr, va, cfg, seed=0)
+        cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=3000, patience=3000)
+        scorer = fit_supervised(tr, va, cfg)
         assert scorer.predict(tr.features).mean() == pytest.approx(
             tr.y.mean(), abs=0.01)
 
@@ -118,23 +117,23 @@ class TestEmFit:
         data = identical_groups_data(c_a=0.0, c_b=0.0, n=200, seed=6)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
         with pytest.raises(ValueError, match="observed positive"):
-            fit_em(tr, va, EmConfig(), FAST, seed=0)
+            fit_em(tr, va, EmConfig(), FAST)
 
     def test_fully_labeled_recovers_c_one(self):
         cfg = GaussSynthConfig(n_a=3000, n_b=3000, separable=True,
                                c={"a": 1.0, "b": 1.0})
         data = generate_gauss(cfg, 7)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        em = fit_em(tr, va, EmConfig(), FAST, seed=0)
+        em = fit_em(tr, va, EmConfig(), FAST)
         assert em.c_hat > 0.9
-        sup = fit_supervised(tr, va, FAST, seed=0)
+        sup = fit_supervised(tr, va, FAST)
         gap = np.abs(em.scorer.predict(va.features) - sup.predict(va.features))
         assert gap.mean() < 0.05
 
     def test_c_init_recorded(self):
         data = identical_groups_data(n=1000, seed=8)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        em = fit_em(tr, va, EmConfig(max_iters=2), FAST, seed=0)
+        em = fit_em(tr, va, EmConfig(max_iters=2), FAST)
         assert em.c_init == pytest.approx(min(2.0 * tr.s.mean(), 1.0 - 1e-3), abs=1e-12)
 
     def test_non_convergence_flag_propagates(self):
@@ -151,7 +150,7 @@ class TestEstimatorContract:
         data = generate_gauss(GaussSynthConfig(n_a=800, n_b=1200), 10)
         tr, va, te = split(data, SplitSpec(seed=0), 0)
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=300, patience=300)
-        result = fit_purple(tr, va, cfg, seed=0)
+        result = fit_purple(tr, va, cfg)
         direct = relative_prevalence(result.model, te, "a", "b")
         alphas = {e.group: e.alpha_hat
                   for e in group_prevalences("purple", tr, va, te, cfg, 0,
@@ -189,8 +188,6 @@ class TestEstimatorContract:
         data = identical_groups_data(n=500, seed=14)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
         q = np.full(tr.n_rows, 0.35)
-        cfg = TrainConfig(lambda_grid=(0.0,), learning_rate=0.05, max_epochs=800,
-                          patience=800)
-        scorer = fit_logistic(tr.features, q, va.features, np.full(va.n_rows, 0.35),
-                              cfg, seed=0)
+        cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=800, patience=800)
+        scorer = fit_logistic(tr.features, q, va.features, np.full(va.n_rows, 0.35), cfg)
         assert scorer.predict(tr.features).mean() == pytest.approx(0.35, abs=0.01)

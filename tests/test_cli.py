@@ -176,6 +176,13 @@ class TestFitEstimateCheck:
         assert blob["model_fit"]["verdict"] in ("pass", "warn")
         assert "delta_auc" in blob["model_fit"]
 
+    @pytest.mark.parametrize("option", ["--batch-size", "--learning-rate"])
+    def test_retired_fit_options_rejected(self, runner, tmp_path, option):
+        data = simulate_small(runner, str(tmp_path / "d.csv"))
+        result = runner.invoke(main, ["fit", "--data", data, option, "64",
+                                      "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 2 and "No such option" in result.output
+
 
 class TestBenchmark:
     def test_unknown_suite_is_config_error(self, runner, tmp_path):

@@ -132,6 +132,26 @@ class TestSparsePu:
         with pytest.raises(ParseError, match="ascending"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize("data,indices,indptr,canonical", [
+        ([1.0, 2.0], [3, 1], [0, 2, 2], [[0.0, 2.0, 0.0, 1.0, 0.0], [0.0] * 5]),
+        ([1.0, 2.0, 4.0], [3, 1, 1], [0, 1, 3], [[0.0, 0.0, 0.0, 1.0, 0.0],
+                                                  [0.0, 6.0, 0.0, 0.0, 0.0]]),
+    ], ids=["unsorted", "duplicate"])
+    def test_non_canonical_csr_written_canonical(self, tmp_path, data, indices, indptr,
+                                                 canonical):
+        def dataset(m):
+            return LabeledDataset(FeatureMatrix(m), np.array([0, 1]), ["a", "b"],
+                                  np.array([1, 0], dtype=np.int8))
+
+        m = sp.csr_matrix((data, indices, indptr), shape=(2, 5))
+        assert not m.has_canonical_format
+        write_dataset(dataset(m), str(tmp_path / "raw.pu"))
+        write_dataset(dataset(sp.csr_matrix(np.array(canonical))), str(tmp_path / "ok.pu"))
+        assert (tmp_path / "raw.pu").read_bytes() == (tmp_path / "ok.pu").read_bytes()
+        back = load_dataset(str(tmp_path / "raw.pu"))
+        np.testing.assert_array_equal(back.features.dense_rows(), canonical)
+        np.testing.assert_array_equal(m.indices, indices)  # the input is left as it was
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected(self, tmp_path, bad):
         p = tmp_path / "d.pu"

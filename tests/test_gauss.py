@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,7 +9,6 @@ from purple.data import SplitSpec, split, write_dataset
 from purple.gauss import (
     GaussSynthConfig,
     generate_gauss,
-    generate_violation,
     make_separable,
     shift_sweep_config,
 )
@@ -115,9 +116,8 @@ class TestMakeSeparable:
     def test_classes_linearly_separable_by_fit(self):
         data = generate_gauss(GaussSynthConfig(n_a=1500, n_b=3000, separable=True), 0)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        cfg = TrainConfig(lambda_grid=(0.0,), learning_rate=0.05, max_epochs=600,
-                          patience=600)
-        scorer = fit_logistic(tr.features, tr.y, va.features, va.y, cfg, seed=0)
+        cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=600, patience=600)
+        scorer = fit_logistic(tr.features, tr.y, va.features, va.y, cfg)
         assert auc(scorer.predict(tr.features), tr.y) == 1.0
 
     def test_requires_latent(self):
@@ -153,18 +153,22 @@ class TestShiftSweep:
         assert gaps == sorted(gaps)
 
 
+def violation(cfg: GaussSynthConfig, delta: float, seed: int):
+    return generate_gauss(replace(cfg, violation_delta=delta), seed)
+
+
 class TestViolation:
     def test_zero_delta_identical(self):
         cfg = GaussSynthConfig(n_a=300, n_b=300)
-        d0 = generate_violation(cfg, 0.0, 5)
+        d0 = violation(cfg, 0.0, 5)
         d1 = generate_gauss(cfg, 5)
         np.testing.assert_array_equal(d0.latent_p, d1.latent_p)
         np.testing.assert_array_equal(d0.s, d1.s)
 
     def test_delta_widens_prevalence_gap(self):
         cfg = GaussSynthConfig()
-        d0 = generate_violation(cfg, 0.0, 6)
-        d2 = generate_violation(cfg, 0.2, 6)
+        d0 = violation(cfg, 0.0, 6)
+        d2 = violation(cfg, 0.2, 6)
 
         def gap(d):
             return d.y[d.group == 0].mean() - d.y[d.group == 1].mean()
@@ -174,17 +178,13 @@ class TestViolation:
     def test_pointwise_ordering(self):
         # with shared x the offset orders the group probabilities pointwise
         cfg = GaussSynthConfig(n_a=400, n_b=400)
-        d = generate_violation(cfg, 0.3, 7)
+        d = violation(cfg, 0.3, 7)
         z = d.features.dense_rows() @ np.ones(5) / np.sqrt(5.0)
         base = expit(z)
         expected = np.clip(base + np.where(d.group == 0, 0.15, -0.15), 0.0, 1.0)
         np.testing.assert_allclose(d.latent_p, expected, atol=1e-12)
 
-    def test_saturating_delta_collapses_latent(self):
-        d = generate_violation(GaussSynthConfig(n_a=300, n_b=300), 2.0, 8)
-        assert np.all(d.latent_p[d.group == 0] == 1.0)
-        assert np.all(d.latent_p[d.group == 1] == 0.0)
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            generate_violation(GaussSynthConfig(), -0.1, 0)
+    def test_delta_out_of_range_rejected(self):
+        for delta in (1.0, -1.0, 2.0):
+            with pytest.raises(ValueError, match="violation_delta"):
+                GaussSynthConfig(violation_delta=delta)

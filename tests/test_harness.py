@@ -78,7 +78,7 @@ class TestSuiteConstruction:
         assert "em" in sep.methods
         semi = make_suite("semisynth")
         assert len(semi.sweep_values) == 20
-        assert semi.train.batch_size is not None
+        assert semi.train == TrainConfig(max_epochs=250, patience=10)
         shift = make_suite("covariate-shift")
         assert shift.sweep_values == (-1.0, 0.0, 0.5, 0.75, 1.0)
         viol = make_suite("violation")
@@ -188,4 +188,5 @@ class TestRunSuite:
         cfg = report.config
         assert cfg["accuracy_definition"].startswith("abs(ratio_to_true")
         assert cfg["split_stratification"] == "by group"
-        assert cfg["train"]["learning_rate"] == TINY_TRAIN.learning_rate
+        assert cfg["train"] == TINY_TRAIN.to_dict()
+        assert set(cfg["em"]) == {"max_iters", "tol", "inner_epochs"}

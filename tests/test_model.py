@@ -17,8 +17,6 @@ from purple.model import (
     PurpleModel,
     RelativePrevalenceEstimate,
     TrainConfig,
-    _adam_fit,
-    _adam_update,
     _lbfgs_fit,
     fit,
     gradients,
@@ -172,69 +170,11 @@ class TestFusedLossAndGradients:
             np.testing.assert_array_equal(a, b)
 
 
-class TestAdam:
-    def test_zero_gradient_keeps_parameters(self):
-        params = np.array([1.0, -2.0, 0.5])
-        state = (np.zeros(3), np.zeros(3), 0)
-        for _ in range(5):
-            params2, state = _adam_update(params, np.zeros(3), state, 0.001, 1e-8)
-            np.testing.assert_array_equal(params2, params)
-            params = params2
-
-    def test_step_size_bounded_by_lr(self):
-        params = np.zeros(2)
-        state = (np.zeros(2), np.zeros(2), 0)
-        params2, _ = _adam_update(params, np.array([100.0, -3.0]), state, 0.001, 1e-8)
-        assert np.all(np.abs(params2) <= 0.001 + 1e-12)
-
-
-class TestAdamFit:
-    """The shared training loop, driven by a constant gradient (so each
-    epoch's parameters differ) and a scripted validation loss."""
-
-    @staticmethod
-    def replay(params, n_steps, cfg):
-        state = (np.zeros(params.size), np.zeros(params.size), 0)
-        for _ in range(n_steps):
-            params, state = _adam_update(params, np.ones(params.size), state,
-                                         cfg.learning_rate, cfg.adam_eps)
-        return params
-
-    def test_early_stop_restores_best_epoch(self):
-        cfg = TrainConfig(patience=3)
-        script = [5.0, 4.0, 3.0, 3.5, 3.2, 3.1, 2.0, 1.0]
-        seen = []
-
-        def val_loss(p):
-            seen.append(p)
-            return script[len(seen) - 1]
-
-        params, best, epochs = _adam_fit(lambda p, rows: np.ones(p.size), np.zeros(2), 10,
-                                         cfg, np.random.default_rng(0), 50, val_loss)
-        assert epochs == 6  # best at epoch 3, then patience=3 worse epochs
-        assert best == 3.0
-        np.testing.assert_array_equal(params, seen[2])
-        np.testing.assert_array_equal(params, self.replay(np.zeros(2), 3, cfg))
-
-    def test_without_val_loss_runs_every_epoch(self):
-        cfg = TrainConfig(batch_size=4)
-        calls = []
-
-        def grad(p, rows):
-            calls.append(len(rows))
-            return np.ones(p.size)
-
-        params, best, epochs = _adam_fit(grad, np.zeros(3), 10, cfg,
-                                         np.random.default_rng(0), 7)
-        assert epochs == 7 and best == np.inf
-        assert calls == [4, 4, 2] * 7
-        np.testing.assert_array_equal(params, self.replay(np.zeros(3), 21, cfg))
-
-
 class TestLbfgsFit:
     """``_lbfgs_fit`` on the core objective against scipy's L-BFGS-B run to
-    tight tolerances. Weight decay ``WD`` and column scales 1 to 16 make the
-    objective well conditioned near its optimum, so the solver's stop at
+    tight tolerances. A ridge term ``0.5 * WD * ||p||^2`` and column scales
+    1 to 16 make the objective well conditioned near its optimum, so the
+    solver's stop at
     ``max|g| < 1e-5`` lands within 1e-5 of it after a dozen iterations.
     Without them the shared-constant direction of ``sigmoid(w.x+b) *
     sigmoid(theta_g)`` is nearly flat, and any solver stopping at that
@@ -275,7 +215,7 @@ class TestLbfgsFit:
         tr = self.train_set(sparse)
         fg = self.objective(tr, 0.0)
         start = np.zeros(tr.n_dims + 3)
-        params, _, iters, stop = _lbfgs_fit(fg, start, 1000, weight_decay=self.WD)
+        params, _, iters, stop = _lbfgs_fit(self.decayed(fg), start, 1000)
         oracle = minimize(self.decayed(fg), start, jac=True, method="L-BFGS-B",
                           options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-10})
         assert stop == "converged" and iters < 1000
@@ -290,8 +230,7 @@ class TestLbfgsFit:
         fg = self.objective(tr, lam)
         smooth = self.decayed(self.objective(tr, 0.0))
         start = np.zeros(d + 3)
-        params, _, _, stop = _lbfgs_fit(fg, start, 1000, l1=lam, n_l1=d,
-                                        weight_decay=self.WD)
+        params, _, _, stop = _lbfgs_fit(self.decayed(fg), start, 1000, l1=lam, n_l1=d)
 
         def split_objective(q):  # w = u - v with u, v >= 0, so |w| = u + v at the optimum
             f, g = smooth(np.concatenate([q[:d] - q[d:2 * d], q[2 * d:]]))
@@ -310,12 +249,20 @@ class TestLbfgsFit:
                                    rtol=0, atol=1e-5)
         assert abs(self.decayed(fg)(params)[0] - oracle.fun) < 1e-9
 
-    def test_full_batch_fit_draws_no_random_numbers(self):
-        data = generate_gauss(GaussSynthConfig(n_a=600, n_b=900), 0)
-        tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        cfg = TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=200, patience=10)
-        runs = [json.dumps(fit(tr, va, cfg, seed=seed).to_dict()) for seed in (0, 1, 99)]
-        assert runs[0] == runs[1] == runs[2]
+    def test_early_stop_returns_the_best_validation_iterate(self):
+        fg = self.objective(self.train_set(False), 0.0)
+        script = [5.0, 4.0, 3.0, 3.5, 3.2, 3.1, 2.0, 1.0]
+        seen = []
+
+        def val_loss(p, f):
+            seen.append(p)
+            return script[len(seen) - 1]
+
+        params, best, iters, stop = _lbfgs_fit(fg, np.zeros(8), 50, val_loss=val_loss,
+                                               patience=3)
+        # best at iteration 3, then patience=3 worse iterations
+        assert (iters, stop, best) == (6, "early-stopped", 3.0)
+        np.testing.assert_array_equal(params, seen[2])
 
 
 class TestFit:
@@ -326,22 +273,14 @@ class TestFit:
     def test_deterministic_serialization(self):
         tr, va, _ = self.small_data()
         cfg = TrainConfig(lambda_grid=(0.0, 1e-3), max_epochs=60, patience=10)
-        r1 = fit(tr, va, cfg, seed=1)
-        r2 = fit(tr, va, cfg, seed=1)
+        r1 = fit(tr, va, cfg)
+        r2 = fit(tr, va, cfg)
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
-
-    def test_minibatch_deterministic(self):
-        tr, va, _ = self.small_data()
-        cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=30, patience=30, batch_size=64)
-        r1 = fit(tr, va, cfg, seed=3)
-        r2 = fit(tr, va, cfg, seed=3)
-        assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
-        assert r1.lambda_metrics[0]["stop"] == "budget"  # Adam never reports converged
 
     def test_selected_lambda_in_grid(self):
         tr, va, _ = self.small_data()
         cfg = TrainConfig(lambda_grid=(1e-2, 0.0), max_epochs=40, patience=40)
-        res = fit(tr, va, cfg, seed=0)
+        res = fit(tr, va, cfg)
         assert res.selected_lambda in cfg.lambda_grid
         assert len(res.lambda_metrics) == 2
 
@@ -350,7 +289,7 @@ class TestFit:
         tr.s = np.zeros_like(tr.s)
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=5, patience=5)
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            res = fit(tr, va, cfg, seed=0)
+            res = fit(tr, va, cfg)
         assert res.degenerate
         with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="degenerate"):
             group_prevalences("purple", tr, va, te, cfg, 0)
@@ -359,12 +298,12 @@ class TestFit:
         tr, va, _ = self.small_data()
         tr2 = tr.take_rows(np.flatnonzero(tr.group == 0))
         with pytest.raises(ValueError, match="absent in train"):
-            fit(tr2, va, TrainConfig(max_epochs=5), seed=0)
+            fit(tr2, va, TrainConfig(max_epochs=5))
 
     def test_train_loss_moving_average_non_increasing(self):
         tr, va, _ = self.small_data()
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=300, patience=300)
-        res = fit(tr, va, cfg, seed=0)
+        res = fit(tr, va, cfg)
         train_losses = np.array([t[1] for t in res.loss_trace])
         window = np.convolve(train_losses, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(window) <= 1e-9)
@@ -372,9 +311,8 @@ class TestFit:
     @pytest.mark.parametrize("max_epochs,patience", [(400, 3), (25, 100)])
     def test_loss_trace_has_one_entry_per_epoch(self, max_epochs, patience):
         tr, va, _ = self.small_data()
-        cfg = TrainConfig(learning_rate=0.05, lambda_grid=(1e-3, 0.0),
-                          max_epochs=max_epochs, patience=patience)
-        res = fit(tr, va, cfg, seed=0)
+        cfg = TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=max_epochs, patience=patience)
+        res = fit(tr, va, cfg)
         assert [t[0] for t in res.loss_trace] == list(range(1, res.epochs_run + 1))
         stop = {m["lambda"]: m["stop"] for m in res.lambda_metrics}[res.selected_lambda]
         assert stop in ("converged", "budget" if patience > max_epochs else "early-stopped")
@@ -382,7 +320,7 @@ class TestFit:
 
     def test_fit_result_round_trip(self):
         tr, va, _ = self.small_data()
-        res = fit(tr, va, TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=20), seed=0)
+        res = fit(tr, va, TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=20))
         assert FitResult.from_dict(res.to_dict()) == res
         assert FitResult.from_dict(json.loads(json.dumps(res.to_dict()))) == res
 
@@ -393,20 +331,19 @@ class TestFit:
             data = generate_gauss(GaussSynthConfig(n_a=4000, n_b=8000), seed)
             tr, va, _ = split(data, SplitSpec(seed=seed), 0)
             cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=2500, patience=30)
-            res = fit(tr, va, cfg, seed=seed)
+            res = fit(tr, va, cfg)
             c = res.model.c
             ratios.append(c[0] / c[1])
         assert abs(np.mean(ratios) - 2.0) < 0.3
 
 
 class TestLossTrace:
-    """Each ``loss_trace`` train loss is ``loss`` at that iteration's or
-    epoch's end point, replayed by running ``_lbfgs_fit`` (full batch) or
-    ``_adam_fit`` (minibatch) for exactly that many."""
+    """Each ``loss_trace`` train loss is ``loss`` at that iteration's end
+    point, replayed by running ``_lbfgs_fit`` for exactly that many."""
 
     LAM = 1e-3
 
-    def replay_losses(self, tr, cfg, seed, n_epochs):
+    def replay_losses(self, tr, n_iters):
         d = tr.n_dims
         start = np.zeros(d + 1 + len(tr.group_names))
 
@@ -417,47 +354,50 @@ class TestLossTrace:
             f, gw, gb, gtheta = gradients(model_at(p), tr, self.LAM, with_loss=True)
             return f, np.concatenate([gw, [gb], gtheta])
 
-        def grad(p, rows):
-            gw, gb, gtheta = gradients(model_at(p), tr.take_rows(rows), self.LAM)
-            return np.concatenate([gw, [gb], gtheta])
+        return [loss(model_at(_lbfgs_fit(objective, start, k, l1=self.LAM, n_l1=d)[0]),
+                     tr, self.LAM)
+                for k in range(1, n_iters + 1)]
 
-        out = []
-        for k in range(1, n_epochs + 1):
-            if cfg.batch_size is None:
-                params = _lbfgs_fit(objective, start, k, l1=self.LAM, n_l1=d)[0]
-            else:
-                rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-                params = _adam_fit(grad, start, tr.n_rows, cfg, rng, k)[0]
-            out.append(loss(model_at(params), tr, self.LAM))
-        return out
-
-    @pytest.mark.parametrize("batch_size", [None, 64])
-    def test_train_loss_at_each_epoch_end(self, batch_size):
+    def test_train_loss_at_each_iteration_end(self):
         data = generate_gauss(GaussSynthConfig(n_a=300, n_b=450), 0)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        cfg = TrainConfig(learning_rate=0.02, lambda_grid=(self.LAM,), max_epochs=12,
-                          patience=13, batch_size=batch_size)
-        res = fit(tr, va, cfg, seed=4)
+        cfg = TrainConfig(lambda_grid=(self.LAM,), max_epochs=12, patience=13)
+        res = fit(tr, va, cfg)
         assert res.epochs_run == 12
-        assert [t[1] for t in res.loss_trace] == self.replay_losses(tr, cfg, 4, 12)
+        assert [t[1] for t in res.loss_trace] == self.replay_losses(tr, 12)
 
     def test_early_stop_fills_the_last_entry(self):
         data = generate_gauss(GaussSynthConfig(n_a=600, n_b=900), 0)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        cfg = TrainConfig(learning_rate=0.05, lambda_grid=(self.LAM,), max_epochs=400,
-                          patience=3)
-        res = fit(tr, va, cfg, seed=0)
+        cfg = TrainConfig(lambda_grid=(self.LAM,), max_epochs=400, patience=3)
+        res = fit(tr, va, cfg)
         assert res.epochs_run < cfg.max_epochs
         assert len(res.loss_trace) == res.epochs_run
-        assert res.loss_trace[-1][1] == self.replay_losses(tr, cfg, 0, res.epochs_run)[-1]
+        assert res.loss_trace[-1][1] == self.replay_losses(tr, res.epochs_run)[-1]
 
 
 class TestSerialization:
     def test_train_config_round_trip(self):
-        cfg = TrainConfig(learning_rate=0.05, adam_eps=1e-6, weight_decay=0.1,
-                          lambda_grid=(0.5, 0.0), max_epochs=7, patience=2, batch_size=16)
+        cfg = TrainConfig(lambda_grid=(0.5, 0.0), max_epochs=7, patience=2)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    # The "train" entry of a default m.json written when fits could also run
+    # minibatch Adam with weight decay, as ``purple fit`` wrote it.
+    OLD_TRAIN = ('{"adam_eps": 1e-08, "batch_size": null, "lambda_grid": [0.01, 0.001, 0.0001, '
+                 '1e-05, 1e-06, 0.0], "learning_rate": 0.001, "max_epochs": 500, '
+                 '"patience": 10, "weight_decay": 0.0}')
+
+    def test_train_config_reads_older_model_files(self):
+        old = json.loads(self.OLD_TRAIN)
+        assert TrainConfig.from_dict(old) == TrainConfig()
+        assert TrainConfig.from_dict(dict(old, learning_rate=0.5, adam_eps=1e-3)) == TrainConfig()
+
+    @pytest.mark.parametrize("key,value", [("batch_size", 1024), ("batch_size", 0),
+                                           ("weight_decay", 0.1)])
+    def test_train_config_rejects_retired_settings(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(dict(json.loads(self.OLD_TRAIN), **{key: value}))
 
     def test_model_equality_compares_values(self):
         m = PurpleModel(np.array([1.0, 2.0]), 0.5, np.zeros(2), ["a", "b"])

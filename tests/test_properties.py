@@ -67,6 +67,26 @@ def test_swapping_groups_gives_the_reciprocal_estimate(n_a, n_b, seed):
     np.testing.assert_allclose(ab * swapped, 1.0, rtol=1e-8)
 
 
+RESCALE_CFG = TrainConfig(lambda_grid=(0.0,), max_epochs=500, patience=500)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2), scales=st.lists(st.floats(0.1, 10.0), min_size=5, max_size=5))
+def test_rescaling_features_keeps_the_estimate(seed, scales):
+    """Unpenalized, the linear scorer absorbs any column scaling, so only the
+    optimizer's stopping point can move the estimate."""
+    tr, va, te = gauss_splits(2000, 3000, seed)
+
+    def rescaled(d):
+        return replace(d, features=FeatureMatrix(d.features.raw * np.asarray(scales)))
+
+    base = fit(tr, va, RESCALE_CFG)
+    scaled = fit(rescaled(tr), rescaled(va), RESCALE_CFG)
+    assert {m["stop"] for m in base.lambda_metrics + scaled.lambda_metrics} == {"converged"}
+    np.testing.assert_allclose(relative_prevalence(scaled.model, rescaled(te), "a", "b"),
+                               relative_prevalence(base.model, te, "a", "b"), rtol=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # Dataset files and splits
 
