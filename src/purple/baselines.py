@@ -26,7 +26,6 @@ from .model import (
     _lbfgs_fit,
     _linear,
     fit as fit_purple,
-    predict_condition_score,
 )
 
 BUILTIN_KINDS = ("negative", "supervised", "em", "purple")
@@ -204,31 +203,54 @@ def register_estimator(name: str, fn: Callable) -> None:
 
 def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, groups,
                       config: TrainConfig | None, em_config: EmConfig | None = None
-                      ) -> dict[int, tuple[LogisticScorer, EmFit | None]]:
-    """``{gid: (scorer, em)}``: a ``negative``, ``supervised`` or ``em`` scorer
-    fit on each group's own rows, with the whole EM fit for ``em``."""
+                      ) -> dict[str, tuple[LogisticScorer, EmFit | None]]:
+    """``{group name: (scorer, em)}``: a ``negative``, ``supervised`` or ``em``
+    scorer fit on each group's own rows, with the whole EM fit for ``em``."""
     out = {}
     for gid in groups:
+        name = train.group_names[gid]
         sub_train = train.take_rows(np.flatnonzero(train.group == gid))
         sub_val = val.take_rows(np.flatnonzero(val.group == gid))
         try:
             if kind == "em":
                 em = fit_em(sub_train, sub_val, em_config, config)
-                out[gid] = (em.scorer, em)
+                out[name] = (em.scorer, em)
             else:
                 fit_one = fit_negative if kind == "negative" else fit_supervised
-                out[gid] = (fit_one(sub_train, sub_val, config), None)
+                out[name] = (fit_one(sub_train, sub_val, config), None)
         except ValueError as e:
-            raise ValueError(f"{kind} baseline failed for group "
-                             f"{train.group_names[gid]!r}: {e}") from e
+            raise ValueError(f"{kind} baseline failed for group {name!r}: {e}") from e
     return out
+
+
+def group_scores(scorers: dict[str, LogisticScorer], data: LabeledDataset) -> np.ndarray:
+    """Each row's condition score from its own group's scorer.
+
+    ``scorers`` maps group names to scorers and must cover every group
+    present in ``data``. Groups that share one scorer (the core method's
+    ``sigmoid(w.x+b)``) are scored in one pass over their rows.
+    """
+    by_scorer: dict[int, tuple[LogisticScorer, list[int]]] = {}
+    for gid in data.present_groups():
+        name = data.group_names[gid]
+        if name not in scorers:
+            raise ValueError(f"no scorer for group {name!r}")
+        by_scorer.setdefault(id(scorers[name]), (scorers[name], []))[1].append(gid)
+    scores = np.empty(data.n_rows, dtype=np.float64)
+    for scorer, gids in by_scorer.values():
+        mask = np.isin(data.group, gids)
+        features = (data.features if mask.all()
+                    else data.features.take_rows(np.flatnonzero(mask)))
+        scores[mask] = scorer.predict(features)
+    return scores
 
 
 def group_prevalences(kind: str, train: LabeledDataset, val: LabeledDataset,
                       eval_data: LabeledDataset, config: TrainConfig | None = None,
                       seed: int = 0, em_config: EmConfig | None = None,
                       purple_fit: FitResult | None = None) -> list[GroupPrevalenceEstimate]:
-    """Per-group prevalence estimates under the common contract.
+    """Per-group prevalence estimates under the common contract: group means
+    of ``group_scores``.
 
     For the core method the returned values are group means of the
     constant-factor condition score: meaningless individually but with
@@ -236,30 +258,28 @@ def group_prevalences(kind: str, train: LabeledDataset, val: LabeledDataset,
     the caller already has one. ``seed`` is passed to registered
     estimators; the built-in fits draw no random numbers.
     """
-    if kind in ("negative", "supervised", "em"):
-        fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
-                                 config or _UNREGULARIZED, em_config)
-        out = []
-        for gid, (scorer, em) in fits.items():
-            sub_eval = eval_data.take_rows(np.flatnonzero(eval_data.group == gid))
-            alpha = float(scorer.predict(sub_eval.features).mean())
-            flags = ("em-non-converged",) if em is not None and not em.converged else ()
-            out.append(GroupPrevalenceEstimate(eval_data.group_names[gid], alpha, flags))
-        return out
+    if kind not in BUILTIN_KINDS:
+        if kind in _EXTERNAL:
+            return _EXTERNAL[kind](train, val, eval_data, seed)
+        raise ValueError(f"unknown estimator kind {kind!r} (registered: {sorted(_EXTERNAL)})")
+    names = eval_data.group_names
+    flags: dict[str, tuple[str, ...]] = {}
     if kind == "purple":
         result = purple_fit or fit_purple(train, val, config)
         if result.degenerate:
             raise ValueError("core fit is degenerate (no observed positives in training)")
-        scores = predict_condition_score(result.model, eval_data.features)
-        out = []
-        for gid in eval_data.present_groups():
-            mask = eval_data.group == gid
-            out.append(GroupPrevalenceEstimate(eval_data.group_names[gid],
-                                               float(scores[mask].mean())))
-        return out
-    if kind in _EXTERNAL:
-        return _EXTERNAL[kind](train, val, eval_data, seed)
-    raise ValueError(f"unknown estimator kind {kind!r} (registered: {sorted(_EXTERNAL)})")
+        shared = LogisticScorer(result.model.w, result.model.b)
+        scorers = {name: shared for name in names}
+    else:
+        fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
+                                 config or _UNREGULARIZED, em_config)
+        scorers = {name: scorer for name, (scorer, _) in fits.items()}
+        flags = {name: ("em-non-converged",) for name, (_, em) in fits.items()
+                 if em is not None and not em.converged}
+    scores = group_scores(scorers, eval_data)
+    return [GroupPrevalenceEstimate(names[gid], float(scores[eval_data.group == gid].mean()),
+                                    flags.get(names[gid], ()))
+            for gid in eval_data.present_groups()]
 
 
 def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledDataset,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import fit_logistic, _UNREGULARIZED
+from .baselines import _UNREGULARIZED, fit_group_scorers, group_scores
 from .data import LabeledDataset
 from .metrics import CalibrationResult, auc, auprc, calibration
 from .model import FitResult, TrainConfig, fit as fit_purple, predict_diagnosis
@@ -71,27 +71,18 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
     groups = train.present_groups()
     if len(groups) < 2:
         raise ValueError("model-fit comparison needs at least two groups")
+    for gid in groups:
+        n_rows = int(np.count_nonzero(train.group == gid))
+        if n_rows < MIN_GROUP_ROWS:
+            raise ValueError(
+                f"group {train.group_names[gid]!r} has {n_rows} training rows; "
+                f"needs at least {MIN_GROUP_ROWS} for its own scorer")
     result = constrained or fit_purple(train, val, config)
     constrained_scores = predict_diagnosis(result.model, test.features, test.group)
 
-    unconstrained_scores = np.empty(test.n_rows, dtype=np.float64)
-    seen = np.zeros(test.n_rows, dtype=bool)
-    for gid in groups:
-        rows = np.flatnonzero(train.group == gid)
-        if rows.size < MIN_GROUP_ROWS:
-            raise ValueError(
-                f"group {train.group_names[gid]!r} has {rows.size} training rows; "
-                f"needs at least {MIN_GROUP_ROWS} for its own scorer")
-        sub_train = train.take_rows(rows)
-        sub_val = val.take_rows(np.flatnonzero(val.group == gid))
-        scorer = fit_logistic(sub_train.features, sub_train.s, sub_val.features,
-                              sub_val.s, config)
-        mask = test.group == gid
-        unconstrained_scores[mask] = scorer.predict(test.features)[mask]
-        seen |= mask
-    if not seen.all():
-        missing = sorted({test.group_names[g] for g in np.unique(test.group[~seen])})
-        raise ValueError(f"test rows belong to groups absent from training: {missing}")
+    fits = fit_group_scorers("negative", train, val, groups, config)
+    unconstrained_scores = group_scores(
+        {name: scorer for name, (scorer, _) in fits.items()}, test)
 
     s = test.s
     return ModelFitComparison(

@@ -17,7 +17,7 @@ import numpy as np
 from ._version import VERSION
 # fit_em is unused here but kept importable: perfbench's tracer wraps cli.fit_em.
 from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
-                        fit_group_scorers)
+                        fit_group_scorers, group_scores)
 from .checks import assumption_check_report
 from .data import LabeledDataset, SplitSpec, load_dataset, split, split_indices, write_dataset
 from .gauss import GaussSynthConfig, generate_gauss
@@ -28,7 +28,6 @@ from .model import (
     TrainConfig,
     fit as fit_purple,
     mean_score_ratio,
-    predict_condition_score,
 )
 from .visits import (
     SemiSynthConfig,
@@ -214,8 +213,8 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
         else:
             scorers = fit_group_scorers(method, train, val, train.present_groups(), config,
                                         em_config)
-            by_group = {train.group_names[gid]: (em or scorer).to_dict()
-                        for gid, (scorer, em) in scorers.items()}
+            by_group = {name: (em or scorer).to_dict()
+                        for name, (scorer, em) in scorers.items()}
             fits.append({"split": i, "scorers": by_group})
     payload = {
         "version": VERSION,
@@ -250,37 +249,31 @@ def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
     return {i: split_indices(data, spec, i)[2] for i in splits}
 
 
-def _split_rp(payload: dict, data, rows: np.ndarray, fit_entry: dict,
-              group_a: str, group_b: str) -> float:
-    sub = data.take_rows(rows)
-    mask_a, mask_b = sub.group_mask(group_a), sub.group_mask(group_b)
-    if payload["method"] == "purple":
-        if fit_entry["degenerate"]:
-            raise click.ClickException(
-                "model was fit without positive labels; estimates are meaningless")
-        model = PurpleModel.from_dict(fit_entry["model"])
-        scores = predict_condition_score(model, sub.features)
-        return mean_score_ratio(scores, mask_a, mask_b, group_a, group_b)
-    scorers = fit_entry["scorers"]
-    alphas = {}
-    for name, mask in ((group_a, mask_a), (group_b, mask_b)):
-        if name not in scorers:
-            raise click.ClickException(f"model has no scorer for group {name!r}")
-        if not mask.any():
-            raise click.ClickException(f"no evaluation rows for group {name!r}")
-        scorer = LogisticScorer(np.asarray(scorers[name]["w"]), scorers[name]["b"])
-        alphas[name] = float(scorer.predict(sub.features)[mask].mean())
-    if alphas[group_b] < 1e-12:
-        raise click.ClickException(f"estimated prevalence for {group_b!r} is zero")
-    return alphas[group_a] / alphas[group_b]
+def _fit_scorers(payload: dict, fit_entry: dict, names) -> dict[str, LogisticScorer]:
+    """Group name -> scorer for one stored split: the core model's one
+    ``sigmoid(w.x+b)`` for every group in ``names``, or each baseline
+    group's own scorer."""
+    if payload["method"] != "purple":
+        return {name: LogisticScorer(np.asarray(s["w"]), s["b"])
+                for name, s in fit_entry["scorers"].items()}
+    if fit_entry["degenerate"]:
+        raise click.ClickException(
+            "model was fit without positive labels; estimates are meaningless")
+    model = PurpleModel.from_dict(fit_entry["model"])
+    shared = LogisticScorer(model.w, model.b)
+    return {name: shared for name in names}
 
 
-def _complement_view(data, group: str):
-    """Dataset view where every row outside ``group`` is relabeled 'rest'."""
-    names = [group, "rest"]
-    gid = data.group_id(group)
-    merged = np.where(data.group == gid, 0, 1)
-    return LabeledDataset(data.features, merged, names, data.s, data.y, data.latent_p)
+def _split_rp(data, rows: np.ndarray, scorers: dict, group_a: str,
+              group_b: str | None) -> float:
+    """Ratio of mean condition scores over ``rows``: ``group_a`` against
+    ``group_b``, or against every other row when ``group_b`` is None."""
+    in_a = data.group[rows] == data.group_id(group_a)
+    in_b = ~in_a if group_b is None else data.group[rows] == data.group_id(group_b)
+    keep = in_a | in_b
+    scores = group_scores(scorers, data.take_rows(rows[keep]))
+    return mean_score_ratio(scores, in_a[keep], in_b[keep], group_a,
+                            group_b or f"complement of {group_a}")
 
 
 @main.command("estimate")
@@ -303,26 +296,28 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
     requests = []
     if pairs:
         for pair in pairs.split(","):
-            if ":" not in pair:
+            a, _, b = (part.strip() for part in pair.partition(":"))
+            if not a or not b:
                 raise click.UsageError(f"bad pair {pair!r}; expected a:b")
-            a, b = pair.split(":", 1)
-            requests.append(("pair", a.strip(), b.strip()))
+            requests.append(("pair", a, b))
     if vs_complement:
         requests.append(("vs-complement", vs_complement.strip(), None))
     rows_by_split = _eval_rows(payload, data, data_path, all_rows)
+    scorers = {f["split"]: _fit_scorers(payload, f, data.group_names)
+               for f in payload["fits"]}
     for kind, a, b in requests:
         per_split = []
-        for fit_entry in payload["fits"]:
-            rows = rows_by_split[fit_entry["split"]]
-            if kind == "pair":
-                per_split.append(_split_rp(payload, data, rows, fit_entry, a, b))
-            else:
-                view = _complement_view(data, a)
-                per_split.append(_split_rp(payload, view, rows, fit_entry, a, "rest"))
+        for split_i, rows in rows_by_split.items():
+            try:
+                per_split.append(_split_rp(data, rows, scorers[split_i], a, b))
+            except KeyError as e:  # an unknown group name
+                raise click.ClickException(e.args[0]) from None
+            except ValueError as e:
+                raise click.ClickException(str(e)) from None
         report["estimates"].append({
             "kind": kind,
             "group_a": a,
-            "group_b": b if kind == "pair" else f"complement of {a}",
+            "group_b": b or f"complement of {a}",
             "value": float(np.mean(per_split)),
             "per_split_values": per_split,
         })

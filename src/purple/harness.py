@@ -19,7 +19,7 @@ import json
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class SemiSynthScale:
     n_dims: int = 1200
     mean_active: float = 8.0
 
-    def to_dict(self) -> dict:
-        return {"n_a": self.n_a, "n_b": self.n_b, "n_dims": self.n_dims,
-                "mean_active": self.mean_active}
-
 
 @dataclass
 class ExperimentSuite:
@@ -102,13 +98,12 @@ class ExperimentSuite:
             "c_b": self.c_b,
             "fractions": list(self.fractions),
             "train": self.train.to_dict(),
-            "em": {"max_iters": self.em.max_iters, "tol": self.em.tol,
-                   "inner_epochs": self.em.inner_epochs},
+            "em": asdict(self.em),
             "accuracy_definition": "abs(ratio_to_true - 1) per split",
             "split_stratification": "by group",
         }
         if self.semisynth_scale is not None:
-            echo["semisynth_scale"] = self.semisynth_scale.to_dict()
+            echo["semisynth_scale"] = asdict(self.semisynth_scale)
         if self.gauss_n is not None:
             echo["gauss_n"] = list(self.gauss_n)
         return echo
@@ -322,6 +317,20 @@ def _aggregate(method: str, sweep_value, true_rp: float, cells: list[dict]) -> d
     return entry
 
 
+def _t_test_entry(method: str, sweep_value: str, other: list[float],
+                  purple: list[float]) -> dict:
+    entry = {"method": method, "sweep_value": sweep_value, "n_pairs": len(purple)}
+    if len(purple) < 2:
+        entry["error"] = "fewer than two common successful splits"
+        return entry
+    try:
+        # Positive t means the baseline is less accurate.
+        entry.update(paired_t_test(other, purple).to_dict())
+    except ValueError as e:
+        entry["error"] = str(e)
+    return entry
+
+
 def _t_tests_vs_purple(results: list[dict], methods) -> list[dict]:
     """Paired t-tests of per-split accuracy, each baseline against the core
     method, per sweep point and pooled across points."""
@@ -344,30 +353,12 @@ def _t_tests_vs_purple(results: list[dict], methods) -> list[dict]:
             ot_acc = {s["split"]: abs(s["ratio_to_true"] - 1.0)
                       for s in other["splits"] if "error" not in s}
             common = sorted(set(pu_acc) & set(ot_acc))
-            entry = {"method": method, "sweep_value": sv, "n_pairs": len(common)}
             a = [ot_acc[i] for i in common]
             b = [pu_acc[i] for i in common]
             pooled_other.extend(a)
             pooled_purple.extend(b)
-            if len(common) >= 2:
-                try:
-                    # Positive t means the baseline is less accurate.
-                    entry.update(paired_t_test(a, b).to_dict())
-                except ValueError as e:
-                    entry["error"] = str(e)
-            else:
-                entry["error"] = "fewer than two common successful splits"
-            out.append(entry)
-        pooled_entry = {"method": method, "sweep_value": "all",
-                        "n_pairs": len(pooled_purple)}
-        if len(pooled_purple) >= 2:
-            try:
-                pooled_entry.update(paired_t_test(pooled_other, pooled_purple).to_dict())
-            except ValueError as e:
-                pooled_entry["error"] = str(e)
-        else:
-            pooled_entry["error"] = "fewer than two common successful splits"
-        out.append(pooled_entry)
+            out.append(_t_test_entry(method, sv, a, b))
+        out.append(_t_test_entry(method, "all", pooled_other, pooled_purple))
     return out
 
 

@@ -4,6 +4,7 @@ import pytest
 from purple.baselines import (
     EmConfig,
     GroupPrevalenceEstimate,
+    LogisticScorer,
     baseline_relative_prevalence,
     em_soft_labels,
     em_update_c,
@@ -12,6 +13,7 @@ from purple.baselines import (
     fit_negative,
     fit_supervised,
     group_prevalences,
+    group_scores,
     register_estimator,
 )
 from purple.data import SplitSpec, split
@@ -156,6 +158,19 @@ class TestEstimatorContract:
                   for e in group_prevalences("purple", tr, va, te, cfg, 0,
                                              purple_fit=result)}
         assert alphas["a"] / alphas["b"] == pytest.approx(direct, rel=1e-12)
+
+    def test_group_scores_use_each_rows_own_scorer(self):
+        data = generate_gauss(GaussSynthConfig(n_a=50, n_b=70), 15)
+        sa, sb = LogisticScorer(np.ones(5), 0.5), LogisticScorer(-np.ones(5), -1.0)
+        scores = group_scores({"a": sa, "b": sb}, data)
+        for name, scorer in (("a", sa), ("b", sb)):
+            mask = data.group_mask(name)
+            np.testing.assert_allclose(scores[mask], scorer.predict(data.features)[mask],
+                                       rtol=1e-14)
+        np.testing.assert_array_equal(group_scores({"a": sa, "b": sa}, data),
+                                      sa.predict(data.features))
+        with pytest.raises(ValueError, match="no scorer for group 'b'"):
+            group_scores({"a": sa}, data)
 
     def test_deterministic_given_seed(self):
         data = identical_groups_data(n=600, seed=11)

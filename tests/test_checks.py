@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -56,6 +58,13 @@ class TestModelFitComparison:
         data = well_specified(3, n_a=40, n_b=200)
         tr, va, te = split(data, SplitSpec(seed=0), 0)
         with pytest.raises(ValueError, match="at least 30"):
+            compare_constrained_unconstrained(tr, va, te, TrainConfig(max_epochs=5))
+
+    def test_single_class_group_rejected_by_name(self):
+        data = well_specified(3, n_a=300, n_b=600)
+        data = replace(data, s=np.where(data.group == 0, 0, data.s).astype(np.int8))
+        tr, va, te = split(data, SplitSpec(seed=0), 0)
+        with pytest.raises(ValueError, match="group 'a'.*single-class"):
             compare_constrained_unconstrained(tr, va, te, TrainConfig(max_epochs=5))
 
     def test_needs_two_groups(self):

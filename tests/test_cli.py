@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 
 from purple.baselines import EmConfig, baseline_relative_prevalence
 from purple.cli import main
-from purple.data import SplitSpec, load_dataset, split
+from purple.data import SplitSpec, load_dataset, split, write_dataset
 from purple.model import TrainConfig
 
 
@@ -78,9 +79,34 @@ class TestSimulate:
         assert load_dataset(out).n_rows == 400
 
 
+METHODS = ["negative", "em", "supervised", "purple"]
+
+
+def estimate(runner, model, data, *args):
+    """Run ``purple estimate`` and return its parsed JSON report."""
+    result = runner.invoke(main, ["estimate", "--model", model, "--data", data, *args])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+def estimate_error(runner, model, data, *args):
+    """Run ``purple estimate`` expecting a clean error; return its message."""
+    result = runner.invoke(main, ["estimate", "--model", model, "--data", data, *args])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+    return result.output
+
+
+def with_group_names(runner, tmp_path, names):
+    """The small simulated dataset with its two groups renamed."""
+    base = load_dataset(simulate_small(runner, str(tmp_path / "d.csv")))
+    path = str(tmp_path / f"{'-'.join(names)}.csv")
+    write_dataset(replace(base, group_names=list(names)), path)
+    return path
+
+
 class TestFitEstimateCheck:
-    def fit_model(self, runner, tmp_path, method="purple", extra=()):
-        data = simulate_small(runner, str(tmp_path / "d.csv"))
+    def fit_model(self, runner, tmp_path, method="purple", extra=(), data=None):
+        data = data or simulate_small(runner, str(tmp_path / "d.csv"))
         model = str(tmp_path / f"model-{method}.json")
         args = ["fit", "--data", data, "--method", method, "--lambda-grid", "0",
                 "--max-epochs", "150", "--splits", "2", "--seed", "0",
@@ -138,9 +164,10 @@ class TestFitEstimateCheck:
         entry = blob["fits"][0]["scorers"]["a"]
         assert {"c_hat", "converged", "n_iters", "c_init"} <= set(entry)
 
-    @pytest.mark.parametrize("method", ["negative", "em"])
-    def test_estimate_matches_library_per_split(self, runner, tmp_path, method):
-        data_path = simulate_small(runner, str(tmp_path / "d.pu"))
+    @pytest.mark.parametrize("suffix", [".csv", ".pu"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimate_matches_library_per_split(self, runner, tmp_path, method, suffix):
+        data_path = simulate_small(runner, str(tmp_path / f"d{suffix}"))
         model, out = str(tmp_path / "m.json"), str(tmp_path / "e.json")
         result = runner.invoke(main, [
             "fit", "--data", data_path, "--method", method, "--max-epochs", "60",
@@ -158,6 +185,61 @@ class TestFitEstimateCheck:
                 method, train, val, test, "a", "b", seed=3,
                 config=TrainConfig(max_epochs=60), em_config=EmConfig(max_iters=3)).value)
         assert got == want
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_vs_complement_equals_pair_on_two_groups(self, runner, tmp_path, method):
+        data, model = self.fit_model(runner, tmp_path, method=method)
+        pair, comp = estimate(runner, model, data, "--pairs", "a:b",
+                              "--vs-complement", "a")["estimates"]
+        assert comp["per_split_values"] == pair["per_split_values"]
+
+    @pytest.mark.parametrize("method", ["negative", "purple"])
+    def test_group_named_rest(self, runner, tmp_path, method):
+        data = with_group_names(runner, tmp_path, ["rest", "b"])
+        _, model = self.fit_model(runner, tmp_path, method=method, data=data)
+        pair, comp = estimate(runner, model, data, "--pairs", "rest:b",
+                              "--vs-complement", "rest")["estimates"]
+        assert comp["per_split_values"] == pair["per_split_values"]
+        assert all(v != 1.0 for v in comp["per_split_values"])
+
+    @pytest.mark.parametrize("args", [("--pairs", "a:zzz"), ("--pairs", "zzz:b"),
+                                      ("--vs-complement", "zzz")])
+    @pytest.mark.parametrize("method", ["negative", "purple"])
+    def test_unknown_group_is_clean_error(self, runner, tmp_path, method, args):
+        data, model = self.fit_model(runner, tmp_path, method=method)
+        assert "Error: unknown group 'zzz'" in estimate_error(runner, model, data, *args)
+
+    @pytest.mark.parametrize("pair", ["ab", "a:", ":b"])
+    def test_bad_pair_is_usage_error(self, runner, tmp_path, pair):
+        data, model = self.fit_model(runner, tmp_path, method="negative")
+        result = runner.invoke(main, ["estimate", "--model", model, "--data", data,
+                                      "--pairs", pair])
+        assert result.exit_code == 2 and "bad pair" in result.output
+
+    @pytest.mark.parametrize("method", ["negative", "purple"])
+    def test_empty_complement_is_clean_error(self, runner, tmp_path, method):
+        data, model = self.fit_model(runner, tmp_path, method=method)
+        full = load_dataset(data)
+        only_a = str(tmp_path / "only-a.csv")
+        write_dataset(full.take_rows(np.flatnonzero(full.group_mask("a"))), only_a)
+        output = estimate_error(runner, model, only_a, "--all-rows", "--vs-complement", "a")
+        assert "Error: no rows in complement of a group" in output
+
+    def test_zero_denominator_is_clean_error(self, runner, tmp_path):
+        data, model = self.fit_model(runner, tmp_path, method="negative")
+        blob = json.loads(open(model).read())
+        for entry in blob["fits"]:
+            entry["scorers"]["b"] = {"w": [0.0] * 5, "b": -1000.0}
+        with open(model, "w") as fh:
+            json.dump(blob, fh)
+        output = estimate_error(runner, model, data, "--pairs", "a:b")
+        assert "Error: mean score in b group is numerically zero" in output
+
+    def test_group_without_scorer_is_clean_error(self, runner, tmp_path):
+        _, model = self.fit_model(runner, tmp_path, method="negative")
+        other = with_group_names(runner, tmp_path, ["a", "c"])
+        output = estimate_error(runner, model, other, "--all-rows", "--pairs", "a:c")
+        assert "Error: no scorer for group 'c'" in output
 
     def test_unknown_method(self, runner, tmp_path):
         data = simulate_small(runner, str(tmp_path / "d.csv"))

@@ -1,11 +1,13 @@
-"""Invariants checked on generated inputs: the full-batch fit, dataset file
-round trips and parse errors, and splitting.
+"""Invariants checked on generated inputs: the full-batch fit, CLI
+estimates, dataset file round trips and parse errors, and splitting.
 
 Fit example counts stay small: each example runs two fits over a two-value
 L1 grid.
 """
 
+import json
 import math
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from purple import data
+from purple.cli import main
 from purple.data import (FeatureMatrix, LabeledDataset, ParseError, SplitSpec, load_dataset,
                          split, split_indices, write_dataset)
 from purple.gauss import GaussSynthConfig, generate_gauss
@@ -65,6 +69,28 @@ def test_swapping_groups_gives_the_reciprocal_estimate(n_a, n_b, seed):
     swapped = relative_prevalence(fit(swap_groups(tr), swap_groups(va), CFG).model,
                                   swap_groups(te), "a", "b")
     np.testing.assert_allclose(ab * swapped, 1.0, rtol=1e-8)
+
+
+@settings(max_examples=12, deadline=None)
+@given(method=st.sampled_from(["negative", "em", "supervised", "purple"]),
+       n_a=group_sizes, n_b=group_sizes, seed=seeds)
+def test_cli_pair_times_reversed_pair_is_one(method, n_a, n_b, seed):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path, model, out = (f"{tmp}/{name}" for name in ("d.csv", "m.json", "e.json"))
+        for args in (["simulate", "gauss", "--n-a", str(n_a), "--n-b", str(n_b),
+                      "--seed", str(seed), "--out", data_path],
+                     ["fit", "--data", data_path, "--method", method, "--lambda-grid", "0",
+                      "--max-epochs", "100", "--splits", "2", "--em-max-iters", "5",
+                      "--out", model],
+                     ["estimate", "--model", model, "--data", data_path,
+                      "--pairs", "a:b,b:a", "--out", out]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        with open(out) as fh:
+            ab, ba = json.load(fh)["estimates"]
+    for x, y in zip(ab["per_split_values"], ba["per_split_values"]):
+        assert x * y == pytest.approx(1.0, abs=1e-12)
 
 
 RESCALE_CFG = TrainConfig(lambda_grid=(0.0,), max_epochs=500, patience=500)
