@@ -6,7 +6,8 @@ those estimates give the baseline's relative prevalence. All baselines use
 the same linear-plus-sigmoid function class as the core estimator, with the
 labeling-frequency factor frozen at one, and train through its solver,
 ``model._lbfgs_fit``. ``fit_logistic`` supplies only the cross-entropy and
-its gradient and the validation cross-entropy.
+its gradient and the validation cross-entropy, with every sigmoid and
+softplus from the core model's kernel, ``model._logistic``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .data import LabeledDataset
 from .model import (
@@ -25,6 +25,7 @@ from .model import (
     _cross_entropy,
     _lbfgs_fit,
     _linear,
+    _logistic,
     fit as fit_purple,
 )
 
@@ -39,7 +40,7 @@ class LogisticScorer:
     b: float
 
     def predict(self, features) -> np.ndarray:
-        return expit(_linear(features, np.asarray(self.w, dtype=np.float64), self.b))
+        return _logistic(_linear(features, np.asarray(self.w, dtype=np.float64), self.b))
 
     def to_dict(self) -> dict:
         return {"w": np.asarray(self.w).tolist(), "b": float(self.b)}
@@ -85,15 +86,16 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
 
     def objective(p):
         z = _linear(train_X, p[:d], p[d])
-        residual = expit(z) - targets
-        # Mean cross-entropy in its log-sum-exp form: exact and unclamped,
-        # so it stays consistent with the gradient when rows saturate.
-        f = float(np.mean(np.logaddexp(0.0, z) - targets * z))
+        sigmoid, softplus = _logistic(z, with_softplus=True)
+        residual = sigmoid - targets
+        # Mean cross-entropy in its softplus form: exact and unclamped, so it
+        # stays consistent with the gradient when rows saturate.
+        f = float(np.mean(softplus - targets * z))
         return f, np.concatenate([train_X.rtvec(residual) / train_X.n_rows,
                                   [residual.mean()]])
 
     def val_loss(p, _):
-        return _cross_entropy(expit(_linear(val_X, p[:d], p[d])), val_targets)
+        return _cross_entropy(_logistic(_linear(val_X, p[:d], p[d])), val_targets)
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
     params = _lbfgs_fit(objective, params,
@@ -157,14 +159,16 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     c_init = min(max(2.0 * float(s.mean()), 1e-3), 1.0 - 1e-3)
     c_hat = c_init
     scorer = fit_logistic(train.features, s, val.features, val.s, config)
+    f = scorer.predict(train.features)
     converged = False
     iters = 0
     for iters in range(1, em_config.max_iters + 1):
-        f = scorer.predict(train.features)
         q = em_soft_labels(f, train.s, c_hat)
         scorer = fit_logistic(train.features, q, val.features, val.s, config, init=scorer,
                               early_stop=False, max_epochs=em_config.inner_epochs)
-        c_new = em_update_c(train.s, scorer.predict(train.features))
+        # The scores of the c update are the next E step's: one pass per iteration.
+        f = scorer.predict(train.features)
+        c_new = em_update_c(train.s, f)
         delta = abs(c_new - c_hat)
         c_hat = c_new
         if delta < em_config.tol:

@@ -72,11 +72,15 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
     if len(groups) < 2:
         raise ValueError("model-fit comparison needs at least two groups")
     for gid in groups:
-        n_rows = int(np.count_nonzero(train.group == gid))
-        if n_rows < MIN_GROUP_ROWS:
+        labels = train.s[train.group == gid]
+        if labels.size < MIN_GROUP_ROWS:
             raise ValueError(
-                f"group {train.group_names[gid]!r} has {n_rows} training rows; "
+                f"group {train.group_names[gid]!r} has {labels.size} training rows; "
                 f"needs at least {MIN_GROUP_ROWS} for its own scorer")
+        if labels.min() == labels.max():
+            raise ValueError(
+                f"group {train.group_names[gid]!r} has single-class observed labels in "
+                "training; its own scorer needs both classes")
     result = constrained or fit_purple(train, val, config)
     constrained_scores = predict_diagnosis(result.model, test.features, test.group)
 

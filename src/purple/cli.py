@@ -272,8 +272,8 @@ def _split_rp(data, rows: np.ndarray, scorers: dict, group_a: str,
     in_b = ~in_a if group_b is None else data.group[rows] == data.group_id(group_b)
     keep = in_a | in_b
     scores = group_scores(scorers, data.take_rows(rows[keep]))
-    return mean_score_ratio(scores, in_a[keep], in_b[keep], group_a,
-                            group_b or f"complement of {group_a}")
+    label_b = f"group {group_b!r}" if group_b else f"the complement of group {group_a!r}"
+    return mean_score_ratio(scores, in_a[keep], in_b[keep], f"group {group_a!r}", label_b)
 
 
 @main.command("estimate")
@@ -347,9 +347,12 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
     spec = SplitSpec(tuple(payload["split"]["fractions"]), payload["split"]["seed"],
                      payload["split"]["n_repeats"])
     train, val, test = split(data, spec, split_index)
-    report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
-                                     TrainConfig.from_dict(payload["train"]), n_bins=bins,
-                                     ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
+    try:
+        report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
+                                         TrainConfig.from_dict(payload["train"]), n_bins=bins,
+                                         ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
+    except ValueError as e:
+        raise click.ClickException(str(e)) from None
     _write_json({"version": VERSION, "model": model_path, "data": data_path,
                  "split_index": split_index, **report.to_dict()}, out)
     click.echo(f"calibration: {report.calibration_verdict}  "

@@ -13,7 +13,9 @@ runs ``_lbfgs_fit`` on the full batch, a numpy L-BFGS that takes OWL-QN
 orthant steps for the L1 term; its objective is the fused
 ``gradients(..., with_loss=True)``, so each evaluation is one forward pass.
 The baselines' logistic fits share the solver: callers pass an objective
-and, for early stopping, a validation loss.
+and, for early stopping, a validation loss. Every sigmoid and softplus of a
+fit or a score, the baselines' included, comes from ``_logistic``, one numpy
+kernel built on the vectorised ``exp`` and ``log1p``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FeatureMatrix, LabeledDataset
 from .metrics import auc
@@ -56,7 +57,7 @@ class PurpleModel:
     @property
     def c(self) -> np.ndarray:
         """Per-group labeling frequencies sigmoid(theta), each in (0, 1)."""
-        return expit(self.theta)
+        return _logistic(self.theta)
 
     def to_dict(self) -> dict:
         return {
@@ -166,6 +167,22 @@ class RelativePrevalenceEstimate:
 # Prediction
 
 
+def _logistic(z, *, with_softplus: bool = False):
+    """The logistic kernel of every fit and score: sigmoid(z), and with
+    ``with_softplus`` also ``(sigmoid(z), log(1 + exp(z)))``.
+
+    Both come from one ``e = exp(-|z|)``, which lies in [0, 1], so neither
+    overflows at any finite z; below z = -708 the sigmoid is the subnormal
+    exp(z) rather than 0. The numerator ``max(e, z >= 0)`` is 1 for z >= 0
+    and e below, the value of ``np.where(z >= 0, 1, e)`` at half its cost.
+    """
+    e = np.exp(-np.abs(z))
+    sigmoid = np.maximum(e, z >= 0) / (1.0 + e)
+    if with_softplus:
+        return sigmoid, np.maximum(z, 0.0) + np.log1p(e)
+    return sigmoid
+
+
 def _linear(features, w: np.ndarray, b: float) -> np.ndarray:
     if isinstance(features, FeatureMatrix):
         return features.matvec(w) + b
@@ -178,8 +195,7 @@ def predict_condition_score(model: PurpleModel, features) -> np.ndarray | float:
 
     Accepts a single feature row, a 2-d array, or a FeatureMatrix.
     """
-    z = _linear(features, model.w, model.b)
-    out = expit(z)
+    out = _logistic(_linear(features, model.w, model.b))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -192,12 +208,12 @@ def predict_diagnosis(model: PurpleModel, features, group) -> np.ndarray | float
     if isinstance(group, str):
         if group not in model.group_names:
             raise KeyError(f"unknown group {group!r}")
-        cg = expit(model.theta[model.group_names.index(group)])
+        cg = _logistic(model.theta[model.group_names.index(group)])
     else:
         gid = np.asarray(group, dtype=np.int64)
         if gid.size and gid.max() >= model.theta.size:
             raise KeyError(f"group id {int(gid.max())} has no theta entry")
-        cg = expit(model.theta)[gid]
+        cg = _logistic(model.theta)[gid]
     return score * cg
 
 
@@ -214,8 +230,8 @@ def _forward(model: PurpleModel, batch: LabeledDataset):
     """Per-row condition score f, labeling frequency c_g and p = f * c_g."""
     if batch.n_rows == 0:
         raise ValueError("batch must be non-empty")
-    f = expit(_linear(batch.features, model.w, model.b))
-    cg = expit(model.theta)[batch.group]
+    f = _logistic(_linear(batch.features, model.w, model.b))
+    cg = _logistic(model.theta)[batch.group]
     return f, cg, f * cg
 
 
@@ -455,20 +471,22 @@ def fit(train: LabeledDataset, val: LabeledDataset,
 
 
 def mean_score_ratio(scores: np.ndarray, mask_num: np.ndarray, mask_den: np.ndarray,
-                     label_num: str = "numerator", label_den: str = "denominator") -> float:
+                     label_num: str = "the numerator", label_den: str = "the denominator"
+                     ) -> float:
     """Ratio of mean scores between two row subsets.
 
     Invariant under any common positive rescaling of the scores, which is
-    what makes a constant-factor condition score usable here.
+    what makes a constant-factor condition score usable here. The labels
+    name the subsets in error messages, e.g. ``group 'a'``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.any(mask_num):
-        raise ValueError(f"no rows in {label_num} group")
+        raise ValueError(f"no rows in {label_num}")
     if not np.any(mask_den):
-        raise ValueError(f"no rows in {label_den} group")
+        raise ValueError(f"no rows in {label_den}")
     den = float(scores[mask_den].mean())
     if den < 1e-12:
-        raise ValueError(f"mean score in {label_den} group is numerically zero")
+        raise ValueError(f"mean score in {label_den} is numerically zero")
     return float(scores[mask_num].mean()) / den
 
 
@@ -478,7 +496,7 @@ def relative_prevalence(model: PurpleModel, data: LabeledDataset,
     over group_a's rows divided by the same over group_b's."""
     scores = predict_condition_score(model, data.features)
     return mean_score_ratio(scores, data.group_mask(group_a), data.group_mask(group_b),
-                            group_a, group_b)
+                            f"group {group_a!r}", f"group {group_b!r}")
 
 
 def relative_prevalence_vs_complement(model: PurpleModel, data: LabeledDataset,
@@ -486,4 +504,5 @@ def relative_prevalence_vs_complement(model: PurpleModel, data: LabeledDataset,
     """Prevalence ratio between a group and all remaining rows."""
     scores = predict_condition_score(model, data.features)
     mask = data.group_mask(group)
-    return mean_score_ratio(scores, mask, ~mask, group, f"complement of {group}")
+    return mean_score_ratio(scores, mask, ~mask, f"group {group!r}",
+                            f"the complement of group {group!r}")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from helpers import rel_err
 
+from purple import baselines
 from purple.baselines import (
     EmConfig,
     GroupPrevalenceEstimate,
@@ -16,7 +18,7 @@ from purple.baselines import (
     group_scores,
     register_estimator,
 )
-from purple.data import SplitSpec, split
+from purple.data import FeatureMatrix, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import true_relative_prevalence
 from purple.model import TrainConfig, relative_prevalence, fit as fit_purple
@@ -84,6 +86,31 @@ class TestSupervised:
             tr.y.mean(), abs=0.01)
 
 
+class TestFitLogisticObjective:
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_gradient_matches_finite_differences(self, monkeypatch, scale):
+        rng = np.random.default_rng(3)
+        x = FeatureMatrix(rng.standard_normal((60, 3)))
+        targets = rng.uniform(0.0, 1.0, 60)
+        captured = {}
+
+        def capture(objective, params, max_iter, **_):
+            captured["objective"] = objective
+            return params, np.inf, 0, "budget"
+
+        monkeypatch.setattr(baselines, "_lbfgs_fit", capture)
+        fit_logistic(x, targets, x, targets, TrainConfig(lambda_grid=(0.0,)))
+        objective = captured["objective"]
+        p = np.array([0.8, -0.5, 0.3, 0.2]) * scale
+        if scale > 1.0:  # most rows saturated
+            assert np.mean(np.abs(x.matvec(p[:3]) + p[3]) > 40.0) > 0.5
+        _, g = objective(p)
+        h = 1e-6
+        fd = np.array([(objective(p + h * e)[0] - objective(p - h * e)[0]) / (2 * h)
+                       for e in np.eye(p.size)])
+        assert rel_err(g, fd).max() < 1e-6
+
+
 class TestEmSteps:
     def test_soft_labels_hand_computed(self):
         f = np.array([0.8, 0.3])
@@ -137,6 +164,26 @@ class TestEmFit:
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
         em = fit_em(tr, va, EmConfig(max_iters=2), FAST)
         assert em.c_init == pytest.approx(min(2.0 * tr.s.mean(), 1.0 - 1e-3), abs=1e-12)
+
+    def test_matches_rescoring_every_iteration(self):
+        # The reference EM loop scores the training rows again at each E step.
+        data = identical_groups_data(n=600, seed=16)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        em_config = EmConfig(max_iters=5)
+        em = fit_em(tr, va, em_config, FAST)
+        s = tr.s.astype(np.float64)
+        c_hat = min(max(2.0 * float(s.mean()), 1e-3), 1.0 - 1e-3)
+        scorer = fit_logistic(tr.features, s, va.features, va.s, FAST)
+        for iters in range(1, em_config.max_iters + 1):
+            q = em_soft_labels(scorer.predict(tr.features), tr.s, c_hat)
+            scorer = fit_logistic(tr.features, q, va.features, va.s, FAST, init=scorer,
+                                  early_stop=False, max_epochs=em_config.inner_epochs)
+            c_new = em_update_c(tr.s, scorer.predict(tr.features))
+            delta, c_hat = abs(c_new - c_hat), c_new
+            if delta < em_config.tol:
+                break
+        assert (em.n_iters, em.c_hat, em.scorer.b) == (iters, c_hat, scorer.b)
+        np.testing.assert_array_equal(em.scorer.w, scorer.w)
 
     def test_non_convergence_flag_propagates(self):
         data = identical_groups_data(n=1500, seed=9)

@@ -223,7 +223,7 @@ class TestFitEstimateCheck:
         only_a = str(tmp_path / "only-a.csv")
         write_dataset(full.take_rows(np.flatnonzero(full.group_mask("a"))), only_a)
         output = estimate_error(runner, model, only_a, "--all-rows", "--vs-complement", "a")
-        assert "Error: no rows in complement of a group" in output
+        assert "Error: no rows in the complement of group 'a'" in output
 
     def test_zero_denominator_is_clean_error(self, runner, tmp_path):
         data, model = self.fit_model(runner, tmp_path, method="negative")
@@ -233,7 +233,7 @@ class TestFitEstimateCheck:
         with open(model, "w") as fh:
             json.dump(blob, fh)
         output = estimate_error(runner, model, data, "--pairs", "a:b")
-        assert "Error: mean score in b group is numerically zero" in output
+        assert "Error: mean score in group 'b' is numerically zero" in output
 
     def test_group_without_scorer_is_clean_error(self, runner, tmp_path):
         _, model = self.fit_model(runner, tmp_path, method="negative")
@@ -257,6 +257,17 @@ class TestFitEstimateCheck:
         assert blob["calibration"]["verdict"] in ("pass", "warn")
         assert blob["model_fit"]["verdict"] in ("pass", "warn")
         assert "delta_auc" in blob["model_fit"]
+
+    def test_check_single_class_group_is_clean_error(self, runner, tmp_path):
+        base = load_dataset(simulate_small(runner, str(tmp_path / "d.csv")))
+        data = str(tmp_path / "a-unlabeled.csv")
+        write_dataset(replace(base, s=np.where(base.group_mask("a"), 0, base.s)), data)
+        _, model = self.fit_model(runner, tmp_path, data=data)
+        result = runner.invoke(main, ["check", "--model", model, "--data", data,
+                                      "--out", str(tmp_path / "checks.json")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert ("Error: group 'a' has single-class observed labels in training; "
+                "its own scorer needs both classes") in result.output
 
     @pytest.mark.parametrize("option", ["--batch-size", "--learning-rate"])
     def test_retired_fit_options_rejected(self, runner, tmp_path, option):

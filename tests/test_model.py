@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
+from scipy.special import expit
 from helpers import fd_gradients, random_model, rel_err, tiny_batch
 
 from purple.baselines import group_prevalences
@@ -18,6 +19,7 @@ from purple.model import (
     RelativePrevalenceEstimate,
     TrainConfig,
     _lbfgs_fit,
+    _logistic,
     fit,
     gradients,
     loss,
@@ -29,6 +31,25 @@ from purple.model import (
 )
 
 SIGMOID_1 = 1.0 / (1.0 + math.exp(-1.0))
+
+
+class TestLogisticKernel:
+    Z = np.concatenate([np.linspace(-1000.0, 1000.0, 200001),
+                        [0.0, -0.0, 745.0, -745.0, 746.0, -746.0]])
+
+    def test_matches_scipy_expit_and_logaddexp(self):
+        sigmoid, softplus = _logistic(self.Z, with_softplus=True)
+        # Below z = -709 scipy's expit underflows to 0 where the kernel keeps
+        # the subnormal exp(z); an atol of the smallest normal admits only that.
+        tiny = np.finfo(np.float64).tiny
+        np.testing.assert_allclose(sigmoid, expit(self.Z), rtol=1e-15, atol=tiny)
+        np.testing.assert_allclose(softplus, np.logaddexp(0.0, self.Z), rtol=1e-15, atol=tiny)
+        np.testing.assert_array_equal(_logistic(self.Z), sigmoid)
+
+    def test_no_floating_point_exceptions(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sigmoid, softplus = _logistic(self.Z, with_softplus=True)
+        assert np.all(np.isfinite(sigmoid)) and np.all(np.isfinite(softplus))
 
 
 class TestPredict:
