@@ -34,16 +34,20 @@ class FeatureMatrix:
 
     Both storages expose the same small interface so downstream code never
     branches on the representation; dot products agree to float64 accuracy.
+    Every value must be finite.
     """
 
     def __init__(self, values):
         if sp.issparse(values):
             self._m = values.tocsr().astype(np.float64, copy=False)
+            stored = self._m.data
         else:
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.ndim != 2:
+            stored = self._m = np.asarray(values, dtype=np.float64)
+            if stored.ndim != 2:
                 raise ValueError("feature matrix must be 2-dimensional")
-            self._m = arr
+        if not np.isfinite(stored).all():
+            raise ValueError("feature values must be finite")
+        self._t = None  # the transpose, built by the first rtvec
 
     @property
     def n_rows(self) -> int:
@@ -59,7 +63,8 @@ class FeatureMatrix:
 
     @property
     def raw(self):
-        """The underlying ndarray or CSR matrix (read-only by convention)."""
+        """The underlying ndarray or CSR matrix (read-only by convention:
+        ``rtvec`` keeps a transpose of it)."""
         return self._m
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
@@ -68,8 +73,17 @@ class FeatureMatrix:
         return np.asarray(out).ravel()
 
     def rtvec(self, r: np.ndarray) -> np.ndarray:
-        """Transposed product ``X.T @ r`` as a dense vector."""
-        out = self._m.T @ np.asarray(r, dtype=np.float64)
+        """Transposed product ``X.T @ r`` as a dense vector.
+
+        CSR storage keeps its transpose as a second CSR matrix, built on the
+        first call (about 12 bytes per stored entry), so every product is a
+        row-major pass rather than a scatter. Each output entry still sums
+        its terms in ascending row order from 0.0, so the result is the same
+        bits as ``X.T @ r`` on the CSR matrix itself.
+        """
+        if self._t is None:
+            self._t = self._m.T.tocsr() if sp.issparse(self._m) else self._m.T
+        out = self._t @ np.asarray(r, dtype=np.float64)
         return np.asarray(out).ravel()
 
     def take_rows(self, idx: np.ndarray) -> "FeatureMatrix":

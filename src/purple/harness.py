@@ -177,12 +177,11 @@ def _gauss_config_for(suite: ExperimentSuite, sweep_value) -> GaussSynthConfig:
     return cfg
 
 
-def _semisynth_mode_matrix(suite: ExperimentSuite, mode: str):
-    """Visit matrix, groups and symptom set for one selection mode."""
-    scale = suite.semisynth_scale or SemiSynthScale()
-    visits, group, names = generate_visit_corpus(
-        scale.n_a, scale.n_b, scale.n_dims, mean_active=scale.mean_active,
-        seed=derive_seed(suite.base_seed, _TAG_CORPUS))
+def _semisynth_mode_matrix(suite: ExperimentSuite, corpus: tuple, mode: str):
+    """Visit matrix, groups and symptom set for one selection mode, from the
+    suite's ``(visits, group ids, group names)`` corpus, which it leaves as
+    it is."""
+    visits, group, names = corpus
     sym_seed = derive_seed(suite.base_seed, _TAG_SYMPTOMS, mode)
     if mode == "common":
         v_sym = select_common_symptoms(visits, pool=50, pick=25, seed=sym_seed)
@@ -209,15 +208,20 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
 
     Within a suite the non-swept random streams are shared across sweep
     points (feature draws for the Gaussian suites, the visit corpus for the
-    semi-synthetic one), so sweeps are paired comparisons.
+    semi-synthetic one, generated once and shared by every symptom mode),
+    so sweeps are paired comparisons.
     """
     out = []
     if suite.name == "semisynth":
+        scale = suite.semisynth_scale or SemiSynthScale()
+        corpus = generate_visit_corpus(scale.n_a, scale.n_b, scale.n_dims,
+                                       mean_active=scale.mean_active,
+                                       seed=derive_seed(suite.base_seed, _TAG_CORPUS))
         by_mode: dict[str, tuple] = {}
         for sv in suite.sweep_values:
             mode, cb_str = str(sv).split(":")
             if mode not in by_mode:
-                by_mode[mode] = _semisynth_mode_matrix(suite, mode)
+                by_mode[mode] = _semisynth_mode_matrix(suite, corpus, mode)
             visits, group, names, v_sym = by_mode[mode]
             cfg = SemiSynthConfig(c={"a": suite.c_a, "b": float(cb_str)},
                                   seed=derive_seed(suite.base_seed, _TAG_LABELS, mode))

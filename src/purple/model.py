@@ -11,8 +11,10 @@ on the weights, with early stopping on validation cross-entropy, and selects
 across the L1 grid by validation AUC against the observed labels. Every fit
 runs ``_lbfgs_fit`` on the full batch, a numpy L-BFGS that takes OWL-QN
 orthant steps for the L1 term; its objective is the fused
-``gradients(..., with_loss=True)``, so each evaluation is one forward pass.
-The baselines' logistic fits share the solver: callers pass an objective
+``gradients(..., with_loss=True)``, so each evaluation is one forward pass,
+one ``X.T @ r`` (``FeatureMatrix.rtvec``, which on CSR data reuses a
+transpose built once per matrix) and one log per row for the loss. The
+baselines' logistic fits share the solver: callers pass an objective
 and, for early stopping, a validation loss. Every sigmoid and softplus of a
 fit or a score, the baselines' included, comes from ``_logistic``, one numpy
 kernel built on the vectorised ``exp`` and ``log1p``.
@@ -226,6 +228,16 @@ def _cross_entropy(p: np.ndarray, s: np.ndarray) -> float:
     return float(-(s * np.log(p) + (1.0 - s) * np.log(1.0 - p)).mean())
 
 
+def _label_cross_entropy(p: np.ndarray, pos: np.ndarray) -> float:
+    """``_cross_entropy(p, s)`` for 0/1 labels ``s = pos``, bit for bit, with
+    one log per row: of the clamped p on positives, of 1 minus it on the
+    rest. The two-log form only adds an exact zero, ``0 * log(finite)``.
+    """
+    q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    q = np.where(pos, q, 1.0 - q)
+    return -float(np.log(q, out=q).mean())
+
+
 def _forward(model: PurpleModel, batch: LabeledDataset):
     """Per-row condition score f, labeling frequency c_g and p = f * c_g."""
     if batch.n_rows == 0:
@@ -235,15 +247,15 @@ def _forward(model: PurpleModel, batch: LabeledDataset):
     return f, cg, f * cg
 
 
-def _objective(model: PurpleModel, p: np.ndarray, s: np.ndarray, lam: float) -> float:
-    return _cross_entropy(p, s) + lam * float(np.abs(model.w).sum())
+def _penalized(model: PurpleModel, cross_entropy: float, lam: float) -> float:
+    return cross_entropy + lam * float(np.abs(model.w).sum())
 
 
 def loss(model: PurpleModel, batch: LabeledDataset, lam: float) -> float:
     """Mean cross-entropy of the diagnosis probability against s, plus
     lam * ||w||_1 (bias and theta unpenalized)."""
     _, _, p = _forward(model, batch)
-    return _objective(model, p, batch.s.astype(np.float64), lam)
+    return _penalized(model, _cross_entropy(p, batch.s.astype(np.float64)), lam)
 
 
 def gradients(model: PurpleModel, batch: LabeledDataset, lam: float, *,
@@ -255,27 +267,29 @@ def gradients(model: PurpleModel, batch: LabeledDataset, lam: float, *,
     (flat) clamped loss there.
 
     With ``with_loss`` this is the fused kernel: it returns ``(loss, gw, gb,
-    gtheta)``, the loss taken from the same forward pass and bit-identical to
-    ``loss(model, batch, lam)``. It keeps ``_cross_entropy``'s soft-target
-    form, two logs per row: ``fit_logistic`` shares that function with
-    probability targets, which a one-log-per-row form for 0/1 labels breaks.
+    gtheta)``, the loss taken from the same forward pass by
+    ``_label_cross_entropy``, one log per row, and bit-identical to
+    ``loss(model, batch, lam)``.
     """
     f, cg, p = _forward(model, batch)
-    X, s, g = batch.features, batch.s.astype(np.float64), batch.group
-    active = (p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR)
+    pos = batch.s == 1
+    inactive = ~((p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR))
     one_minus_p = np.maximum(1.0 - p, PROB_FLOOR)
-    # d(ce)/dz = -(1-f) on positives, p(1-f)/(1-p) on negatives; same shape
-    # for theta with (1-c) in place of (1-f).
-    dz = np.where(s == 1.0, -(1.0 - f), p * (1.0 - f) / one_minus_p)
-    dtheta_row = np.where(s == 1.0, -(1.0 - cg), p * (1.0 - cg) / one_minus_p)
-    dz = np.where(active, dz, 0.0)
-    dtheta_row = np.where(active, dtheta_row, 0.0)
+
+    def row_gradient(one_minus):
+        # d(ce)/dz = -(1-f) on positives, p(1-f)/(1-p) on negatives; the
+        # same for theta with (1-c) in place of (1-f).
+        out = np.where(pos, -one_minus, p * one_minus / one_minus_p)
+        out[inactive] = 0.0
+        return out
+
+    dz, dtheta_row = row_gradient(1.0 - f), row_gradient(1.0 - cg)
     n = batch.n_rows
-    gw = X.rtvec(dz) / n + lam * np.sign(model.w)
+    gw = batch.features.rtvec(dz) / n + lam * np.sign(model.w)
     gb = float(dz.mean())
-    gtheta = np.bincount(g, weights=dtheta_row, minlength=model.theta.size) / n
+    gtheta = np.bincount(batch.group, weights=dtheta_row, minlength=model.theta.size) / n
     if with_loss:
-        return _objective(model, p, s, lam), gw, gb, gtheta
+        return _penalized(model, _label_cross_entropy(p, pos), lam), gw, gb, gtheta
     return gw, gb, gtheta
 
 
@@ -314,6 +328,8 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
     ``(params, val_loss at params, iterations, stop)``, with ``stop`` one of
     ``"converged"``, ``"early-stopped"`` or ``"budget"``; without
     ``val_loss``, the returned iterate is always the last and its loss inf.
+    Raises ``FloatingPointError`` if the objective or its gradient is not
+    finite at ``params``, where no step could ever be accepted.
     """
     def smooth(x, g):  # the gradient without the L1 term
         if not l1:
@@ -329,6 +345,9 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
 
     x = params
     f, g = objective(x)
+    if not (np.isfinite(f) and np.isfinite(g).all()):
+        raise FloatingPointError("objective or its gradient is not finite at the "
+                                 "starting point")
     pg = pseudo(x, g)
     pairs: list = []
     best_params, best_loss, bad = x, np.inf, 0
@@ -388,14 +407,15 @@ def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainC
     iterations, stop reason)``.
     """
     d = train.n_dims
-    s_val = val.s.astype(np.float64)
+    val_pos = val.s == 1
     trace: list[tuple[int, float, float]] = []
 
     def model_at(p):
         return PurpleModel(p[:d], p[d], p[d + 1:], train.group_names)
 
     def record(p, train_loss):
-        val_ce = _cross_entropy(predict_diagnosis(model_at(p), val.features, val.group), s_val)
+        val_ce = _label_cross_entropy(predict_diagnosis(model_at(p), val.features, val.group),
+                                      val_pos)
         trace.append((len(trace) + 1, train_loss, val_ce))
         return val_ce
 

@@ -50,6 +50,13 @@ class TestNegative:
                                            seed=0, config=FAST)
         assert est.value == pytest.approx(1.0, rel=0.15)
 
+    def test_non_finite_features_raise(self):
+        data = generate_gauss(GaussSynthConfig(n_a=300, n_b=450), 3)
+        tr, va, _ = split(data, SplitSpec(seed=3), 0)
+        tr.features.raw[0, 0] = np.nan  # past the check made when the matrix was built
+        with pytest.raises(FloatingPointError, match="not finite"):
+            fit_negative(tr, va, FAST)
+
     def test_all_unlabeled_group_fails_with_name(self):
         data = identical_groups_data(c_a=0.5, c_b=0.0, seed=2)
         tr, va, te = split(data, SplitSpec(seed=0), 0)

@@ -45,6 +45,18 @@ class TestFeatureMatrix:
         assert m.is_binary()
         assert not FeatureMatrix(np.array([[0.5]])).is_binary()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_values_rejected(self, bad, sparse):
+        x = np.zeros((3, 2))
+        x[1, 1] = bad
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            FeatureMatrix(sp.csr_matrix(x) if sparse else x)
+
+    def test_rtvec_of_zero_rows_is_zero(self):
+        out = FeatureMatrix(sp.csr_matrix((0, 3))).rtvec(np.empty(0))
+        assert out.tobytes() == np.zeros(3).tobytes()
+
     def test_drop_columns_remap(self):
         m = FeatureMatrix(np.arange(12, dtype=float).reshape(3, 4))
         reduced, index_map = m.drop_columns([1])

@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from purple import harness
 from purple.baselines import register_estimator
 from purple.data import FeatureMatrix, LabeledDataset
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
+    SemiSynthScale,
     derive_seed,
     emit_report,
     make_suite,
@@ -19,6 +22,7 @@ from purple.harness import (
     true_relative_prevalence,
 )
 from purple.model import TrainConfig
+from purple.visits import generate_visit_corpus
 
 TINY_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=250, patience=250)
 
@@ -109,6 +113,33 @@ class TestSuiteDatasets:
         assert rp0 > 1.0
         assert rp2 > rp0
 
+    def test_semisynth_suite_generates_one_corpus(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_visit_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_visit_corpus", counting)
+        # "correlated" drops columns; the modes after it must still see the
+        # whole corpus.
+        suite = make_suite("semisynth", n_splits=2,
+                           sweep_values=("correlated:0.3", "common:0.3", "high-rp:0.5",
+                                         "recognized:0.9", "common:0.7"),
+                           semisynth_scale=SemiSynthScale(n_a=1500, n_b=3000, n_dims=300))
+        points = suite_datasets(suite)
+        assert len(calls) == 1
+        for sv, data in points:
+            (_, alone), = suite_datasets(replace(suite, sweep_values=(sv,)))
+            got, want = data.features.raw, alone.features.raw
+            assert got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), sv
+            for attr in ("s", "y", "latent_p"):
+                a, b = getattr(data, attr), getattr(alone, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (sv, attr)
+        assert len(calls) == 1 + len(points)
+
 
 class TestRunSuite:
     def test_report_structure_and_means(self):
@@ -156,6 +187,20 @@ class TestRunSuite:
         # failed cells are absent from the CSV
         rows = list(csv.reader(io.StringIO(results_csv_bytes(report).decode())))
         assert len(rows) - 1 == 4  # header + purple cells only
+
+    def test_non_finite_features_fail_their_cells(self, monkeypatch):
+        def poisoned(cfg, seed):
+            data = generate_gauss(cfg, seed)
+            data.features.raw[0, 0] = np.nan  # past the check made when it was built
+            return data
+
+        monkeypatch.setattr(harness, "generate_gauss", poisoned)
+        report = run_suite(tiny_suite())
+        assert report.n_failed_cells == 2 * 2 * 2
+        for r in report.results:
+            assert r["estimate"] is None
+            for s in r["splits"]:
+                assert s["error"] == "ValueError: feature values must be finite"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_library_bug_propagates(self, jobs):

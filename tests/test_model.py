@@ -18,6 +18,8 @@ from purple.model import (
     PurpleModel,
     RelativePrevalenceEstimate,
     TrainConfig,
+    _cross_entropy,
+    _label_cross_entropy,
     _lbfgs_fit,
     _logistic,
     fit,
@@ -179,6 +181,14 @@ class TestFusedLossAndGradients:
                         ["a", "b", "c"])
         return m, LabeledDataset(feats, group, ["a", "b", "c"], s)
 
+    def test_one_log_cross_entropy_is_the_two_log_bits(self):
+        rng = np.random.default_rng(9)
+        p = np.concatenate([rng.uniform(size=500), rng.uniform(size=100) * 1e-10,
+                            1.0 - rng.uniform(size=100) * 1e-10,
+                            [0.0, 5e-324, PROB_FLOOR, 0.5, 1.0 - PROB_FLOOR, 1.0]])
+        s = rng.integers(0, 2, p.size)
+        assert _label_cross_entropy(p, s == 1) == _cross_entropy(p, s.astype(np.float64))
+
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("lam", [0.0, 1e-2])
     def test_bitwise_equal_to_loss_and_gradients(self, sparse, lam):
@@ -285,11 +295,31 @@ class TestLbfgsFit:
         assert (iters, stop, best) == (6, "early-stopped", 3.0)
         np.testing.assert_array_equal(params, seen[2])
 
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)])
+    def test_non_finite_start_raises(self, bad):
+        f0, g0 = bad
+
+        def fg(p):
+            return f0, np.full(p.size, g0)
+
+        with pytest.raises(FloatingPointError, match="not finite at the starting point"):
+            _lbfgs_fit(fg, np.zeros(3), 50)
+
 
 class TestFit:
     def small_data(self, seed=0):
         data = generate_gauss(GaussSynthConfig(n_a=600, n_b=900), seed)
         return split(data, SplitSpec(seed=seed), 0)
+
+    def test_non_finite_features_raise_instead_of_converging(self):
+        # The feature matrix rejects non-finite values when it is built; one
+        # written into its storage afterwards reaches the solver, which must
+        # not report a zero-iteration "converged" fit at w = 0.
+        data = generate_gauss(GaussSynthConfig(n_a=300, n_b=450), 3)
+        tr, va, _ = split(data, SplitSpec(seed=3), 0)
+        tr.features.raw[0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="not finite"):
+            fit(tr, va, TrainConfig(lambda_grid=(1e-2, 0.0), max_epochs=50))
 
     def test_deterministic_serialization(self):
         tr, va, _ = self.small_data()
