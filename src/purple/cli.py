@@ -7,6 +7,7 @@ Subcommands: ``simulate gauss|corpus|semisynth``, ``fit``, ``estimate``,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -48,8 +49,23 @@ def _parse_c(text: str) -> dict[str, float]:
             raise click.UsageError(f"bad labeling-frequency entry {part!r}; "
                                    "expected name=value")
         name, value = part.split("=", 1)
-        out[name.strip()] = float(value)
+        try:
+            out[name.strip()] = float(value)
+        except ValueError:
+            raise ValueError(f"bad labeling frequency {part!r}; expected name=number") from None
     return out
+
+
+def _value_errors_as_errors(command):
+    """Report a ``ValueError`` from bad options or data as one ``Error:``
+    line with exit status 1, instead of a traceback."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ValueError as e:
+            raise click.ClickException(str(e)) from None
+    return run
 
 
 def _file_sha256(path: str) -> str:
@@ -95,6 +111,7 @@ def simulate():
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(),
               help="Output path; .csv writes dense, .pu writes sparse.")
+@_value_errors_as_errors
 def simulate_gauss(n_a, n_b, dims, mean_b_scale, variance, c_text, separable,
                    violation_delta, seed, out):
     """Two-group Gaussian data with a logistic condition probability."""
@@ -115,6 +132,7 @@ def simulate_gauss(n_a, n_b, dims, mean_b_scale, variance, c_text, separable,
 @click.option("--mean-active", default=8.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
+@_value_errors_as_errors
 def simulate_corpus(n_a, n_b, dims, mean_active, seed, out):
     """Sparse binary visit matrix (all labels 0/unknown) for label simulation."""
     visits, group, names = generate_visit_corpus(n_a, n_b, dims,
@@ -143,6 +161,7 @@ def simulate_corpus(n_a, n_b, dims, mean_active, seed, out):
 @click.option("--anchors", default=None, type=click.Path(exists=True),
               help="correlated: path to anchor feature indices (dropped from x).")
 @click.option("--out", required=True, type=click.Path())
+@_value_errors_as_errors
 def simulate_semisynth(visits_path, symptoms, c_text, seed, pool, pick, min_count,
                        top, group_num, group_den, anchors, out):
     """Simulate disease labels over a visit matrix from suspicious symptoms."""
@@ -173,7 +192,11 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, pool, pick, min_coun
 def _train_config(lambda_grid, max_epochs, patience):
     kwargs = {}
     if lambda_grid is not None:
-        kwargs["lambda_grid"] = tuple(float(x) for x in lambda_grid.split(","))
+        try:
+            kwargs["lambda_grid"] = tuple(float(x) for x in lambda_grid.split(","))
+        except ValueError:
+            raise ValueError(f"bad --lambda-grid {lambda_grid!r}; expected comma-separated "
+                             "numbers") from None
     if max_epochs is not None:
         kwargs["max_epochs"] = max_epochs
     if patience is not None:
@@ -195,6 +218,7 @@ def _train_config(lambda_grid, max_epochs, patience):
 @click.option("--em-max-iters", default=100, show_default=True)
 @click.option("--em-tol", default=1e-5, show_default=True)
 @click.option("--out", required=True, type=click.Path())
+@_value_errors_as_errors
 def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
             em_max_iters, em_tol, out):
     """Fit a method on each train/val split and save the models."""
@@ -284,6 +308,7 @@ def _split_rp(data, rows: np.ndarray, scorers: dict, group_a: str,
               help="Estimate a group against all remaining rows.")
 @click.option("--all-rows", is_flag=True, help="Score all rows, not test partitions.")
 @click.option("--out", default=None, type=click.Path())
+@_value_errors_as_errors
 def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
     """Relative prevalence estimates from a saved model."""
     if not pairs and not vs_complement:
@@ -312,8 +337,6 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
                 per_split.append(_split_rp(data, rows, scorers[split_i], a, b))
             except KeyError as e:  # an unknown group name
                 raise click.ClickException(e.args[0]) from None
-            except ValueError as e:
-                raise click.ClickException(str(e)) from None
         report["estimates"].append({
             "kind": kind,
             "group_a": a,
@@ -333,6 +356,7 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
 @click.option("--ece-warn", default=0.05, show_default=True)
 @click.option("--delta-auc-warn", default=0.01, show_default=True)
 @click.option("--out", required=True, type=click.Path())
+@_value_errors_as_errors
 def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn, out):
     """Assumption checks (calibration, constrained-vs-unconstrained fit)."""
     payload = _load_model_file(model_path)
@@ -347,12 +371,9 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
     spec = SplitSpec(tuple(payload["split"]["fractions"]), payload["split"]["seed"],
                      payload["split"]["n_repeats"])
     train, val, test = split(data, spec, split_index)
-    try:
-        report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
-                                         TrainConfig.from_dict(payload["train"]), n_bins=bins,
-                                         ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
-    except ValueError as e:
-        raise click.ClickException(str(e)) from None
+    report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
+                                     TrainConfig.from_dict(payload["train"]), n_bins=bins,
+                                     ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
     _write_json({"version": VERSION, "model": model_path, "data": data_path,
                  "split_index": split_index, **report.to_dict()}, out)
     click.echo(f"calibration: {report.calibration_verdict}  "

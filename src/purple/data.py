@@ -17,12 +17,29 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+
+def _is_sparse(values) -> bool:
+    """Whether ``values`` is a scipy sparse matrix, without importing scipy.
+
+    No sparse matrix can exist before ``scipy.sparse`` is imported, so a
+    process that never loaded it holds none.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(values)
+
+
+def _scipy_sparse():
+    """``scipy.sparse``, imported on first use, so dense work never loads scipy."""
+    import scipy.sparse
+
+    return scipy.sparse
 
 
 class ParseError(ValueError):
@@ -38,7 +55,7 @@ class FeatureMatrix:
     """
 
     def __init__(self, values):
-        if sp.issparse(values):
+        if _is_sparse(values):
             self._m = values.tocsr().astype(np.float64, copy=False)
             stored = self._m.data
         else:
@@ -59,7 +76,7 @@ class FeatureMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self._m)
+        return _is_sparse(self._m)
 
     @property
     def raw(self):
@@ -82,7 +99,7 @@ class FeatureMatrix:
         bits as ``X.T @ r`` on the CSR matrix itself.
         """
         if self._t is None:
-            self._t = self._m.T.tocsr() if sp.issparse(self._m) else self._m.T
+            self._t = self._m.T.tocsr() if self.is_sparse else self._m.T
         out = self._t @ np.asarray(r, dtype=np.float64)
         return np.asarray(out).ravel()
 
@@ -92,12 +109,12 @@ class FeatureMatrix:
     def column_counts(self, row_mask: np.ndarray | None = None) -> np.ndarray:
         """Number of rows with a nonzero entry per column."""
         m = self._m if row_mask is None else self._m[np.asarray(row_mask)]
-        if sp.issparse(m):
+        if self.is_sparse:
             return np.asarray((m != 0).sum(axis=0)).ravel()
         return np.count_nonzero(m, axis=0)
 
     def is_binary(self) -> bool:
-        vals = self._m.data if sp.issparse(self._m) else self._m
+        vals = self._m.data if self.is_sparse else self._m
         return bool(np.all((vals == 0.0) | (vals == 1.0)))
 
     def drop_columns(self, cols: Sequence[int]) -> tuple["FeatureMatrix", np.ndarray]:
@@ -113,7 +130,7 @@ class FeatureMatrix:
         return FeatureMatrix(self._m[:, keep]), index_map
 
     def dense_rows(self) -> np.ndarray:
-        if sp.issparse(self._m):
+        if self.is_sparse:
             return self._m.toarray()
         return self._m
 
@@ -454,8 +471,8 @@ def _load_sparse_pu(path: str) -> LabeledDataset:
     groups, s_toks, y_toks = heads
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    mat = sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
-                        shape=(len(groups), d))
+    mat = _scipy_sparse().csr_matrix(
+        (np.concatenate(values), np.concatenate(indices), indptr), shape=(len(groups), d))
     ids, names = _finish_groups(groups)
     return LabeledDataset(FeatureMatrix(mat), ids, names, np.asarray(list(map(int, s_toks))),
                           _finish_y(y_toks, path))
@@ -499,7 +516,7 @@ def _write_sparse_pu(data: LabeledDataset, fh) -> None:
     copy, duplicates summed, since the loader requires ascending indices.
     """
     m = data.features.raw
-    csr = m if sp.issparse(m) else sp.csr_matrix(m)
+    csr = m if data.features.is_sparse else _scipy_sparse().csr_matrix(m)
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()

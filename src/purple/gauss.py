@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FeatureMatrix, LabeledDataset
+from .model import _logistic
 
 # Sub-stream indices of the per-dataset seed: changing one column's draws
 # (e.g. relabeling s under a new c) never perturbs the others.
@@ -35,6 +35,8 @@ class GaussSynthConfig:
     violation_delta: float = 0.0
 
     def __post_init__(self):
+        if self.n_dims < 1:
+            raise ValueError("n_dims must be at least 1")
         if self.mean_a is None:
             self.mean_a = -np.ones(self.n_dims)
         if self.mean_b is None:
@@ -56,6 +58,8 @@ class GaussSynthConfig:
                           ("hyperplane", self.hyperplane)):
             if vec.shape != (self.n_dims,):
                 raise ValueError(f"{name} must have length n_dims={self.n_dims}")
+        if not 0.0 < np.linalg.norm(self.hyperplane) < np.inf:  # it divides w.x
+            raise ValueError("hyperplane must have a positive, finite norm")
 
 
 def _streams(seed: int):
@@ -84,7 +88,7 @@ def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
 
     w = config.hyperplane
     z = x @ w / np.linalg.norm(w)
-    latent_p = expit(z)
+    latent_p = _logistic(z)
     if config.violation_delta != 0.0:
         half = config.violation_delta / 2.0
         latent_p = latent_p + np.where(group == 0, half, -half)

@@ -16,8 +16,8 @@ one ``X.T @ r`` (``FeatureMatrix.rtvec``, which on CSR data reuses a
 transpose built once per matrix) and one log per row for the loss. The
 baselines' logistic fits share the solver: callers pass an objective
 and, for early stopping, a validation loss. Every sigmoid and softplus of a
-fit or a score, the baselines' included, comes from ``_logistic``, one numpy
-kernel built on the vectorised ``exp`` and ``log1p``.
+fit, a score or a data generator, the baselines' included, comes from
+``_logistic``, one numpy kernel built on the vectorised ``exp`` and ``log1p``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Paired t-test and the Student-t CDF behind it.
 
 Both evaluate the regularized incomplete beta function through
-``scipy.special``, which the package already imports; ``scipy.stats`` is
-avoided because importing it costs about a second.
+``scipy.special``, imported on the first call so that a process that runs
+no t-test never loads scipy; ``scipy.stats`` is avoided because importing
+it costs about a second.
 """
 
 from __future__ import annotations
@@ -10,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, stdtr
 
 
 def student_t_cdf(t: float, df: int) -> float:
     """P(T <= t) for Student's t with ``df`` degrees of freedom."""
     if df < 1:
         raise ValueError("degrees of freedom must be at least 1")
+    from scipy.special import stdtr
+
     return float(stdtr(df, t))
 
 
@@ -45,6 +47,8 @@ def paired_t_test(acc_a, acc_b) -> TTestResult:
         raise ValueError("differences have zero standard deviation")
     t = float(d.mean() / (sd / np.sqrt(n)))
     df = n - 1
+    from scipy.special import betainc
+
     # Two-sided p: the symmetric-tail mass equals I_x(df/2, 1/2) directly.
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TTestResult(t, df, min(max(p, 0.0), 1.0))

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
-from .data import FeatureMatrix, LabeledDataset
+from .data import FeatureMatrix, LabeledDataset, _scipy_sparse
+from .model import _logistic
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,8 @@ def symptom_counts(visits: FeatureMatrix, v_sym: SymptomSet) -> np.ndarray:
     idx = np.asarray(v_sym.indices, dtype=np.intp)
     if idx.max() >= visits.n_dims:
         raise ValueError("symptom index outside feature dimensionality")
-    m = visits.raw
-    sub = m[:, idx]
-    if sp.issparse(sub):
+    sub = visits.raw[:, idx]
+    if visits.is_sparse:
         return np.asarray(sub.sum(axis=1)).ravel()
     return sub.sum(axis=1)
 
@@ -82,9 +80,12 @@ def simulate_labels(visits: FeatureMatrix, groups: np.ndarray, group_names: list
     the group, so the shared-condition-probability assumption holds exactly.
     """
     _check_binary(visits)
+    missing = [name for name in group_names if name not in cfg.c]
+    if missing:
+        raise ValueError(f"no labeling frequency for group(s) {', '.join(map(repr, missing))}")
     groups = np.asarray(groups, dtype=np.int64)
     k = symptom_counts(visits, v_sym)
-    latent_p = expit(k / np.sqrt(len(v_sym)))
+    latent_p = _logistic(k / np.sqrt(len(v_sym)))
     ss = np.random.SeedSequence([int(cfg.seed)])
     rng_y, rng_s = [np.random.default_rng(child) for child in ss.spawn(2)]
     n = visits.n_rows
@@ -214,6 +215,7 @@ def generate_visit_corpus(n_a: int, n_b: int, n_dims: int, mean_active: float = 
     distribution differs across groups while staying binary and sparse.
     Returns (visits, group ids, group names) with group a's rows first.
     """
+    sp = _scipy_sparse()
     ss = np.random.SeedSequence([int(seed)])
     rng_tilt, rng_a, rng_b = [np.random.default_rng(child) for child in ss.spawn(3)]
     ranks = np.arange(1, n_dims + 1, dtype=np.float64)

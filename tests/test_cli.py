@@ -277,6 +277,51 @@ class TestFitEstimateCheck:
         assert result.exit_code == 2 and "No such option" in result.output
 
 
+class TestBadOptionValues:
+    """A bad option value is one ``Error:`` line and exit status 1, not a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(result, message):
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == [f"Error: {message}"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--variance", "-1"], "variance must be positive"),
+        (["--c", "a=1.5,b=0.2"], "labeling frequencies must lie in [0, 1]"),
+        (["--c", "a=0.5"], "c must map exactly the groups 'a' and 'b'"),
+        (["--c", "a=x,b=0.2"], "bad labeling frequency 'a=x'; expected name=number"),
+        (["--dims", "0"], "n_dims must be at least 1"),
+    ])
+    def test_simulate_gauss(self, runner, tmp_path, args, message):
+        out = tmp_path / "d.csv"
+        result = runner.invoke(main, ["simulate", "gauss", "--n-a", "30", "--n-b", "30",
+                                      "--out", str(out), *args])
+        self.assert_one_error_line(result, message)
+        assert not out.exists()
+
+    def test_simulate_semisynth_group_without_frequency(self, runner, tmp_path):
+        corpus = str(tmp_path / "visits.pu")
+        runner.invoke(main, ["simulate", "corpus", "--n-a", "200", "--n-b", "200",
+                             "--dims", "60", "--seed", "5", "--out", corpus])
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus,
+                                      "--symptoms", "common", "--pool", "20", "--pick", "5",
+                                      "--c", "a=0.5", "--out", str(tmp_path / "s.pu")])
+        self.assert_one_error_line(result, "no labeling frequency for group(s) 'b'")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--splits", "0"], "n_repeats must be positive"),
+        (["--lambda-grid", ""], "bad --lambda-grid ''; expected comma-separated numbers"),
+        (["--lambda-grid", "0.1,-1"], "lambda values must be non-negative"),
+    ])
+    def test_fit(self, runner, tmp_path, args, message):
+        data = simulate_small(runner, str(tmp_path / "d.csv"))
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["fit", "--data", data, "--method", "negative",
+                                      "--out", str(out), *args])
+        self.assert_one_error_line(result, message)
+        assert not out.exists()
+
+
 class TestBenchmark:
     def test_unknown_suite_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["benchmark", "--suite", "bogus",

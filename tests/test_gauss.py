@@ -92,6 +92,21 @@ class TestGenerate:
         np.testing.assert_array_equal(d1.y, d2.y)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("n_dims", [0, -1])
+    def test_no_dimensions_rejected(self, n_dims):
+        with pytest.raises(ValueError, match="n_dims must be at least 1"):
+            GaussSynthConfig(n_dims=n_dims)
+
+    @pytest.mark.parametrize("hyperplane", [np.zeros(5), np.full(5, 1e-200),
+                                            np.array([1.0, np.nan, 0.0, 0.0, 0.0]),
+                                            np.array([np.inf, 1.0, 0.0, 0.0, 0.0])])
+    def test_hyperplane_without_a_norm_rejected(self, hyperplane):
+        # 1e-200 squared underflows: the norm generate_gauss divides by is 0.
+        with pytest.raises(ValueError, match="hyperplane must have a positive, finite norm"):
+            GaussSynthConfig(hyperplane=hyperplane)
+
+
 class TestMakeSeparable:
     def test_forty_percent_removed(self):
         data = generate_gauss(GaussSynthConfig(n_a=5, n_b=5), 0)

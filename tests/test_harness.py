@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from purple import harness
+from purple import gauss, harness, model, visits
 from purple.baselines import register_estimator
 from purple.data import FeatureMatrix, LabeledDataset
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
+    SUITE_NAMES,
     SemiSynthScale,
     derive_seed,
     emit_report,
@@ -235,3 +237,32 @@ class TestRunSuite:
         assert cfg["split_stratification"] == "by group"
         assert cfg["train"] == TINY_TRAIN.to_dict()
         assert set(cfg["em"]) == {"max_iters", "tol", "inner_epochs"}
+
+
+class TestGeneratorKernel:
+    """The generators take their sigmoid from ``model._logistic``; on every
+    suite's full-size data it draws the same y and s as ``scipy.special.expit``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_draw_matches_expit(self, monkeypatch, name, seed):
+        suite = make_suite(name, base_seed=seed)
+        shipped = suite_datasets(suite)
+        zs = []
+
+        def recording_expit(z):
+            zs.append(np.array(z, dtype=np.float64))
+            return expit(z)
+
+        monkeypatch.setattr(gauss, "_logistic", recording_expit)
+        monkeypatch.setattr(visits, "_logistic", recording_expit)
+        with_expit = suite_datasets(suite)
+        assert len(zs) == len(shipped) == len(with_expit)
+        for z, (sv, ours), (_, theirs) in zip(zs, shipped, with_expit):
+            p = model._logistic(z)
+            np.testing.assert_allclose(p, expit(z), rtol=1e-15, atol=0)
+            info = ours.gen_info
+            if not info.get("separable") and not info.get("violation_delta"):
+                np.testing.assert_array_equal(ours.latent_p, p, err_msg=str(sv))
+            np.testing.assert_array_equal(ours.y, theirs.y, err_msg=str(sv))
+            np.testing.assert_array_equal(ours.s, theirs.s, err_msg=str(sv))
