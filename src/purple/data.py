@@ -1,4 +1,4 @@
-"""Grouped positive-unlabeled datasets: in-memory model, file I/O, splitting.
+r"""Grouped positive-unlabeled datasets: in-memory model, file I/O, splitting.
 
 Two on-disk formats are supported:
 
@@ -9,8 +9,18 @@ Two on-disk formats are supported:
 
 Feature values must be finite in both; ``nan`` and ``inf`` are parse errors.
 
+``.pu`` files are read and written in blocks of ``_PU_BLOCK_ROWS`` (2048)
+rows, so working memory is bounded by a block. A block is read as text, so
+``\r\n`` and ``\r`` end lines as ``\n`` does, and encoded once; the reader
+takes every field from the byte positions of its spaces, newlines and
+colons, and converts each distinct index and value token once, with
+Python's own ``int()`` and ``float()``. The writer formats each distinct
+row head and ``<i>:<v>`` entry of a block once and joins the block's bytes
+from them.
+
 Group identifiers are stored as dense small integers plus a name table;
-all reports and files use the names.
+all reports and files use the names. A load builds the table from the
+rows in order of first appearance, so a name with no rows is not kept.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -279,14 +289,17 @@ def group_summary(data: LabeledDataset) -> dict[str, tuple[int, int, float]]:
 # ---------------------------------------------------------------------------
 # File I/O
 
-# ``.pu`` files are read and written this many rows at a time: enough that
-# a block's entries go through a handful of C-level calls, few enough that
-# its token lists stay small. On a 21k-row file with 179k entries, parsing
-# it whole raised the peak memory of a simulate/fit/estimate round trip
-# from 74 to 120 MB.
+# ``.pu`` files are read and written this many rows at a time, so a load or
+# a write holds one block's text and arrays rather than the whole file's. On
+# a 21k-row file with 179k entries, parsing it whole raised the peak memory
+# of a simulate/fit/estimate round trip from 74 to 120 MB.
 _PU_BLOCK_ROWS = 2048
 _LABELS = frozenset({"0", "1"})
-_Y_TOKENS = _LABELS | {"?"}
+_SPACE, _NEWLINE, _COLON = b" \n:"
+_Y_CODES = np.full(256, -2, dtype=np.int8)  # a y byte's label; -1 for '?', -2 if invalid
+_Y_CODES[list(b"01?")] = 0, 1, -1
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # n low bytes set
+_SPACES = np.uint64(int.from_bytes(b" " * 8, "little"))
 
 
 def _format_value(v: float) -> str:
@@ -305,13 +318,14 @@ def _finish_groups(raw_groups: list[str]) -> tuple[np.ndarray, list[str]]:
     return np.fromiter(map(index.__getitem__, raw_groups), np.int64, len(raw_groups)), names
 
 
-def _finish_y(y_toks: list[str], path: str) -> np.ndarray | None:
-    unknown = y_toks.count("?")
-    if unknown == len(y_toks):
+def _finish_y(y: np.ndarray, path: str) -> np.ndarray | None:
+    """The true labels, or None if every row has -1 (``?``)."""
+    unknown = y < 0
+    if unknown.all():
         return None
-    if unknown:
+    if unknown.any():
         raise ParseError(f"{path}: y is present on some rows and '?' on others")
-    return (np.array(y_toks) == "1").astype(np.int8)
+    return y
 
 
 def _load_dense_csv(path: str) -> LabeledDataset:
@@ -326,7 +340,7 @@ def _load_dense_csv(path: str) -> LabeledDataset:
                 raise ParseError(f"line 1: expected feature column x{j}, got {name!r}")
         groups: list[str] = []
         s_vals: list[int] = []
-        y_toks: list[str] = []
+        y_vals: list[int] = []
         rows: list[list[float]] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -337,9 +351,7 @@ def _load_dense_csv(path: str) -> LabeledDataset:
                 raise ParseError(f"line {lineno}: expected {3 + d} fields, got {len(toks)}")
             groups.append(toks[0])
             s_vals.append(_parse_label(toks[1], "s", lineno))
-            if toks[2] != "?":
-                _parse_label(toks[2], "y", lineno)
-            y_toks.append(toks[2])
+            y_vals.append(-1 if toks[2] == "?" else _parse_label(toks[2], "y", lineno))
             try:
                 rows.append([float(t) for t in toks[3:]])
             except ValueError as e:
@@ -348,7 +360,8 @@ def _load_dense_csv(path: str) -> LabeledDataset:
                 raise ParseError(f"line {lineno}: non-finite feature value")
     feats = FeatureMatrix(np.asarray(rows, dtype=np.float64).reshape(len(rows), d))
     ids, names = _finish_groups(groups)
-    return LabeledDataset(feats, ids, names, np.asarray(s_vals), _finish_y(y_toks, path))
+    return LabeledDataset(feats, ids, names, np.asarray(s_vals),
+                          _finish_y(np.asarray(y_vals, dtype=np.int8), path))
 
 
 def _first(mask: np.ndarray) -> int:
@@ -357,93 +370,146 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else mask.size
 
 
-def _convert(convert, toks: list[str]) -> list:
-    """``convert`` applied to each token, stopping before the first it rejects."""
+def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Group the byte strings ``buf[starts[k]:ends[k]]`` by content.
+
+    Returns a position of each distinct string and each string's index into
+    that list. A string is keyed eight bytes at a time from its end, as
+    little-endian words read in place, the bytes before its start replaced
+    by spaces, which no token holds, so equal keys mean equal strings. The
+    last bytes of a number vary most, so distinct numbers are usually told
+    apart by their last eight bytes, and keying stops once every string is.
+    """
+    lens = ends - starts
+    width = int(lens.max(initial=0))
+    padded = np.concatenate([np.full(width + 8, _SPACE, dtype=np.uint8), buf])
+    words = np.ndarray((buf.size + width + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    inverse = np.zeros(starts.size, dtype=np.intp)
+    for w in range(8, width + 8, 8):  # the word that ends w - 8 bytes before the end
+        dead = _LOW_BYTES[np.clip(w - lens, 0, 8)]
+        _, word = np.unique((words[ends + width + 8 - w] & ~dead) | (_SPACES & dead),
+                            return_inverse=True)
+        if w > 8:
+            _, word = np.unique(inverse * (word.max() + 1) + word, return_inverse=True)
+        inverse = word
+        if inverse.max() + 1 == starts.size:
+            break
+    rep = np.empty(int(inverse.max(initial=-1)) + 1, dtype=np.intp)
+    rep[inverse] = np.arange(starts.size)
+    return rep, inverse
+
+
+def _convert_each(convert, raw: bytes, starts: np.ndarray, ends: np.ndarray):
+    """``convert`` of each text ``raw[starts[k]:ends[k]]``, 0 where it raises
+    ValueError, and a mask of the texts where it does."""
+    texts = [raw[p:q].decode() for p, q in zip(starts.tolist(), ends.tolist())]
+    rejected = np.zeros(len(texts), dtype=bool)
     try:
-        return list(map(convert, toks))
-    except ValueError:  # find the culprit, one token at a time
+        return list(map(convert, texts)), rejected
+    except ValueError:  # find the culprits, one text at a time
         out = []
-        for tok in toks:
+        for k, text in enumerate(texts):
             try:
-                out.append(convert(tok))
+                out.append(convert(text))
             except ValueError:
-                return out
-        raise
+                out.append(0)
+                rejected[k] = True
+        return out, rejected
 
 
-def _parse_pu_block(block: list[str], lineno: int, d: int, heads: tuple[list, list, list]):
+def _parse_pu_block(text: str, lineno: int, d: int):
     """Parse a block of ``.pu`` data lines, the first of them numbered ``lineno``.
 
-    Appends each non-empty line's group, s and y tokens to ``heads`` and
-    returns the block's entry count per line, indices and values. Each rule
-    is checked over the whole block and cuts it short at its first failure,
-    so what is raised is the first failure in file order, with the message
-    of the first rule that line or entry breaks.
+    Works on byte positions: every field of a line ends at a space or at the
+    line's newline, and an entry's colon splits it into its index and value,
+    none of those bytes occurring inside a multi-byte UTF-8 character. Each
+    distinct index and value token is converted once, by Python's own
+    ``int()`` and ``float()``. Returns the group names in order of first
+    appearance, then per non-empty line its group's position in that list,
+    s, y (-1 for ``?``) and entry count, then the entries' indices and
+    values. Each rule is checked over the whole block and cuts it short at
+    its first failure, so what is raised is the first failure in file
+    order, with the message of the first rule that line or entry breaks.
     """
-    stripped = list(map(str.rstrip, block, repeat("\n")))
-    linenos = [k for k, line in enumerate(stripped, start=lineno) if line]
-    lines = [line for line in stripped if line]
-    fields = list(map(str.split, lines, repeat(" "), repeat(3)))
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = text.encode()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    marks = np.flatnonzero((buf == _SPACE) | (buf == _NEWLINE) | (buf == _COLON))
+    end_at = np.flatnonzero(buf[marks] != _COLON)  # the marks that end a field
+    ends = marks[end_at]
+    starts = np.r_[0, ends[:-1] + 1]
+    n_colons = np.diff(end_at, prepend=-1) - 1
+    eol = buf[ends] == _NEWLINE
+    line_of = np.cumsum(eol) - eol  # per field
+    head = np.flatnonzero(np.r_[True, eol[:-1]])  # each line's first field
+    pos = np.arange(ends.size) - head[line_of]  # a field's place in its line
+    n_fields = np.diff(head, append=ends.size)
+    blank = (n_fields == 1) & (starts[head] == ends[head])
+    token = lambda f: raw[starts[f]:ends[f]].decode()
     fault = None  # (line number, message) of the earliest failure found so far
 
-    n = _first(np.fromiter(map(len, fields), np.intp, len(fields)) < 3)
-    if n < len(fields):
-        fault = (linenos[n], f"expected '<g> <s> <y|?> ...', got {lines[n]!r}")
-    s_toks, y_toks = [f[1] for f in fields[:n]], [f[2] for f in fields[:n]]
-    if not (_LABELS.issuperset(s_toks) and _Y_TOKENS.issuperset(y_toks)):
-        n = next(k for k in range(n) if s_toks[k] not in _LABELS or y_toks[k] not in _Y_TOKENS)
-        fault = (linenos[n], f"s must be 0 or 1, got {s_toks[n]!r}" if s_toks[n] not in _LABELS
-                 else f"y must be 0 or 1, got {y_toks[n]!r}")
-    del fields[n:], s_toks[n:], y_toks[n:]
-    heads[0].extend(f[0] for f in fields)
-    heads[1].extend(s_toks)
-    heads[2].extend(y_toks)
-    counts = [f[3].count(" ") + 1 if len(f) == 4 else 0 for f in fields]
-    entries = " ".join([f[3] for f in fields if len(f) == 4])
-    per_line = np.array(counts, dtype=np.intp)
-    ends = np.cumsum(per_line)
-    line_of = lambda k: linenos[int(np.searchsorted(ends, k, side="right"))]
+    # The head ``<g> <s> <y|?>``: s and y are single bytes. A line with too
+    # few fields reads its neighbours' here, or clips at the block's end.
+    s_field = np.minimum(head + 1, ends.size - 1)
+    y_field = np.minimum(head + 2, ends.size - 1)
+    short = ~blank & (n_fields < 3)
+    s = buf[starts[s_field]] - np.uint8(ord("0"))
+    y = _Y_CODES[buf[starts[y_field]]]
+    bad_s = (ends[s_field] - starts[s_field] != 1) | (s > 1)
+    bad_y = (ends[y_field] - starts[y_field] != 1) | (y == -2)
+    n = _first(short | (~blank & (n_fields >= 3) & (bad_s | bad_y)))
+    if n < head.size:
+        line = raw[starts[head[n]]:ends[head[n] + n_fields[n] - 1]].decode()
+        fault = (lineno + n, f"expected '<g> <s> <y|?> ...', got {line!r}" if short[n]
+                 else f"s must be 0 or 1, got {token(s_field[n])!r}" if bad_s[n]
+                 else f"y must be 0 or 1, got {token(y_field[n])!r}")
+    rows = np.flatnonzero(~blank[:n])
+    entry = np.flatnonzero((pos >= 3) & (line_of < n))
 
-    # Exactly one colon per entry, so that re-splitting the block on ':'
-    # keeps each index beside its value ('3 4:1:2' must not read as two
-    # entries). Bytes suffice: neither byte occurs inside a UTF-8 character.
-    n = sum(counts)
-    buf = np.frombuffer(entries.encode(), dtype=np.uint8)
-    colons = np.bincount(np.searchsorted(np.flatnonzero(buf == 32), np.flatnonzero(buf == 58)),
-                         minlength=n)
-    k = _first(colons != 1)
-    if k < n:
-        toks = entries.split(" ")
-        fault = (line_of(k), f"expected '<index>:<value>', got {toks[k]!r}" if colons[k] == 0
-                 else f"bad entry {toks[k]!r}")  # no float holds a colon
-        n, entries = k, " ".join(toks[:k])
-    halves = entries.replace(":", " ").split(" ") if n else []
-    i_strs, v_strs = halves[0::2], halves[1::2]
+    # Exactly one colon per entry, so that each index keeps its value
+    # ('3 4:1:2' must not read as two entries).
+    k = _first(n_colons[entry] != 1)
+    if k < entry.size:
+        tok = token(entry[k])
+        fault = (lineno + line_of[entry[k]], f"expected '<index>:<value>', got {tok!r}"
+                 if n_colons[entry[k]] == 0 else f"bad entry {tok!r}")  # no float holds a colon
+        entry = entry[:k]
+    colon = marks[end_at[entry] - 1]
 
-    # Python's own int() and float() decide which tokens are numbers.
-    ints, vals = _convert(int, i_strs), _convert(float, v_strs)
-    if min(len(ints), len(vals)) < n:
-        n = min(len(ints), len(vals))
-        fault = (line_of(n), f"bad entry {i_strs[n] + ':' + v_strs[n]!r}")
-    try:
-        idx = np.array(ints[:n], dtype=np.int64)
-    except OverflowError:  # compare as Python ints instead
-        idx = np.array(ints[:n], dtype=object)
-    val = np.array(vals[:n], dtype=np.float64)
-    outside = (idx < 0) | (idx >= d)
+    # Python's own int() and float() decide which tokens are numbers, each
+    # distinct token converted once.
+    i_rep, i_of = _distinct(buf, starts[entry], colon)
+    v_rep, v_of = _distinct(buf, colon + 1, ends[entry])
+    ints, i_bad = _convert_each(int, raw, starts[entry[i_rep]], colon[i_rep])
+    floats, v_bad = _convert_each(float, raw, colon[v_rep] + 1, ends[entry[v_rep]])
+    k = _first(i_bad[i_of] | v_bad[v_of])
+    if k < entry.size:
+        fault = (lineno + line_of[entry[k]], f"bad entry {token(entry[k])!r}")
+        entry, i_of, v_of = entry[:k], i_of[:k], v_of[:k]
+    # An index outside [0, d) becomes -1, so that every int() result fits.
+    idx = np.array([v if 0 <= v < d else -1 for v in ints], dtype=np.int64)[i_of]
+    val = np.array(floats, dtype=np.float64)[v_of]
+    outside = idx < 0
     nonfinite = ~np.isfinite(val)
-    descending = np.zeros(n, dtype=bool)
+    descending = np.zeros(entry.size, dtype=bool)
     descending[1:] = idx[1:] <= idx[:-1]
-    starts = ends - per_line
-    descending[starts[starts < n]] = False
+    descending[pos[entry] == 3] = False  # a line's first entry
     k = _first(outside | nonfinite | descending)
-    if k < n:
-        fault = (line_of(k), f"index {ints[k]} outside [0, {d})" if outside[k]
-                 else f"non-finite feature value in {i_strs[k] + ':' + v_strs[k]!r}"
+    if k < entry.size:
+        fault = (lineno + line_of[entry[k]], f"index {ints[i_of[k]]} outside [0, {d})"
+                 if outside[k] else f"non-finite feature value in {token(entry[k])!r}"
                  if nonfinite[k] else "indices must be strictly ascending")
     if fault:
         raise ParseError(f"line {fault[0]}: {fault[1]}")
-    return counts, idx, val
+
+    # Number the groups in order of first appearance.
+    _, g_of = _distinct(buf, starts[head[rows]], ends[head[rows]])
+    firsts = np.sort(np.unique(g_of, return_index=True)[1])
+    number = np.empty_like(firsts)
+    number[g_of[firsts]] = np.arange(firsts.size)
+    names = [token(head[rows[r]]) for r in firsts.tolist()]
+    return names, number[g_of], s[rows].astype(np.int8), y[rows], n_fields[rows] - 3, idx, val
 
 
 def _load_sparse_pu(path: str) -> LabeledDataset:
@@ -457,25 +523,22 @@ def _load_sparse_pu(path: str) -> LabeledDataset:
             d = -1  # reported below, as a negative count is
         if d < 0:
             raise ParseError(f"line 1: bad dimensionality in {first!r}")
-        heads: tuple[list, list, list] = ([], [], [])
-        counts: list[int] = []
-        indices = [np.empty(0, dtype=np.int64)]
-        values = [np.empty(0, dtype=np.float64)]
+        table: dict[str, int] = {}  # group name -> id, in order of first appearance
+        parts = [[np.empty(0, dtype=t)] for t in (np.int64, np.int8, np.int8, np.int64,
+                                                   np.int64, np.float64)]
         lineno = 2
         while block := list(islice(fh, _PU_BLOCK_ROWS)):
-            c, i, v = _parse_pu_block(block, lineno, d, heads)
+            names, *arrays = _parse_pu_block("".join(block), lineno, d)
+            ids = np.array([table.setdefault(name, len(table)) for name in names], dtype=np.int64)
+            arrays[0] = ids[arrays[0]]
+            for part, a in zip(parts, arrays):
+                part.append(a)
             lineno += len(block)
-            counts += c
-            indices.append(i)
-            values.append(v)
-    groups, s_toks, y_toks = heads
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    groups, s, y, counts, indices, values = map(np.concatenate, parts)
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    mat = _scipy_sparse().csr_matrix(
-        (np.concatenate(values), np.concatenate(indices), indptr), shape=(len(groups), d))
-    ids, names = _finish_groups(groups)
-    return LabeledDataset(FeatureMatrix(mat), ids, names, np.asarray(list(map(int, s_toks))),
-                          _finish_y(y_toks, path))
+    mat = _scipy_sparse().csr_matrix((values, indices, indptr), shape=(groups.size, d))
+    return LabeledDataset(FeatureMatrix(mat), groups, list(table), s, _finish_y(y, path))
 
 
 def _infer_format(path: str) -> str:
@@ -499,21 +562,23 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
 
 def _write_dense_csv(data: LabeledDataset, fh) -> None:
     names, y = data.group_names, data.y
-    fh.write("g,s,y," + ",".join(f"x{j}" for j in range(data.n_dims)) + "\n")
+    fh.write(("g,s,y," + ",".join(f"x{j}" for j in range(data.n_dims)) + "\n").encode())
     dense = data.features.dense_rows()
     for i in range(data.n_rows):
         ytok = "?" if y is None else str(int(y[i]))
         feats = ",".join(_format_value(v) for v in dense[i])
-        fh.write(f"{names[data.group[i]]},{int(data.s[i])},{ytok},{feats}\n")
+        fh.write(f"{names[data.group[i]]},{int(data.s[i])},{ytok},{feats}\n".encode())
 
 
 def _write_sparse_pu(data: LabeledDataset, fh) -> None:
     """Write the stored entries of each row, a block of rows per ``write``.
 
-    Within a block, each distinct column index and each distinct value, by
-    its bit pattern so that ``-0.0`` keeps its sign, is formatted once. A CSR
-    with unsorted or repeated column indices is written as its canonical
-    copy, duplicates summed, since the loader requires ascending indices.
+    A block's text is gathered from a small vocabulary: its distinct
+    ``<g> <s> <y>`` heads and its distinct `` <j>:<v>`` entries, each value
+    keyed by its bit pattern so that ``-0.0`` keeps its sign, and each
+    formatted once. A CSR with unsorted or repeated column indices is
+    written as its canonical copy, duplicates summed, since the loader
+    requires ascending indices.
     """
     m = data.features.raw
     csr = m if data.features.is_sparse else _scipy_sparse().csr_matrix(m)
@@ -521,22 +586,29 @@ def _write_sparse_pu(data: LabeledDataset, fh) -> None:
         csr = csr.copy()
         csr.sum_duplicates()
     names, indptr = data.group_names, csr.indptr
-    y = ["?"] * data.n_rows if data.y is None else data.y.tolist()
-    fh.write(f"#sparse d={data.n_dims}\n")
+    y = np.full(data.n_rows, 2) if data.y is None else data.y  # 2 writes '?'
+    head_keys = data.group * 6 + data.s * 3 + y
+    fh.write(f"#sparse d={data.n_dims}\n".encode())
     for lo in range(0, data.n_rows, _PU_BLOCK_ROWS):
         hi = min(lo + _PU_BLOCK_ROWS, data.n_rows)
         a, b = indptr[lo], indptr[hi]
+        heads, head_of = np.unique(head_keys[lo:hi], return_inverse=True)
         cols, col_of = np.unique(csr.indices[a:b], return_inverse=True)
         bits, val_of = np.unique(csr.data[a:b].view(np.uint64), return_inverse=True)
-        prefixes = [f" {j}:" for j in cols.tolist()]
-        texts = [_format_value(v) for v in bits.view(np.float64).tolist()]
-        entries = list(map(str.__add__, map(prefixes.__getitem__, col_of.tolist()),
-                           map(texts.__getitem__, val_of.tolist())))
-        ptr = (indptr[lo:hi + 1] - a).tolist()
-        heads = map("{} {} {}".format, map(names.__getitem__, data.group[lo:hi].tolist()),
-                    data.s[lo:hi].tolist(), y[lo:hi])
-        fh.write("".join([head + "".join(entries[p:q]) + "\n"
-                          for head, p, q in zip(heads, ptr, ptr[1:])]))
+        pairs, pair_of = np.unique(col_of * bits.size + val_of, return_inverse=True)
+        cols, texts = cols.tolist(), [_format_value(v) for v in bits.view(np.float64).tolist()]
+        vocab = [b"\n"]  # ends a row
+        vocab += [f"{names[h // 6]} {h // 3 % 2} {'01?'[h % 3]}".encode() for h in heads.tolist()]
+        vocab += [f" {cols[c]}:{texts[v]}".encode()
+                  for c, v in zip(*(x.tolist() for x in np.divmod(pairs, bits.size)))]
+        # Each row is its head, its entries and a newline.
+        ptr = indptr[lo:hi + 1] - a + 2 * np.arange(hi - lo + 1)  # where each row starts
+        pieces = np.zeros(ptr[-1], dtype=np.intp)
+        entry = np.ones(ptr[-1], dtype=bool)
+        entry[ptr[:-1]] = entry[ptr[1:] - 1] = False
+        pieces[ptr[:-1]] = 1 + head_of
+        pieces[entry] = 1 + heads.size + pair_of
+        fh.write(b"".join(map(vocab.__getitem__, pieces.tolist())))
 
 
 def write_dataset(data: LabeledDataset, path: str, format: str | None = None) -> None:
@@ -559,5 +631,5 @@ def write_dataset(data: LabeledDataset, path: str, format: str | None = None) ->
             if ch in name:
                 raise ValueError(f"group name {name!r} cannot be written to a {fmt} "
                                  f"file: it contains {ch!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:  # UTF-8, each line ended by "\n"
         writer(data, fh)

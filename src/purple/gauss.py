@@ -136,7 +136,7 @@ def make_separable(data: LabeledDataset) -> LabeledDataset:
     out.y = out.latent_p.astype(np.int8)
 
     c_map = data.gen_info["c"]
-    c_row = np.asarray([c_map[out.group_names[g]] for g in out.group])
+    c_row = np.asarray([c_map[name] for name in out.group_names])[out.group]
     rng = np.random.default_rng(
         np.random.SeedSequence([int(data.gen_info["seed"]), _STREAM_SEPARABLE_S]))
     out.s = ((rng.uniform(size=out.n_rows) < c_row) & (out.y == 1)).astype(np.int8)

@@ -90,7 +90,7 @@ def simulate_labels(visits: FeatureMatrix, groups: np.ndarray, group_names: list
     rng_y, rng_s = [np.random.default_rng(child) for child in ss.spawn(2)]
     n = visits.n_rows
     y = (rng_y.uniform(size=n) < latent_p).astype(np.int8)
-    c_row = np.asarray([cfg.c[group_names[g]] for g in groups])
+    c_row = np.asarray([cfg.c[name] for name in group_names])[groups]
     s = ((rng_s.uniform(size=n) < c_row) & (y == 1)).astype(np.int8)
     return LabeledDataset(
         features=visits,

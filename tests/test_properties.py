@@ -126,6 +126,12 @@ feature_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 
 
+# Group names hold no space and no line break, which the format forbids, but
+# may hold anything else: non-ASCII letters, colons, tabs, NULs and the
+# Unicode line separators that reading a text file does not split at.
+group_names = st.text("ab:é日\t\x00\x85\u2028", max_size=3)
+
+
 @st.composite
 def datasets(draw, sparse):
     """A small data set whose group table is in order of first appearance,
@@ -133,6 +139,7 @@ def datasets(draw, sparse):
     n, d = draw(st.integers(1, 12)), draw(st.integers(1, 5))
     raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     order = list(dict.fromkeys(raw))
+    names = draw(st.lists(group_names, min_size=len(order), max_size=len(order), unique=True))
     group = np.array([order.index(g) for g in raw], dtype=np.int64)
     s = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
     y = None
@@ -149,7 +156,38 @@ def datasets(draw, sparse):
     else:
         x = np.zeros((n, d))
         x[stored] = values
-    return LabeledDataset(FeatureMatrix(x), group, [f"g{k}" for k in range(len(order))], s, y)
+    return LabeledDataset(FeatureMatrix(x), group, names, s, y)
+
+
+@st.composite
+def non_canonical(draw, m):
+    """``m`` with each row's entries shuffled and ``-0.0`` duplicates added,
+    which sum away exactly: ``v + -0.0`` is ``v`` for every ``v``."""
+    data, indices, indptr = [], [], [0]
+    for i in range(m.shape[0]):
+        a, b = m.indptr[i], m.indptr[i + 1]
+        row = list(zip(m.indices[a:b].tolist(), m.data[a:b].tolist()))
+        row += [(j, -0.0) for j, _ in row if draw(st.booleans())]
+        row = draw(st.permutations(row))
+        indices += [j for j, _ in row]
+        data += [v for _, v in row]
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)), shape=m.shape)
+
+
+def reference_pu(dataset):
+    """The ``.pu`` bytes of ``dataset``, written line by line: each row's
+    stored entries (a dense row's nonzero ones) in ascending column order."""
+    x = sp.csr_matrix(dataset.features.raw)
+    lines = [f"#sparse d={dataset.n_dims}"]
+    for i in range(dataset.n_rows):
+        a, b = x.indptr[i], x.indptr[i + 1]
+        y = "?" if dataset.y is None else int(dataset.y[i])
+        lines.append(f"{dataset.group_names[dataset.group[i]]} {int(dataset.s[i])} {y}"
+                     + "".join(f" {j}:{v!r}" for j, v in zip(x.indices[a:b].tolist(),
+                                                               x.data[a:b].tolist())))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def write_bytes(dataset, path):
@@ -189,6 +227,19 @@ def test_pu_round_trip_is_exact(tmp_path_factory, dataset, rows):
 
 
 @IO_PROPERTY
+@given(dataset=st.one_of(datasets(sparse=True), datasets(sparse=False)), rows=block_rows,
+       shuffle=st.booleans(), draw=st.data())
+def test_pu_bytes_equal_a_line_by_line_writer(tmp_path_factory, dataset, rows, shuffle, draw):
+    path = tmp_path_factory.mktemp("pu") / "d.pu"
+    expected = reference_pu(dataset)
+    if shuffle and dataset.features.is_sparse:
+        mangled = draw.draw(non_canonical(dataset.features.raw))
+        dataset = replace(dataset, features=FeatureMatrix(mangled))
+    with mock.patch.object(data, "_PU_BLOCK_ROWS", rows):
+        assert write_bytes(dataset, path) == expected
+
+
+@IO_PROPERTY
 @given(dataset=datasets(sparse=False))
 def test_csv_round_trip_is_exact(tmp_path_factory, dataset):
     path = tmp_path_factory.mktemp("csv") / "d.csv"
@@ -199,29 +250,50 @@ def test_csv_round_trip_is_exact(tmp_path_factory, dataset):
 
 
 D = 8
-GOOD_ENTRY_VALUES = ["1", "1.0", "-2.5", "-0.0", "1e-320", "7"]
-BAD_ENTRIES = ["3", "4:1:2", ":1", "1:", "x:1", "-1:1", "5:nan", "", f"{D}:1", "2:inf",
-               "0:1", f"{D - 1}:1"]  # the last two break the order unless placed well
-HEADS = ["a 0 ?", "b 1 ?", "a 1 1", "b 0 0"]
+# The long values share their first or their last eight bytes, so a reader
+# that groups equal tokens must compare them whole.
+GOOD_ENTRY_VALUES = ["1", "1.0", "-2.5", "-0.0", "1e-320", "7", "0.1234567890123",
+                     "9.1234567890123", "19.1234567890123", "0.1234567890124"]
+# Malformed entries, then entries that int() and float() read in ways a
+# byte-level reader could get wrong. "0:1" and f"{D - 1}:1" break the order
+# unless placed well; the last two indices share their last eight bytes.
+ODD_ENTRIES = ["3", "4:1:2", ":1", "1:", "x:1", "-1:1", "5:nan", "", f"{D}:1", "2:inf",
+               "0:1", f"{D - 1}:1", "+2:1", "1_0:1", "007:1.0", "٣:1.0", "2:1_0", "2:0x1",
+               "\t3:1.0", "99999999999999999999:1", "2:1e400", "000000000003:1",
+               "100000000003:1"]
+HEADS = ["a 0 ?", "b 1 ?", "a 1 1", "b 0 0", "é 0 ?", "日本 1 1", " 0 ?"]
+BAD_HEADS = ["a 2 ?", "b 1 x", "a 00 ?", "a 0", "é"]
 
 
-def first_bad_line(text):
-    """The line-by-line reference: the number of the first line that breaks
-    a ``.pu`` rule, or None. The header is valid and y is never mixed."""
+def first_fault(text):
+    """The line-by-line reference: ``(line number, message)`` of the first
+    line that breaks a ``.pu`` rule, or None. The header is valid and y is
+    never mixed."""
     for lineno, line in enumerate(text.split("\n")[1:], start=2):
         if not line:
             continue
+        fields = line.split(" ", 3)
+        if len(fields) < 3:
+            return lineno, f"expected '<g> <s> <y|?> ...', got {line!r}"
+        if fields[1] not in ("0", "1"):
+            return lineno, f"s must be 0 or 1, got {fields[1]!r}"
+        if fields[2] not in ("0", "1", "?"):
+            return lineno, f"y must be 0 or 1, got {fields[2]!r}"
         prev = -1
-        for tok in line.split(" ")[3:]:
+        for tok in fields[3].split(" ") if len(fields) == 4 else []:
             if ":" not in tok:
-                return lineno
+                return lineno, f"expected '<index>:<value>', got {tok!r}"
             i_str, v_str = tok.split(":", 1)
             try:
                 i, v = int(i_str), float(v_str)
             except ValueError:
-                return lineno
-            if not (0 <= i < D and math.isfinite(v) and i > prev):
-                return lineno
+                return lineno, f"bad entry {tok!r}"
+            if not 0 <= i < D:
+                return lineno, f"index {i} outside [0, {D})"
+            if not math.isfinite(v):
+                return lineno, f"non-finite feature value in {tok!r}"
+            if i <= prev:
+                return lineno, "indices must be strictly ascending"
             prev = i
     return None
 
@@ -233,32 +305,68 @@ def pu_texts(draw):
         cols = sorted(draw(st.sets(st.integers(0, D - 1), max_size=4)))
         toks = [f"{j}:{draw(st.sampled_from(GOOD_ENTRY_VALUES))}" for j in cols]
         for _ in range(draw(st.integers(0, 1))):
-            toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(BAD_ENTRIES)))
+            toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(ODD_ENTRIES)))
         if draw(st.booleans()) and len(toks) > 1:
             k = draw(st.integers(0, len(toks) - 2))
             toks[k], toks[k + 1] = toks[k + 1], toks[k]
-        head = "" if draw(st.integers(0, 9)) == 0 else draw(st.sampled_from(HEADS))
+        kind = draw(st.integers(0, 19))
+        head = "" if kind == 0 else draw(st.sampled_from(BAD_HEADS if kind == 1 else HEADS))
         lines.append(" ".join([head] + toks) if head else "")
     # A file has y on every row or on none.
     if draw(st.booleans()):
         lines = [line.replace(" 1 1", " 1 ?").replace(" 0 0", " 0 ?") for line in lines]
     else:
         lines = [line.replace(" 0 ?", " 0 0").replace(" 1 ?", " 1 1") for line in lines]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))  # the last line may lack one
 
 
 @IO_PROPERTY
 @given(text=pu_texts(), rows=block_rows)
 def test_malformed_pu_names_the_first_bad_line(tmp_path_factory, text, rows):
+    """The load fails with the line and message of the reference's first
+    fault or, if there is none, reads each entry as int() and float() do;
+    with "\\r\\n" or "\\r" line ends it loads equal to the "\\n" version
+    or fails the same way."""
+    fault = first_fault(text)
     path = tmp_path_factory.mktemp("bad") / "d.pu"
-    path.write_text(text)
-    bad = first_bad_line(text)
+    loaded = []
     with mock.patch.object(data, "_PU_BLOCK_ROWS", rows):
-        if bad is None:
-            load_dataset(str(path))
-        else:
-            with pytest.raises(ParseError, match=f"^line {bad}: "):
-                load_dataset(str(path))
+        for line_end in ("\n", "\r\n", "\r"):
+            path.write_bytes(text.replace("\n", line_end).encode())
+            if fault is None:
+                loaded.append(load_dataset(str(path)))
+            else:
+                with pytest.raises(ParseError) as err:
+                    load_dataset(str(path))
+                assert str(err.value) == "line {}: {}".format(*fault)
+    if loaded:  # each entry as int() and float() read it
+        entries = [tok.split(":") for line in text.split("\n")[1:]
+                   for tok in line.split(" ")[3:]]
+        np.testing.assert_array_equal(loaded[0].features.raw.indices,
+                                      [int(i) for i, _ in entries])
+        np.testing.assert_array_equal(loaded[0].features.raw.data.view(np.uint64),
+                                      np.array([float(v) for _, v in entries]).view(np.uint64))
+    for back in loaded[1:]:
+        assert_same_rows(back, loaded[0])
+
+
+@IO_PROPERTY
+@given(lines=st.lists(st.lists(st.tuples(st.booleans(), st.sampled_from(GOOD_ENTRY_VALUES)),
+                               max_size=D), min_size=1, max_size=6), rows=block_rows)
+def test_pu_tokens_are_compared_whole(tmp_path_factory, lines, rows):
+    """Each distinct token of a block is converted once, so tokens that share
+    their first or last eight bytes still read as int() and float() read
+    them; an index may carry eleven leading zeros."""
+    text = f"#sparse d={D}\n" + "".join(
+        "a 0 ?" + "".join(f" {'0' * 11 * pad}{j}:{v}" for j, (pad, v) in enumerate(line)) + "\n"
+        for line in lines)
+    path = tmp_path_factory.mktemp("long") / "d.pu"
+    path.write_text(text)
+    with mock.patch.object(data, "_PU_BLOCK_ROWS", rows):
+        got = load_dataset(str(path)).features.raw
+    np.testing.assert_array_equal(got.indices, [j for line in lines for j in range(len(line))])
+    want = np.array([float(v) for line in lines for _, v in line])
+    np.testing.assert_array_equal(got.data.view(np.uint64), want.view(np.uint64))
 
 
 @IO_PROPERTY
