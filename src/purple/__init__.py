@@ -10,7 +10,6 @@ from .baselines import (
     fit_em,
     fit_negative,
     fit_supervised,
-    group_prevalences,
     register_estimator,
 )
 from .checks import (
@@ -55,7 +54,6 @@ from .model import (
     predict_condition_score,
     predict_diagnosis,
     relative_prevalence,
-    relative_prevalence_vs_complement,
 )
 from .stats import paired_t_test, student_t_cdf
 from .visits import (

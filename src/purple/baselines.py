@@ -1,8 +1,11 @@
 """Reference absolute-prevalence estimators behind one common contract.
 
-Each baseline is fit separately on a single group's rows and returns that
-group's estimated prevalence as the mean predicted probability; ratios of
-those estimates give the baseline's relative prevalence. All baselines use
+Each baseline is fit separately on a single group's rows. Every built-in
+estimator, the core method included, scores each row with its own group's
+scorer and takes the relative prevalence as ``model.mean_score_ratio`` of
+those scores; for a baseline the group means are its absolute prevalence
+estimates. Plug-in estimators registered by name return per-group
+estimates, ``GroupPrevalenceEstimate``, instead. All baselines use
 the same linear-plus-sigmoid function class as the core estimator, with the
 labeling-frequency factor frozen at one, and train through its solver,
 ``model._lbfgs_fit``. ``fit_logistic`` supplies only the cross-entropy and
@@ -22,11 +25,12 @@ from .model import (
     FitResult,
     RelativePrevalenceEstimate,
     TrainConfig,
-    _cross_entropy,
+    _label_cross_entropy,
     _lbfgs_fit,
     _linear,
     _logistic,
     fit as fit_purple,
+    mean_score_ratio,
 )
 
 BUILTIN_KINDS = ("negative", "supervised", "em", "purple")
@@ -71,7 +75,8 @@ class EmFit:
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
                  init: LogisticScorer | None = None, early_stop: bool = True,
                  max_epochs: int | None = None) -> LogisticScorer:
-    """Logistic fit supporting soft targets in [0, 1], by L-BFGS.
+    """Logistic fit supporting soft training targets in [0, 1], by L-BFGS,
+    with early stopping on the cross-entropy against 0/1 ``val_targets``.
 
     With ``early_stop``, a fit stopped by validation cross-entropy or by its
     budget returns its best-validation parameters, and a converged fit its
@@ -80,7 +85,7 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
     """
     d = train_X.n_dims
     targets = np.asarray(targets, dtype=np.float64)
-    val_targets = np.asarray(val_targets, dtype=np.float64)
+    val_pos = np.asarray(val_targets) == 1
     if val_X.n_rows == 0:
         raise ValueError("validation subset is empty")
 
@@ -95,7 +100,7 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
                                   [residual.mean()]])
 
     def val_loss(p, _):
-        return _cross_entropy(_logistic(_linear(val_X, p[:d], p[d])), val_targets)
+        return _label_cross_entropy(_logistic(_linear(val_X, p[:d], p[d])), val_pos)
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
     params = _lbfgs_fit(objective, params,
@@ -190,6 +195,8 @@ class GroupPrevalenceEstimate:
     def __post_init__(self):
         if not np.isfinite(self.alpha_hat):
             raise ValueError(f"non-finite prevalence estimate for group {self.group!r}")
+        if self.alpha_hat < 0:
+            raise ValueError(f"negative prevalence estimate for group {self.group!r}")
 
 
 _EXTERNAL: dict[str, Callable] = {}
@@ -249,41 +256,13 @@ def group_scores(scorers: dict[str, LogisticScorer], data: LabeledDataset) -> np
     return scores
 
 
-def group_prevalences(kind: str, train: LabeledDataset, val: LabeledDataset,
-                      eval_data: LabeledDataset, config: TrainConfig | None = None,
-                      seed: int = 0, em_config: EmConfig | None = None,
-                      purple_fit: FitResult | None = None) -> list[GroupPrevalenceEstimate]:
-    """Per-group prevalence estimates under the common contract: group means
-    of ``group_scores``.
-
-    For the core method the returned values are group means of the
-    constant-factor condition score: meaningless individually but with
-    exact meaning in ratio. ``purple_fit`` short-circuits refitting when
-    the caller already has one. ``seed`` is passed to registered
-    estimators; the built-in fits draw no random numbers.
-    """
-    if kind not in BUILTIN_KINDS:
-        if kind in _EXTERNAL:
-            return _EXTERNAL[kind](train, val, eval_data, seed)
-        raise ValueError(f"unknown estimator kind {kind!r} (registered: {sorted(_EXTERNAL)})")
-    names = eval_data.group_names
-    flags: dict[str, tuple[str, ...]] = {}
-    if kind == "purple":
-        result = purple_fit or fit_purple(train, val, config)
-        if result.degenerate:
-            raise ValueError("core fit is degenerate (no observed positives in training)")
-        shared = LogisticScorer(result.model.w, result.model.b)
-        scorers = {name: shared for name in names}
-    else:
-        fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
-                                 config or _UNREGULARIZED, em_config)
-        scorers = {name: scorer for name, (scorer, _) in fits.items()}
-        flags = {name: ("em-non-converged",) for name, (_, em) in fits.items()
-                 if em is not None and not em.converged}
-    scores = group_scores(scorers, eval_data)
-    return [GroupPrevalenceEstimate(names[gid], float(scores[eval_data.group == gid].mean()),
-                                    flags.get(names[gid], ()))
-            for gid in eval_data.present_groups()]
+def purple_scorers(result: FitResult, names) -> dict[str, LogisticScorer]:
+    """The core model's one condition scorer ``sigmoid(w.x+b)``, shared by
+    every group in ``names``. A degenerate fit raises ``ValueError``."""
+    if result.degenerate:
+        raise ValueError("core fit is degenerate (no observed positives in training)")
+    shared = LogisticScorer(result.model.w, result.model.b)
+    return {name: shared for name in names}
 
 
 def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledDataset,
@@ -291,20 +270,38 @@ def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledD
                                  seed: int = 0, config: TrainConfig | None = None,
                                  em_config: EmConfig | None = None,
                                  ) -> RelativePrevalenceEstimate:
-    """Fit the named estimator and take the ratio of its per-group estimates."""
-    estimates = {e.group: e for e in group_prevalences(kind, train, val, eval_data,
-                                                       config, seed, em_config)}
-    for name in (group_a, group_b):
-        if name not in estimates:
-            raise ValueError(f"{kind} produced no estimate for group {name!r}")
-    den = estimates[group_b].alpha_hat
-    if abs(den) < 1e-12:
-        raise ValueError(f"{kind} prevalence estimate for group {group_b!r} is "
-                         "numerically zero")
-    flags = sorted(set(estimates[group_a].flags) | set(estimates[group_b].flags))
-    return RelativePrevalenceEstimate(
-        group_a=group_a,
-        group_b=group_b,
-        value=estimates[group_a].alpha_hat / den,
-        flags=list(flags),
-    )
+    """Fit the named estimator on ``train``/``val`` and estimate the
+    prevalence of ``group_a`` relative to ``group_b`` on ``eval_data``.
+
+    A built-in kind scores each row with its own group's scorer
+    (``group_scores``) and takes ``mean_score_ratio``. A registered
+    estimator's per-group estimates give the ratio directly, with the same
+    rule for a numerically zero denominator. ``seed`` is passed to
+    registered estimators; the built-in fits draw no random numbers.
+    """
+    if kind not in BUILTIN_KINDS:
+        if kind not in _EXTERNAL:
+            raise ValueError(f"unknown estimator kind {kind!r} "
+                             f"(registered: {sorted(_EXTERNAL)})")
+        estimates = {e.group: e for e in _EXTERNAL[kind](train, val, eval_data, seed)}
+        for name in (group_a, group_b):
+            if name not in estimates:
+                raise ValueError(f"{kind} produced no estimate for group {name!r}")
+        a, b = estimates[group_a], estimates[group_b]
+        if b.alpha_hat < 1e-12:
+            raise ValueError(f"{kind} prevalence estimate for group {group_b!r} is "
+                             "numerically zero")
+        return RelativePrevalenceEstimate(group_a, group_b, a.alpha_hat / b.alpha_hat,
+                                          flags=sorted(set(a.flags) | set(b.flags)))
+    flags: list[str] = []
+    if kind == "purple":
+        scorers = purple_scorers(fit_purple(train, val, config), eval_data.group_names)
+    else:
+        fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
+                                 config or _UNREGULARIZED, em_config)
+        scorers = {name: scorer for name, (scorer, _) in fits.items()}
+        ems = [fits[name][1] for name in (group_a, group_b) if name in fits]
+        if any(em is not None and not em.converged for em in ems):
+            flags = ["em-non-converged"]
+    value = mean_score_ratio(group_scores(scorers, eval_data), eval_data, group_a, group_b)
+    return RelativePrevalenceEstimate(group_a, group_b, value, flags=flags)

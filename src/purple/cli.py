@@ -18,18 +18,12 @@ import numpy as np
 from ._version import VERSION
 # fit_em is unused here but kept importable: perfbench's tracer wraps cli.fit_em.
 from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
-                        fit_group_scorers, group_scores)
+                        fit_group_scorers, group_scores, purple_scorers)
 from .checks import assumption_check_report
 from .data import LabeledDataset, SplitSpec, load_dataset, split, split_indices, write_dataset
 from .gauss import GaussSynthConfig, generate_gauss
 from .harness import SUITE_NAMES, emit_report, make_suite, run_suite
-from .model import (
-    FitResult,
-    PurpleModel,
-    TrainConfig,
-    fit as fit_purple,
-    mean_score_ratio,
-)
+from .model import FitResult, TrainConfig, fit as fit_purple, mean_score_ratio
 from .visits import (
     SemiSynthConfig,
     drop_anchor_features,
@@ -273,31 +267,16 @@ def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
     return {i: split_indices(data, spec, i)[2] for i in splits}
 
 
-def _fit_scorers(payload: dict, fit_entry: dict, names) -> dict[str, LogisticScorer]:
-    """Group name -> scorer for one stored split: the core model's one
-    ``sigmoid(w.x+b)`` for every group in ``names``, or each baseline
-    group's own scorer."""
-    if payload["method"] != "purple":
-        return {name: LogisticScorer(np.asarray(s["w"]), s["b"])
-                for name, s in fit_entry["scorers"].items()}
-    if fit_entry["degenerate"]:
-        raise click.ClickException(
-            "model was fit without positive labels; estimates are meaningless")
-    model = PurpleModel.from_dict(fit_entry["model"])
-    shared = LogisticScorer(model.w, model.b)
-    return {name: shared for name in names}
-
-
 def _split_rp(data, rows: np.ndarray, scorers: dict, group_a: str,
               group_b: str | None) -> float:
-    """Ratio of mean condition scores over ``rows``: ``group_a`` against
-    ``group_b``, or against every other row when ``group_b`` is None."""
-    in_a = data.group[rows] == data.group_id(group_a)
-    in_b = ~in_a if group_b is None else data.group[rows] == data.group_id(group_b)
-    keep = in_a | in_b
-    scores = group_scores(scorers, data.take_rows(rows[keep]))
-    label_b = f"group {group_b!r}" if group_b else f"the complement of group {group_a!r}"
-    return mean_score_ratio(scores, in_a[keep], in_b[keep], f"group {group_a!r}", label_b)
+    """``mean_score_ratio`` over ``rows``: ``group_a`` against ``group_b``,
+    or against every other row when ``group_b`` is None. A pair scores only
+    its own groups' rows."""
+    if group_b is not None:
+        rows = rows[np.isin(data.group[rows], [data.group_id(group_a),
+                                               data.group_id(group_b)])]
+    eval_data = data.take_rows(rows)
+    return mean_score_ratio(group_scores(scorers, eval_data), eval_data, group_a, group_b)
 
 
 @main.command("estimate")
@@ -328,8 +307,13 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
     if vs_complement:
         requests.append(("vs-complement", vs_complement.strip(), None))
     rows_by_split = _eval_rows(payload, data, data_path, all_rows)
-    scorers = {f["split"]: _fit_scorers(payload, f, data.group_names)
-               for f in payload["fits"]}
+    if payload["method"] == "purple":
+        scorers = {f["split"]: purple_scorers(FitResult.from_dict(f), data.group_names)
+                   for f in payload["fits"]}
+    else:
+        scorers = {f["split"]: {name: LogisticScorer(np.asarray(s["w"]), s["b"])
+                                for name, s in f["scorers"].items()}
+                   for f in payload["fits"]}
     for kind, a, b in requests:
         per_split = []
         for split_i, rows in rows_by_split.items():

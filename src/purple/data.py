@@ -521,7 +521,7 @@ def _load_sparse_pu(path: str) -> LabeledDataset:
             d = int(first[len("#sparse d="):])
         except ValueError:
             d = -1  # reported below, as a negative count is
-        if d < 0:
+        if not 0 <= d <= np.iinfo(np.int64).max:  # the CSR build needs an int64 shape
             raise ParseError(f"line 1: bad dimensionality in {first!r}")
         table: dict[str, int] = {}  # group name -> id, in order of first appearance
         parts = [[np.empty(0, dtype=t)] for t in (np.int64, np.int8, np.int8, np.int64,
@@ -542,22 +542,21 @@ def _load_sparse_pu(path: str) -> LabeledDataset:
 
 
 def _infer_format(path: str) -> str:
+    """``dense-csv`` for a ``.csv`` path, ``sparse-pu`` for a ``.pu`` one."""
     ext = os.path.splitext(path)[1].lower()
     if ext == ".csv":
         return "dense-csv"
     if ext == ".pu":
         return "sparse-pu"
-    raise ValueError(f"cannot infer dataset format from extension {ext!r}; pass format=")
+    raise ValueError(f"cannot infer dataset format from extension {ext!r}; "
+                     "expected .csv or .pu")
 
 
-def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
-    """Load a dataset file in ``dense-csv`` or ``sparse-pu`` format."""
-    fmt = format or _infer_format(path)
-    if fmt == "dense-csv":
+def load_dataset(path: str) -> LabeledDataset:
+    """Load a ``.csv`` (``dense-csv``) or ``.pu`` (``sparse-pu``) dataset file."""
+    if _infer_format(path) == "dense-csv":
         return _load_dense_csv(path)
-    if fmt == "sparse-pu":
-        return _load_sparse_pu(path)
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    return _load_sparse_pu(path)
 
 
 def _write_dense_csv(data: LabeledDataset, fh) -> None:
@@ -611,21 +610,18 @@ def _write_sparse_pu(data: LabeledDataset, fh) -> None:
         fh.write(b"".join(map(vocab.__getitem__, pieces.tolist())))
 
 
-def write_dataset(data: LabeledDataset, path: str, format: str | None = None) -> None:
-    """Write a dataset file; format inferred from extension unless given.
+def write_dataset(data: LabeledDataset, path: str) -> None:
+    """Write a dataset file in the format of its extension, as ``load_dataset``
+    reads it.
 
     Floats are written with shortest round-trip formatting, so write/load
     reproduces features exactly. ``latent_p`` and provenance are not part
     of either format and are dropped. A group name holding the format's
     field separator or a line break is rejected before the file is opened.
     """
-    fmt = format or _infer_format(path)
-    if fmt == "dense-csv":
-        writer, separator = _write_dense_csv, ","
-    elif fmt == "sparse-pu":
-        writer, separator = _write_sparse_pu, " "
-    else:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+    fmt = _infer_format(path)
+    writer, separator = ((_write_dense_csv, ",") if fmt == "dense-csv"
+                         else (_write_sparse_pu, " "))
     for name in data.group_names:
         for ch in separator + "\n\r":  # reading splits lines at \r too
             if ch in name:

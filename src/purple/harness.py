@@ -27,7 +27,7 @@ from ._version import VERSION
 from .baselines import EmConfig, baseline_relative_prevalence
 from .data import LabeledDataset, SplitSpec, split
 from .gauss import GaussSynthConfig, generate_gauss, shift_sweep_config
-from .model import RelativePrevalenceEstimate, TrainConfig
+from .model import RelativePrevalenceEstimate, TrainConfig, mean_score_ratio
 from .stats import paired_t_test
 from .visits import (
     SemiSynthConfig,
@@ -142,14 +142,10 @@ def make_suite(name: str, methods: tuple[str, ...] | None = None, n_splits: int 
 
 
 def true_relative_prevalence(data: LabeledDataset, group_a: str, group_b: str) -> float:
-    """Exact generator-side prevalence ratio: group means of latent_p."""
+    """Exact generator-side prevalence ratio: ``mean_score_ratio`` of latent_p."""
     if data.latent_p is None:
         raise ValueError("true relative prevalence requires latent_p (generated data)")
-    mask_a = data.group_mask(group_a)
-    mask_b = data.group_mask(group_b)
-    if not mask_a.any() or not mask_b.any():
-        raise ValueError("both groups must be present")
-    return float(data.latent_p[mask_a].mean() / data.latent_p[mask_b].mean())
+    return mean_score_ratio(data.latent_p, data, group_a, group_b)
 
 
 # ---------------------------------------------------------------------------

@@ -223,15 +223,12 @@ def predict_diagnosis(model: PurpleModel, features, group) -> np.ndarray | float
 # Loss and gradient
 
 
-def _cross_entropy(p: np.ndarray, s: np.ndarray) -> float:
-    p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return float(-(s * np.log(p) + (1.0 - s) * np.log(1.0 - p)).mean())
-
-
 def _label_cross_entropy(p: np.ndarray, pos: np.ndarray) -> float:
-    """``_cross_entropy(p, s)`` for 0/1 labels ``s = pos``, bit for bit, with
-    one log per row: of the clamped p on positives, of 1 minus it on the
-    rest. The two-log form only adds an exact zero, ``0 * log(finite)``.
+    """Mean cross-entropy of p, clamped to [PROB_FLOOR, 1 - PROB_FLOOR],
+    against the 0/1 labels ``pos``, with one log per row: of the clamped p
+    on positives, of 1 minus it on the rest. Bit for bit the two-log form
+    ``-(s log p + (1 - s) log(1 - p))``, which only adds an exact zero,
+    ``0 * log(finite)``, per row.
     """
     q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     q = np.where(pos, q, 1.0 - q)
@@ -255,7 +252,7 @@ def loss(model: PurpleModel, batch: LabeledDataset, lam: float) -> float:
     """Mean cross-entropy of the diagnosis probability against s, plus
     lam * ||w||_1 (bias and theta unpenalized)."""
     _, _, p = _forward(model, batch)
-    return _penalized(model, _cross_entropy(p, batch.s.astype(np.float64)), lam)
+    return _penalized(model, _label_cross_entropy(p, batch.s == 1), lam)
 
 
 def gradients(model: PurpleModel, batch: LabeledDataset, lam: float, *,
@@ -490,39 +487,37 @@ def fit(train: LabeledDataset, val: LabeledDataset,
 # Relative prevalence
 
 
-def mean_score_ratio(scores: np.ndarray, mask_num: np.ndarray, mask_den: np.ndarray,
-                     label_num: str = "the numerator", label_den: str = "the denominator"
-                     ) -> float:
-    """Ratio of mean scores between two row subsets.
+def mean_score_ratio(scores: np.ndarray, data: LabeledDataset, group_a: str,
+                     group_b: str | None = None) -> float:
+    """The relative prevalence of ``group_a`` read off per-row scores: the
+    mean of ``scores`` over its rows of ``data`` divided by the mean over
+    ``group_b``'s rows, or over every other row when ``group_b`` is None.
 
-    Invariant under any common positive rescaling of the scores, which is
-    what makes a constant-factor condition score usable here. The labels
-    name the subsets in error messages, e.g. ``group 'a'``.
+    Every relative prevalence the package reports is taken here. It is
+    invariant under any common positive rescaling of the scores, which is
+    what makes a constant-factor condition score usable. A group with no
+    rows, or a denominator mean below 1e-12, raises ``ValueError``; a name
+    ``data`` does not hold raises ``KeyError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.any(mask_num):
-        raise ValueError(f"no rows in {label_num}")
-    if not np.any(mask_den):
-        raise ValueError(f"no rows in {label_den}")
-    den = float(scores[mask_den].mean())
+    in_a = data.group_mask(group_a)
+    in_b = ~in_a if group_b is None else data.group_mask(group_b)
+    label_b = (f"the complement of group {group_a!r}" if group_b is None
+               else f"group {group_b!r}")
+    if not in_a.any():
+        raise ValueError(f"no rows in group {group_a!r}")
+    if not in_b.any():
+        raise ValueError(f"no rows in {label_b}")
+    den = float(scores[in_b].mean())
     if den < 1e-12:
-        raise ValueError(f"mean score in {label_den} is numerically zero")
-    return float(scores[mask_num].mean()) / den
+        raise ValueError(f"mean score in {label_b} is numerically zero")
+    return float(scores[in_a].mean()) / den
 
 
 def relative_prevalence(model: PurpleModel, data: LabeledDataset,
-                        group_a: str, group_b: str) -> float:
-    """Estimated prevalence ratio between two groups: mean condition score
-    over group_a's rows divided by the same over group_b's."""
-    scores = predict_condition_score(model, data.features)
-    return mean_score_ratio(scores, data.group_mask(group_a), data.group_mask(group_b),
-                            f"group {group_a!r}", f"group {group_b!r}")
-
-
-def relative_prevalence_vs_complement(model: PurpleModel, data: LabeledDataset,
-                                      group: str) -> float:
-    """Prevalence ratio between a group and all remaining rows."""
-    scores = predict_condition_score(model, data.features)
-    mask = data.group_mask(group)
-    return mean_score_ratio(scores, mask, ~mask, f"group {group!r}",
-                            f"the complement of group {group!r}")
+                        group_a: str, group_b: str | None = None) -> float:
+    """Estimated prevalence ratio of ``group_a`` against ``group_b``, or
+    against every other row when ``group_b`` is None: ``mean_score_ratio``
+    of the condition score."""
+    return mean_score_ratio(predict_condition_score(model, data.features), data,
+                            group_a, group_b)

@@ -205,9 +205,13 @@ def load_symptom_indices(path: str, name: str = "") -> SymptomSet:
     return SymptomSet(tuple(indices), name=name or path)
 
 
+_ZIPF_EXPONENT = 0.9
+_ZIPF_OFFSET = 10.0
+_GROUP_TILT = 0.4
+
+
 def generate_visit_corpus(n_a: int, n_b: int, n_dims: int, mean_active: float = 8.0,
-                          zipf_exponent: float = 0.9, zipf_offset: float = 10.0,
-                          group_tilt: float = 0.4, seed: int = 0):
+                          seed: int = 0):
     """Synthetic stand-in for a real visit matrix, at desk scale.
 
     Feature frequencies follow a (shifted) Zipf profile; each feature's rate
@@ -219,9 +223,9 @@ def generate_visit_corpus(n_a: int, n_b: int, n_dims: int, mean_active: float = 
     ss = np.random.SeedSequence([int(seed)])
     rng_tilt, rng_a, rng_b = [np.random.default_rng(child) for child in ss.spawn(3)]
     ranks = np.arange(1, n_dims + 1, dtype=np.float64)
-    base = (ranks + zipf_offset) ** (-zipf_exponent)
+    base = (ranks + _ZIPF_OFFSET) ** (-_ZIPF_EXPONENT)
     base *= mean_active / base.sum()
-    tilt = np.exp(group_tilt * rng_tilt.standard_normal(n_dims))
+    tilt = np.exp(_GROUP_TILT * rng_tilt.standard_normal(n_dims))
     p_a = np.clip(base * tilt, 0.0, 0.6)
     p_b = np.clip(base / tilt, 0.0, 0.6)
 

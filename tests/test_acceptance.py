@@ -23,7 +23,7 @@ import pytest
 
 from purple.baselines import baseline_relative_prevalence
 from purple.checks import assumption_check_report
-from purple.data import SplitSpec, split
+from purple.data import FeatureMatrix, LabeledDataset, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
     _GAUSS_TRAIN,
@@ -272,8 +272,9 @@ def test_criterion_9_oracle_equivalence():
     for i in range(16):
         scores.extend([p_table[i]] * (counts_a[i] + counts_b[i]))
         groups.extend([0] * counts_a[i] + [1] * counts_b[i])
-    scores, groups = np.asarray(scores), np.asarray(groups)
-    estimator = mean_score_ratio(scores, groups == 0, groups == 1)
+    data = LabeledDataset(FeatureMatrix(np.zeros((len(groups), 1))), groups, ["a", "b"],
+                          np.zeros(len(groups), dtype=np.int8))
+    estimator = mean_score_ratio(np.asarray(scores), data, "a", "b")
     enumerated = float((p_table * counts_a / counts_a.sum()).sum()
                        / (p_table * counts_b / counts_b.sum()).sum())
     enum_ok = estimator == enumerated

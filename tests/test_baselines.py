@@ -14,14 +14,14 @@ from purple.baselines import (
     fit_logistic,
     fit_negative,
     fit_supervised,
-    group_prevalences,
     group_scores,
+    purple_scorers,
     register_estimator,
 )
 from purple.data import FeatureMatrix, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import true_relative_prevalence
-from purple.model import TrainConfig, relative_prevalence, fit as fit_purple
+from purple.model import TrainConfig, mean_score_ratio, relative_prevalence, fit as fit_purple
 
 FAST = TrainConfig(lambda_grid=(0.0,), max_epochs=1500, patience=50)
 
@@ -208,10 +208,23 @@ class TestEstimatorContract:
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=300, patience=300)
         result = fit_purple(tr, va, cfg)
         direct = relative_prevalence(result.model, te, "a", "b")
-        alphas = {e.group: e.alpha_hat
-                  for e in group_prevalences("purple", tr, va, te, cfg, 0,
-                                             purple_fit=result)}
-        assert alphas["a"] / alphas["b"] == pytest.approx(direct, rel=1e-12)
+        scores = group_scores(purple_scorers(result, te.group_names), te)
+        assert mean_score_ratio(scores, te, "a", "b") == direct
+        assert baseline_relative_prevalence("purple", tr, va, te, "a", "b",
+                                            config=cfg).value == direct
+
+    def test_purple_scorers_share_one_scorer_and_reject_degenerate_fits(self):
+        data = generate_gauss(GaussSynthConfig(n_a=200, n_b=300), 10)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        result = fit_purple(tr, va, TrainConfig(lambda_grid=(0.0,), max_epochs=20))
+        scorers = purple_scorers(result, ["a", "b", "c"])
+        assert list(scorers) == ["a", "b", "c"]
+        assert scorers["a"] is scorers["b"] is scorers["c"]
+        np.testing.assert_array_equal(scorers["a"].w, result.model.w)
+        assert scorers["a"].b == result.model.b
+        result.degenerate = True
+        with pytest.raises(ValueError, match="^core fit is degenerate"):
+            purple_scorers(result, ["a", "b"])
 
     def test_group_scores_use_each_rows_own_scorer(self):
         data = generate_gauss(GaussSynthConfig(n_a=50, n_b=70), 15)
@@ -247,6 +260,14 @@ class TestEstimatorContract:
         est = baseline_relative_prevalence("fake-external", tr, va, te, "a", "b", seed=0)
         assert est.value == pytest.approx(3.0, rel=1e-12)
 
+        def negative(train, val, eval_data, seed):
+            return [GroupPrevalenceEstimate("a", 0.3),
+                    GroupPrevalenceEstimate("b", -0.1)]
+
+        register_estimator("fake-negative", negative)
+        with pytest.raises(ValueError, match="negative prevalence estimate for group 'b'"):
+            baseline_relative_prevalence("fake-negative", tr, va, te, "a", "b", seed=0)
+
     def test_unknown_kind_rejected(self):
         data = identical_groups_data(n=200, seed=13)
         tr, va, te = split(data, SplitSpec(seed=0), 0)
@@ -258,5 +279,6 @@ class TestEstimatorContract:
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
         q = np.full(tr.n_rows, 0.35)
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=800, patience=800)
-        scorer = fit_logistic(tr.features, q, va.features, np.full(va.n_rows, 0.35), cfg)
+        val_labels = (np.arange(va.n_rows) % 20 < 7).astype(np.int8)  # 0/1, 35% positive
+        scorer = fit_logistic(tr.features, q, va.features, val_labels, cfg)
         assert scorer.predict(tr.features).mean() == pytest.approx(0.35, abs=0.01)

@@ -235,6 +235,16 @@ class TestFitEstimateCheck:
         output = estimate_error(runner, model, data, "--pairs", "a:b")
         assert "Error: mean score in group 'b' is numerically zero" in output
 
+    def test_degenerate_model_is_clean_error(self, runner, tmp_path):
+        data, model = self.fit_model(runner, tmp_path)
+        blob = json.loads(open(model).read())
+        blob["fits"][1]["degenerate"] = True
+        with open(model, "w") as fh:
+            json.dump(blob, fh)
+        output = estimate_error(runner, model, data, "--pairs", "a:b")
+        assert output.splitlines() == [
+            "Error: core fit is degenerate (no observed positives in training)"]
+
     def test_group_without_scorer_is_clean_error(self, runner, tmp_path):
         _, model = self.fit_model(runner, tmp_path, method="negative")
         other = with_group_names(runner, tmp_path, ["a", "c"])

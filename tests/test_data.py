@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -182,6 +183,29 @@ class TestSparsePu:
         p.write_text("#sparse d=-1\na 0 ?\n")
         with pytest.raises(ParseError, match="line 1: bad dimensionality"):
             load_dataset(str(p))
+
+    @pytest.mark.parametrize("d", [2**63, 99999999999999999999999])
+    def test_dimensionality_beyond_int64(self, tmp_path, d):
+        p = tmp_path / "d.pu"
+        p.write_text(f"#sparse d={d}\na 0 ? 3:1\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(p))
+        assert str(err.value) == f"line 1: bad dimensionality in '#sparse d={d}'"
+
+    def test_largest_int64_dimensionality_loads(self, tmp_path):
+        p = tmp_path / "d.pu"
+        p.write_text(f"#sparse d={2**63 - 1}\na 0 ? 3:1\n")
+        assert load_dataset(str(p)).n_dims == 2**63 - 1
+
+    @pytest.mark.parametrize("name", ["d.txt", "d", "d.pu.gz"])
+    def test_unknown_extension_rejected(self, tmp_path, name):
+        ext = repr(os.path.splitext(name)[1])
+        with pytest.raises(ValueError, match=f"extension {ext}"):
+            load_dataset(str(tmp_path / name))
+        data = LabeledDataset(FeatureMatrix(np.zeros((1, 1))), [0], ["a"], [0])
+        with pytest.raises(ValueError, match=f"extension {ext}"):
+            write_dataset(data, str(tmp_path / name))
+        assert not (tmp_path / name).exists()
 
 
 class TestRoundTrip:

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from purple import gauss, harness, model, visits
-from purple.baselines import register_estimator
+from purple.baselines import GroupPrevalenceEstimate, register_estimator
 from purple.data import FeatureMatrix, LabeledDataset
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
@@ -66,6 +66,12 @@ class TestTrueRelativePrevalence:
         data = LabeledDataset(FeatureMatrix(x), [0, 1], ["a", "b"],
                               np.zeros(2, dtype=np.int8))
         with pytest.raises(ValueError, match="latent_p"):
+            true_relative_prevalence(data, "a", "b")
+
+    def test_group_without_rows(self):
+        data = LabeledDataset(FeatureMatrix(np.zeros((2, 1))), [0, 0], ["a", "b"],
+                              np.zeros(2, dtype=np.int8), latent_p=np.full(2, 0.4))
+        with pytest.raises(ValueError, match="^no rows in group 'b'$"):
             true_relative_prevalence(data, "a", "b")
 
 
@@ -203,6 +209,19 @@ class TestRunSuite:
             assert r["estimate"] is None
             for s in r["splits"]:
                 assert s["error"] == "ValueError: feature values must be finite"
+
+    def test_negative_plugin_estimate_fails_its_cells(self):
+        def negative(train, val, eval_data, seed):
+            return [GroupPrevalenceEstimate("a", 0.3), GroupPrevalenceEstimate("b", -0.1)]
+
+        register_estimator("negative-plugin", negative)
+        report = run_suite(tiny_suite(methods=("negative-plugin",)))
+        assert report.n_failed_cells == 4
+        for r in report.results:
+            assert r["estimate"] is None
+            for s in r["splits"]:
+                assert s["error"] == ("ValueError: negative prevalence estimate for "
+                                      "group 'b'")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_library_bug_propagates(self, jobs):

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 from helpers import fd_gradients, random_model, rel_err, tiny_batch
 
-from purple.baselines import group_prevalences
+from purple.baselines import baseline_relative_prevalence
 from purple.data import FeatureMatrix, LabeledDataset, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import (
@@ -18,7 +18,6 @@ from purple.model import (
     PurpleModel,
     RelativePrevalenceEstimate,
     TrainConfig,
-    _cross_entropy,
     _label_cross_entropy,
     _lbfgs_fit,
     _logistic,
@@ -29,7 +28,6 @@ from purple.model import (
     predict_condition_score,
     predict_diagnosis,
     relative_prevalence,
-    relative_prevalence_vs_complement,
 )
 
 SIGMOID_1 = 1.0 / (1.0 + math.exp(-1.0))
@@ -187,7 +185,9 @@ class TestFusedLossAndGradients:
                             1.0 - rng.uniform(size=100) * 1e-10,
                             [0.0, 5e-324, PROB_FLOOR, 0.5, 1.0 - PROB_FLOOR, 1.0]])
         s = rng.integers(0, 2, p.size)
-        assert _label_cross_entropy(p, s == 1) == _cross_entropy(p, s.astype(np.float64))
+        q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        two_log = -float((s * np.log(q) + (1.0 - s) * np.log(1.0 - q)).mean())
+        assert _label_cross_entropy(p, s == 1) == two_log
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("lam", [0.0, 1e-2])
@@ -343,7 +343,7 @@ class TestFit:
             res = fit(tr, va, cfg)
         assert res.degenerate
         with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="degenerate"):
-            group_prevalences("purple", tr, va, te, cfg, 0)
+            baseline_relative_prevalence("purple", tr, va, te, "a", "b", config=cfg)
 
     def test_group_missing_from_train_rejected(self):
         tr, va, _ = self.small_data()
@@ -466,6 +466,14 @@ class TestSerialization:
         assert est.value == 9.0 and est.ratio_to_true is None
 
 
+def grouped(group, names=("a", "b")):
+    """A featureless dataset with rows in ``group``: all that
+    ``mean_score_ratio`` reads besides the scores."""
+    group = np.asarray(group)
+    return LabeledDataset(FeatureMatrix(np.zeros((group.size, 1))), group, list(names),
+                          np.zeros(group.size, dtype=np.int8))
+
+
 class TestRelativePrevalence:
     def test_constant_score_gives_one(self):
         data = generate_gauss(GaussSynthConfig(n_a=50, n_b=50), 0)
@@ -474,8 +482,9 @@ class TestRelativePrevalence:
 
     def test_mean_ratio_arithmetic(self):
         scores = np.array([0.2, 0.4, 0.1, 0.1, 0.1])
-        mask_a = np.array([True, True, False, False, False])
-        assert mean_score_ratio(scores, mask_a, ~mask_a) == pytest.approx(3.0, abs=1e-12)
+        data = grouped([0, 0, 1, 1, 1])
+        assert mean_score_ratio(scores, data, "a", "b") == pytest.approx(3.0, abs=1e-12)
+        assert mean_score_ratio(scores, data, "a") == mean_score_ratio(scores, data, "a", "b")
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -484,9 +493,10 @@ class TestRelativePrevalence:
             mask = rng.uniform(size=40) < 0.5
             if not mask.any() or mask.all():
                 continue
-            base = mean_score_ratio(scores, mask, ~mask)
+            data = grouped(np.where(mask, 0, 1))
+            base = mean_score_ratio(scores, data, "a")
             for k in (1e-6, 0.5, 3.0, 1e6):
-                assert mean_score_ratio(k * scores, mask, ~mask) == pytest.approx(base, rel=1e-12)
+                assert mean_score_ratio(k * scores, data, "a") == pytest.approx(base, rel=1e-12)
 
     def test_reciprocity(self):
         rng = np.random.default_rng(6)
@@ -505,14 +515,27 @@ class TestRelativePrevalence:
 
     def test_vanishing_denominator(self):
         scores = np.array([0.5, 0.0])
-        with pytest.raises(ValueError, match="numerically zero"):
-            mean_score_ratio(scores, np.array([True, False]), np.array([False, True]))
+        with pytest.raises(ValueError, match="mean score in group 'b' is numerically zero"):
+            mean_score_ratio(scores, grouped([0, 1]), "a", "b")
+        with pytest.raises(ValueError, match="in the complement of group 'a' is numerically"):
+            mean_score_ratio(scores, grouped([0, 1]), "a")
+
+    def test_messages_name_the_empty_rows(self):
+        data = grouped([1, 1, 2], names=("a", "b", "c"))
+        scores = np.ones(3)
+        with pytest.raises(ValueError, match="^no rows in group 'a'$"):
+            mean_score_ratio(scores, data, "a", "b")
+        with pytest.raises(ValueError, match="^no rows in group 'a'$"):
+            mean_score_ratio(scores, data, "b", "a")
+        with pytest.raises(ValueError, match="^no rows in the complement of group 'b'$"):
+            mean_score_ratio(scores, grouped([1, 1]), "b")
+        with pytest.raises(KeyError, match="unknown group 'zzz'"):
+            mean_score_ratio(scores, data, "b", "zzz")
 
     def test_vs_complement_two_groups(self):
         data = generate_gauss(GaussSynthConfig(n_a=300, n_b=300), 2)
         m = random_model(np.random.default_rng(1))
-        assert relative_prevalence_vs_complement(m, data, "a") == pytest.approx(
-            relative_prevalence(m, data, "a", "b"), rel=1e-12)
+        assert relative_prevalence(m, data, "a") == relative_prevalence(m, data, "a", "b")
 
     def test_vs_complement_three_groups_pooled_mean(self):
         rng = np.random.default_rng(7)
@@ -523,15 +546,14 @@ class TestRelativePrevalence:
         m = random_model(rng, d=4, n_groups=3)
         scores = predict_condition_score(m, data.features)
         expected = scores[group == 1].mean() / scores[group != 1].mean()
-        assert relative_prevalence_vs_complement(m, data, "b") == pytest.approx(
-            expected, rel=1e-12)
+        assert relative_prevalence(m, data, "b") == pytest.approx(expected, rel=1e-12)
 
     def test_single_group_complement_empty(self):
         x = np.zeros((5, 2))
         data = LabeledDataset(FeatureMatrix(x), [0] * 5, ["a"], [0] * 5)
         m = PurpleModel(np.zeros(2), 0.0, np.zeros(1), ["a"])
-        with pytest.raises(ValueError, match="no rows"):
-            relative_prevalence_vs_complement(m, data, "a")
+        with pytest.raises(ValueError, match="no rows in the complement of group 'a'"):
+            relative_prevalence(m, data, "a")
 
     def test_matches_exhaustive_enumeration_on_discrete_support(self):
         # support of 8 points with dyadic probabilities; both routes exact.
@@ -546,9 +568,7 @@ class TestRelativePrevalence:
                     rows.append(support[i])
                     groups.append(g)
                     scores.append(p_table[i])
-        scores = np.asarray(scores)
-        groups = np.asarray(groups)
-        estimator = mean_score_ratio(scores, groups == 0, groups == 1)
+        estimator = mean_score_ratio(np.asarray(scores), grouped(groups), "a", "b")
         # enumeration of sum_x p(x) p(x|g) over the finite support
         pxa = counts_a / counts_a.sum()
         pxb = counts_b / counts_b.sum()
