@@ -5,7 +5,6 @@ and a benchmark harness."""
 from ._version import VERSION as __version__
 from .baselines import (
     EmConfig,
-    GroupPrevalenceEstimate,
     baseline_relative_prevalence,
     fit_em,
     fit_negative,

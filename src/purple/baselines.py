@@ -2,15 +2,14 @@
 
 Each baseline is fit separately on a single group's rows. Every built-in
 estimator, the core method included, scores each row with its own group's
-scorer and takes the relative prevalence as ``model.mean_score_ratio`` of
-those scores; for a baseline the group means are its absolute prevalence
-estimates. Plug-in estimators registered by name return per-group
-estimates, ``GroupPrevalenceEstimate``, instead. All baselines use
-the same linear-plus-sigmoid function class as the core estimator, with the
-labeling-frequency factor frozen at one, and train through its solver,
-``model._lbfgs_fit``. ``fit_logistic`` supplies only the cross-entropy and
-its gradient and the validation cross-entropy, with every sigmoid and
-softplus from the core model's kernel, ``model._logistic``.
+scorer, a plug-in estimator registered by name returns one score per row,
+and the relative prevalence is ``model.mean_score_ratio`` of those scores;
+for a baseline the group means are its absolute prevalence estimates. All
+baselines use the same linear-plus-sigmoid function class as the core
+estimator, with the labeling-frequency factor frozen at one, and train
+through its solver, ``model._lbfgs_fit``. ``fit_logistic`` supplies only
+the cross-entropy and its gradient and the validation cross-entropy, with
+every sigmoid and softplus from the core model's kernel, ``model._logistic``.
 """
 
 from __future__ import annotations
@@ -58,6 +57,12 @@ class EmConfig:
     # iterations (a partial fit, generalized EM, when the cap binds).
     inner_epochs: int = 100
 
+    def __post_init__(self):
+        if self.max_iters < 1 or self.inner_epochs < 1:
+            raise ValueError("EM max_iters and inner_epochs must be at least 1")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("EM tol must be finite and non-negative")
+
 
 @dataclass
 class EmFit:
@@ -66,6 +71,9 @@ class EmFit:
     converged: bool
     n_iters: int
     c_init: float
+
+    def predict(self, features) -> np.ndarray:
+        return self.scorer.predict(features)
 
     def to_dict(self) -> dict:
         return {**self.scorer.to_dict(), "c_hat": self.c_hat, "converged": self.converged,
@@ -186,37 +194,25 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
 # Common estimator contract
 
 
-@dataclass(frozen=True)
-class GroupPrevalenceEstimate:
-    group: str
-    alpha_hat: float
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha_hat):
-            raise ValueError(f"non-finite prevalence estimate for group {self.group!r}")
-        if self.alpha_hat < 0:
-            raise ValueError(f"negative prevalence estimate for group {self.group!r}")
-
-
 _EXTERNAL: dict[str, Callable] = {}
 
 
 def register_estimator(name: str, fn: Callable) -> None:
     """Register a plug-in estimator under ``name``.
 
-    The callable must satisfy ``fn(train, val, eval_data, seed) ->
-    list[GroupPrevalenceEstimate]`` covering every group present in
-    ``eval_data``.
+    ``fn(train, val, eval_data, seed)`` returns one finite, non-negative
+    condition score per row of ``eval_data``, known up to a constant factor.
+    A per-group prevalence estimator returns its group's estimate on each of
+    the group's rows.
     """
     _EXTERNAL[name] = fn
 
 
 def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, groups,
                       config: TrainConfig | None, em_config: EmConfig | None = None
-                      ) -> dict[str, tuple[LogisticScorer, EmFit | None]]:
-    """``{group name: (scorer, em)}``: a ``negative``, ``supervised`` or ``em``
-    scorer fit on each group's own rows, with the whole EM fit for ``em``."""
+                      ) -> dict[str, LogisticScorer | EmFit]:
+    """``{group name: scorer}``: a ``negative`` or ``supervised`` scorer, or
+    for ``em`` the whole ``EmFit``, fit on each group's own rows."""
     out = {}
     for gid in groups:
         name = train.group_names[gid]
@@ -224,22 +220,21 @@ def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, gro
         sub_val = val.take_rows(np.flatnonzero(val.group == gid))
         try:
             if kind == "em":
-                em = fit_em(sub_train, sub_val, em_config, config)
-                out[name] = (em.scorer, em)
+                out[name] = fit_em(sub_train, sub_val, em_config, config)
             else:
                 fit_one = fit_negative if kind == "negative" else fit_supervised
-                out[name] = (fit_one(sub_train, sub_val, config), None)
+                out[name] = fit_one(sub_train, sub_val, config)
         except ValueError as e:
             raise ValueError(f"{kind} baseline failed for group {name!r}: {e}") from e
     return out
 
 
-def group_scores(scorers: dict[str, LogisticScorer], data: LabeledDataset) -> np.ndarray:
+def group_scores(scorers: dict, data: LabeledDataset) -> np.ndarray:
     """Each row's condition score from its own group's scorer.
 
-    ``scorers`` maps group names to scorers and must cover every group
-    present in ``data``. Groups that share one scorer (the core method's
-    ``sigmoid(w.x+b)``) are scored in one pass over their rows.
+    ``scorers`` maps group names to scorers (``LogisticScorer`` or ``EmFit``)
+    and must cover every group present in ``data``. Groups that share one
+    scorer (the core method's ``sigmoid(w.x+b)``) are scored in one pass.
     """
     by_scorer: dict[int, tuple[LogisticScorer, list[int]]] = {}
     for gid in data.present_groups():
@@ -274,34 +269,32 @@ def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledD
     prevalence of ``group_a`` relative to ``group_b`` on ``eval_data``.
 
     A built-in kind scores each row with its own group's scorer
-    (``group_scores``) and takes ``mean_score_ratio``. A registered
-    estimator's per-group estimates give the ratio directly, with the same
-    rule for a numerically zero denominator. ``seed`` is passed to
-    registered estimators; the built-in fits draw no random numbers.
+    (``group_scores``), a registered estimator returns one finite,
+    non-negative score per row of ``eval_data``, and the estimate is
+    ``mean_score_ratio`` of the scores. ``seed`` goes to registered
+    estimators; the built-in fits draw no random numbers.
     """
-    if kind not in BUILTIN_KINDS:
-        if kind not in _EXTERNAL:
-            raise ValueError(f"unknown estimator kind {kind!r} "
-                             f"(registered: {sorted(_EXTERNAL)})")
-        estimates = {e.group: e for e in _EXTERNAL[kind](train, val, eval_data, seed)}
-        for name in (group_a, group_b):
-            if name not in estimates:
-                raise ValueError(f"{kind} produced no estimate for group {name!r}")
-        a, b = estimates[group_a], estimates[group_b]
-        if b.alpha_hat < 1e-12:
-            raise ValueError(f"{kind} prevalence estimate for group {group_b!r} is "
-                             "numerically zero")
-        return RelativePrevalenceEstimate(group_a, group_b, a.alpha_hat / b.alpha_hat,
-                                          flags=sorted(set(a.flags) | set(b.flags)))
     flags: list[str] = []
     if kind == "purple":
         scorers = purple_scorers(fit_purple(train, val, config), eval_data.group_names)
-    else:
+        scores = group_scores(scorers, eval_data)
+    elif kind in BUILTIN_KINDS:
         fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
                                  config or _UNREGULARIZED, em_config)
-        scorers = {name: scorer for name, (scorer, _) in fits.items()}
-        ems = [fits[name][1] for name in (group_a, group_b) if name in fits]
-        if any(em is not None and not em.converged for em in ems):
+        scores = group_scores(fits, eval_data)
+        if kind == "em" and not all(fits[n].converged for n in (group_a, group_b)
+                                    if n in fits):
             flags = ["em-non-converged"]
-    value = mean_score_ratio(group_scores(scorers, eval_data), eval_data, group_a, group_b)
+    elif kind in _EXTERNAL:
+        out = _EXTERNAL[kind](train, val, eval_data, seed)
+        try:
+            scores = np.asarray(out, dtype=np.float64)
+        except (TypeError, ValueError):  # not an array of numbers
+            scores = np.empty((0, 0))
+        if scores.shape != (eval_data.n_rows,) or not ((scores >= 0) & (scores < np.inf)).all():
+            raise ValueError(f"estimator {kind!r} must return {eval_data.n_rows} finite, "
+                             "non-negative scores, one per row of eval_data")
+    else:
+        raise ValueError(f"unknown estimator kind {kind!r} (registered: {sorted(_EXTERNAL)})")
+    value = mean_score_ratio(scores, eval_data, group_a, group_b)
     return RelativePrevalenceEstimate(group_a, group_b, value, flags=flags)

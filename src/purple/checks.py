@@ -84,9 +84,8 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
     result = constrained or fit_purple(train, val, config)
     constrained_scores = predict_diagnosis(result.model, test.features, test.group)
 
-    fits = fit_group_scorers("negative", train, val, groups, config)
     unconstrained_scores = group_scores(
-        {name: scorer for name, (scorer, _) in fits.items()}, test)
+        fit_group_scorers("negative", train, val, groups, config), test)
 
     s = test.s
     return ModelFitComparison(

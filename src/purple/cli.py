@@ -231,9 +231,8 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
         else:
             scorers = fit_group_scorers(method, train, val, train.present_groups(), config,
                                         em_config)
-            by_group = {name: (em or scorer).to_dict()
-                        for name, (scorer, em) in scorers.items()}
-            fits.append({"split": i, "scorers": by_group})
+            fits.append({"split": i, "scorers": {name: scorer.to_dict()
+                                                 for name, scorer in scorers.items()}})
     payload = {
         "version": VERSION,
         "method": method,

@@ -43,6 +43,10 @@ from .visits import (
 SUITE_NAMES = ("separability", "label-frequency", "covariate-shift", "violation",
                "semisynth")
 
+# The group names every suite's generators produce: each cell estimates the
+# prevalence of the first relative to the second.
+_PAIR = ("a", "b")
+
 _GAUSS_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=4000, patience=30)
 _SEMISYNTH_TRAIN = TrainConfig(max_epochs=250, patience=10)
 
@@ -241,7 +245,7 @@ def _run_cell(suite: ExperimentSuite, data: LabeledDataset, sweep_value, split_i
     seed = derive_seed(suite.base_seed, _TAG_CELL, str(sweep_value), split_i, method)
     try:
         train, val, test = split(data, spec, split_i)
-        est = baseline_relative_prevalence(method, train, val, test, "a", "b",
+        est = baseline_relative_prevalence(method, train, val, test, *_PAIR,
                                            seed=seed, config=suite.train,
                                            em_config=suite.em)
         return {"split": split_i, "rp_estimate": est.value, "flags": est.flags}
@@ -304,8 +308,7 @@ def _aggregate(method: str, sweep_value, true_rp: float, cells: list[dict]) -> d
             })
     if ok:
         est = RelativePrevalenceEstimate.from_splits(
-            group_a="a", group_b="b",
-            per_split_values=[c["rp_estimate"] for c in ok],
+            *_PAIR, per_split_values=[c["rp_estimate"] for c in ok],
             true_value=true_rp,
             flags=sorted({f for c in ok for f in c["flags"]}),
         )
@@ -390,7 +393,7 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> RunReport:
         sv, _, _, method = task
         cells.setdefault((method, str(sv)), []).append(res)
 
-    true_rp = {str(sv): true_relative_prevalence(data, "a", "b") for sv, data in points}
+    true_rp = {str(sv): true_relative_prevalence(data, *_PAIR) for sv, data in points}
     results = []
     for sv, _ in points:
         for method in suite.methods:

@@ -87,8 +87,12 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
+        if not self.lambda_grid or not np.isfinite(self.lambda_grid).all():
+            raise ValueError("lambda_grid must be a non-empty list of finite values")
         if any(l < 0 for l in self.lambda_grid):
             raise ValueError("lambda values must be non-negative")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise ValueError("max_epochs and patience must be at least 1")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "lambda_grid": list(self.lambda_grid)}

@@ -5,12 +5,13 @@ from helpers import rel_err
 from purple import baselines
 from purple.baselines import (
     EmConfig,
-    GroupPrevalenceEstimate,
+    EmFit,
     LogisticScorer,
     baseline_relative_prevalence,
     em_soft_labels,
     em_update_c,
     fit_em,
+    fit_group_scorers,
     fit_logistic,
     fit_negative,
     fit_supervised,
@@ -192,6 +193,29 @@ class TestEmFit:
         assert (em.n_iters, em.c_hat, em.scorer.b) == (iters, c_hat, scorer.b)
         np.testing.assert_array_equal(em.scorer.w, scorer.w)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": 0}, "EM max_iters and inner_epochs must be at least 1"),
+        ({"inner_epochs": 0}, "EM max_iters and inner_epochs must be at least 1"),
+        ({"tol": -1e-5}, "EM tol must be finite and non-negative"),
+        ({"tol": float("nan")}, "EM tol must be finite and non-negative"),
+        ({"tol": float("inf")}, "EM tol must be finite and non-negative"),
+    ])
+    def test_config_rejects_values_no_fit_can_use(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmConfig(**kwargs)
+
+    def test_fit_is_a_scorer(self):
+        data = identical_groups_data(n=800, seed=17)
+        tr, va, te = split(data, SplitSpec(seed=0), 0)
+        fits = fit_group_scorers("em", tr, va, tr.present_groups(), FAST, EmConfig(max_iters=3))
+        assert list(fits) == ["a", "b"]
+        for em in fits.values():
+            assert isinstance(em, EmFit)
+            np.testing.assert_array_equal(em.predict(te.features),
+                                          em.scorer.predict(te.features))
+        negative = fit_group_scorers("negative", tr, va, tr.present_groups(), FAST)
+        assert all(isinstance(f, LogisticScorer) for f in negative.values())
+
     def test_non_convergence_flag_propagates(self):
         data = identical_groups_data(n=1500, seed=9)
         tr, va, te = split(data, SplitSpec(seed=0), 0)
@@ -249,24 +273,54 @@ class TestEstimatorContract:
                                          config=cfg)
         assert a.value == b.value
 
-    def test_registered_external_estimator(self):
-        def fake(train, val, eval_data, seed):
-            return [GroupPrevalenceEstimate("a", 0.3),
-                    GroupPrevalenceEstimate("b", 0.1)]
-
-        register_estimator("fake-external", fake)
+    def test_registered_estimator_returns_per_row_scores(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_EXTERNAL", {})
         data = identical_groups_data(n=200, seed=12)
         tr, va, te = split(data, SplitSpec(seed=0), 0)
-        est = baseline_relative_prevalence("fake-external", tr, va, te, "a", "b", seed=0)
-        assert est.value == pytest.approx(3.0, rel=1e-12)
+        seen = {}
 
-        def negative(train, val, eval_data, seed):
-            return [GroupPrevalenceEstimate("a", 0.3),
-                    GroupPrevalenceEstimate("b", -0.1)]
+        def per_row(train, val, eval_data, seed):
+            seen.update(train=train, val=val, eval_data=eval_data, seed=seed)
+            return np.where(eval_data.group_mask("a"), 0.3, 0.1) * (1 + eval_data.s)
 
-        register_estimator("fake-negative", negative)
-        with pytest.raises(ValueError, match="negative prevalence estimate for group 'b'"):
-            baseline_relative_prevalence("fake-negative", tr, va, te, "a", "b", seed=0)
+        register_estimator("per-row", per_row)
+        assert baselines._EXTERNAL == {"per-row": per_row}
+        est = baseline_relative_prevalence("per-row", tr, va, te, "a", "b", seed=7)
+        assert seen["train"] is tr and seen["val"] is va and seen["eval_data"] is te
+        assert seen["seed"] == 7
+        assert est.value == mean_score_ratio(per_row(tr, va, te, 7), te, "a", "b")
+        assert est.group_a == "a" and est.group_b == "b" and est.flags == []
+
+    # Beyond the NaN, negative, short and 2-D outputs of the suite-level test:
+    # infinite, scalar and non-numeric outputs, such as a list of per-group
+    # estimates.
+    BAD_OUTPUTS = {
+        "inf": lambda n: np.full(n, np.inf),
+        "scalar": lambda n: 0.2,
+        "objects": lambda n: [object(), object()],
+        "ragged": lambda n: [[0.1], [0.2, 0.3]],
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_OUTPUTS))
+    def test_registered_estimator_output_checked_at_the_boundary(self, monkeypatch, bad):
+        data = identical_groups_data(n=200, seed=12)
+        tr, va, te = split(data, SplitSpec(seed=0), 0)
+        monkeypatch.setitem(baselines._EXTERNAL, "bad-plugin",
+                            lambda train, val, eval_data, seed:
+                            self.BAD_OUTPUTS[bad](eval_data.n_rows))
+        message = (f"estimator 'bad-plugin' must return {te.n_rows} finite, non-negative "
+                   "scores, one per row of eval_data")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            baseline_relative_prevalence("bad-plugin", tr, va, te, "a", "b")
+
+    def test_registered_estimator_zero_denominator(self, monkeypatch):
+        data = identical_groups_data(n=200, seed=12)
+        tr, va, te = split(data, SplitSpec(seed=0), 0)
+        monkeypatch.setitem(baselines._EXTERNAL, "zero-b",
+                            lambda train, val, eval_data, seed:
+                            eval_data.group_mask("a").astype(float))
+        with pytest.raises(ValueError, match="^mean score in group 'b' is numerically zero$"):
+            baseline_relative_prevalence("zero-b", tr, va, te, "a", "b")
 
     def test_unknown_kind_rejected(self):
         data = identical_groups_data(n=200, seed=13)

@@ -322,6 +322,14 @@ class TestBadOptionValues:
         (["--splits", "0"], "n_repeats must be positive"),
         (["--lambda-grid", ""], "bad --lambda-grid ''; expected comma-separated numbers"),
         (["--lambda-grid", "0.1,-1"], "lambda values must be non-negative"),
+        (["--lambda-grid", "nan"], "lambda_grid must be a non-empty list of finite values"),
+        (["--lambda-grid", "inf"], "lambda_grid must be a non-empty list of finite values"),
+        (["--max-epochs", "0"], "max_epochs and patience must be at least 1"),
+        (["--patience", "0"], "max_epochs and patience must be at least 1"),
+        (["--em-max-iters", "0"], "EM max_iters and inner_epochs must be at least 1"),
+        (["--em-max-iters", "-3"], "EM max_iters and inner_epochs must be at least 1"),
+        (["--em-tol", "-1"], "EM tol must be finite and non-negative"),
+        (["--em-tol", "nan"], "EM tol must be finite and non-negative"),
     ])
     def test_fit(self, runner, tmp_path, args, message):
         data = simulate_small(runner, str(tmp_path / "d.csv"))

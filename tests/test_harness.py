@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from purple import gauss, harness, model, visits
-from purple.baselines import GroupPrevalenceEstimate, register_estimator
+from purple import baselines, gauss, harness, model, visits
 from purple.data import FeatureMatrix, LabeledDataset
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
@@ -181,11 +180,11 @@ class TestRunSuite:
         assert report_json_bytes(run_suite(suite, jobs=1)) == \
             report_json_bytes(run_suite(suite, jobs=4))
 
-    def test_failed_cells_recorded_not_defaulted(self):
+    def test_failed_cells_recorded_not_defaulted(self, monkeypatch):
         def exploding(train, val, eval_data, seed):
             raise ValueError("boom")
 
-        register_estimator("exploding", exploding)
+        monkeypatch.setitem(baselines._EXTERNAL, "exploding", exploding)
         report = run_suite(tiny_suite(methods=("purple", "exploding")))
         assert report.n_failed_cells == 4
         failed = report.result_for("exploding", 0.3)
@@ -210,25 +209,35 @@ class TestRunSuite:
             for s in r["splits"]:
                 assert s["error"] == "ValueError: feature values must be finite"
 
-    def test_negative_plugin_estimate_fails_its_cells(self):
-        def negative(train, val, eval_data, seed):
-            return [GroupPrevalenceEstimate("a", 0.3), GroupPrevalenceEstimate("b", -0.1)]
+    @pytest.mark.parametrize("bad", ["nan", "negative", "short", "2-d"])
+    def test_bad_plugin_scores_fail_their_cells(self, monkeypatch, bad):
+        n_rows = set()
 
-        register_estimator("negative-plugin", negative)
-        report = run_suite(tiny_suite(methods=("negative-plugin",)))
+        def plugin(train, val, eval_data, seed):
+            n_rows.add(eval_data.n_rows)
+            scores = np.full(eval_data.n_rows, 0.2)
+            if bad in ("nan", "negative"):
+                scores[eval_data.group_mask("b")] = np.nan if bad == "nan" else -0.1
+            return {"short": scores[1:], "2-d": scores[:, None]}.get(bad, scores)
+
+        monkeypatch.setitem(baselines._EXTERNAL, "bad-plugin", plugin)
+        report = run_suite(tiny_suite(methods=("bad-plugin",)))
         assert report.n_failed_cells == 4
+        (n_test,) = n_rows  # every test partition has the same size
         for r in report.results:
-            assert r["estimate"] is None
+            assert r["estimate"] is None and r["accuracy_per_split"] == []
             for s in r["splits"]:
-                assert s["error"] == ("ValueError: negative prevalence estimate for "
-                                      "group 'b'")
+                assert s == {"split": s["split"], "error": (
+                    f"ValueError: estimator 'bad-plugin' must return {n_test} finite, "
+                    "non-negative scores, one per row of eval_data")}
+        assert len(results_csv_bytes(report).splitlines()) == 1  # the header alone
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_library_bug_propagates(self, jobs):
+    def test_library_bug_propagates(self, monkeypatch, jobs):
         def buggy(train, val, eval_data, seed):
             raise TypeError("not an estimator failure")
 
-        register_estimator("buggy", buggy)
+        monkeypatch.setitem(baselines._EXTERNAL, "buggy", buggy)
         with pytest.raises(TypeError, match="not an estimator failure"):
             run_suite(tiny_suite(methods=("negative", "buggy")), jobs=jobs)
 

@@ -450,6 +450,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(dict(json.loads(self.OLD_TRAIN), **{key: value}))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lambda_grid": ()}, "lambda_grid must be a non-empty list of finite values"),
+        ({"lambda_grid": (1e-3, float("nan"))},
+         "lambda_grid must be a non-empty list of finite values"),
+        ({"lambda_grid": (float("inf"),)},
+         "lambda_grid must be a non-empty list of finite values"),
+        ({"lambda_grid": (1e-3, -1e-3)}, "lambda values must be non-negative"),
+        ({"max_epochs": 0}, "max_epochs and patience must be at least 1"),
+        ({"patience": 0}, "max_epochs and patience must be at least 1"),
+    ])
+    def test_train_config_rejects_values_no_fit_can_use(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**kwargs)
+
     def test_model_equality_compares_values(self):
         m = PurpleModel(np.array([1.0, 2.0]), 0.5, np.zeros(2), ["a", "b"])
         assert m == PurpleModel.from_dict(m.to_dict())
