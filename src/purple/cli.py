@@ -387,8 +387,10 @@ def benchmark_cmd(suite_name, methods, splits, seed, out, jobs, gauss_n):
                 raise ValueError(f"unknown methods: {unknown}")
         overrides = {}
         if gauss_n:
-            n_a, n_b = (int(x) for x in gauss_n.split(","))
-            overrides["gauss_n"] = (n_a, n_b)
+            try:
+                overrides["gauss_n"] = tuple(int(x) for x in gauss_n.split(","))
+            except ValueError:
+                raise ValueError(f"bad --gauss-n {gauss_n!r}; expected n_a,n_b") from None
         suite = make_suite(suite_name, methods=method_tuple, n_splits=splits,
                            base_seed=seed, **overrides)
     except ValueError as e:

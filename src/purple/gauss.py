@@ -1,10 +1,11 @@
 """Two-group Gaussian synthetic data with group-dependent label frequencies.
 
 Features for each group are isotropic Gaussians; the condition probability
-is a logistic function of the signed distance to a hyperplane through the
-origin; observed labels thin the true labels by a per-group frequency.
-Variants cover separable classes, a sweep over the gap between group means,
-and a controlled breach of the shared-condition-probability assumption.
+is a logistic function of the signed distance to the hyperplane through the
+origin normal to the all-ones vector; observed labels thin the true labels
+by a per-group frequency. Variants cover separable classes, a sweep over the
+gap between group means, and a controlled breach of the shared-condition-
+probability assumption.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class GaussSynthConfig:
     variance: float = 16.0
     n_a: int = 10000
     n_b: int = 20000
-    hyperplane: np.ndarray | None = None  # default: all-ones
     c: dict[str, float] = field(default_factory=lambda: {"a": 0.5, "b": 0.25})
     separable: bool = False
     violation_delta: float = 0.0
@@ -37,15 +37,14 @@ class GaussSynthConfig:
     def __post_init__(self):
         if self.n_dims < 1:
             raise ValueError("n_dims must be at least 1")
+        if self.n_a < 1 or self.n_b < 1:
+            raise ValueError(f"n_a and n_b must be at least 1, got {self.n_a}, {self.n_b}")
         if self.mean_a is None:
             self.mean_a = -np.ones(self.n_dims)
         if self.mean_b is None:
             self.mean_b = np.ones(self.n_dims)
-        if self.hyperplane is None:
-            self.hyperplane = np.ones(self.n_dims)
         self.mean_a = np.asarray(self.mean_a, dtype=np.float64)
         self.mean_b = np.asarray(self.mean_b, dtype=np.float64)
-        self.hyperplane = np.asarray(self.hyperplane, dtype=np.float64)
         if self.variance <= 0:
             raise ValueError("variance must be positive")
         if set(self.c) != {"a", "b"}:
@@ -54,12 +53,9 @@ class GaussSynthConfig:
             raise ValueError("labeling frequencies must lie in [0, 1]")
         if not abs(self.violation_delta) < 1.0:
             raise ValueError("violation_delta must satisfy |delta| < 1")
-        for name, vec in (("mean_a", self.mean_a), ("mean_b", self.mean_b),
-                          ("hyperplane", self.hyperplane)):
+        for name, vec in (("mean_a", self.mean_a), ("mean_b", self.mean_b)):
             if vec.shape != (self.n_dims,):
                 raise ValueError(f"{name} must have length n_dims={self.n_dims}")
-        if not 0.0 < np.linalg.norm(self.hyperplane) < np.inf:  # it divides w.x
-            raise ValueError("hyperplane must have a positive, finite norm")
 
 
 def _streams(seed: int):
@@ -71,7 +67,8 @@ def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
     """Draw one dataset from the generative model.
 
     Row order is group a's block followed by group b's. ``latent_p`` stores
-    the exact per-row condition probability, so s=1 implies y=1 by
+    the exact per-row condition probability, ``sigmoid(w.x / ||w||)`` for
+    the all-ones ``w``, so s=1 implies y=1 by
     construction and the true relative prevalence is recoverable downstream.
     A nonzero ``violation_delta`` breaks the shared condition probability:
     it adds +delta/2 in group a and -delta/2 in group b, clamped to [0, 1].
@@ -86,7 +83,7 @@ def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
     x[:config.n_a] += config.mean_a
     x[config.n_a:] += config.mean_b
 
-    w = config.hyperplane
+    w = np.ones(config.n_dims)
     z = x @ w / np.linalg.norm(w)
     latent_p = _logistic(z)
     if config.violation_delta != 0.0:

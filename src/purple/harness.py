@@ -18,6 +18,7 @@ import io
 import json
 import os
 import zlib
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -40,15 +41,14 @@ from .visits import (
     simulate_labels,
 )
 
-SUITE_NAMES = ("separability", "label-frequency", "covariate-shift", "violation",
-               "semisynth")
-
 # The group names every suite's generators produce: each cell estimates the
 # prevalence of the first relative to the second.
 _PAIR = ("a", "b")
 
-_GAUSS_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=4000, patience=30)
-_SEMISYNTH_TRAIN = TrainConfig(max_epochs=250, patience=10)
+# Settings every suite shares and echoes: the labeling frequencies c_a and c_b
+# (b's is swept by label-frequency and semisynth) and the split fractions.
+_C = {"a": 0.5, "b": 0.25}
+_FRACTIONS = (0.6, 0.2, 0.2)
 
 # Seed-derivation tags; distinct per purpose so streams never collide.
 _TAG_DATA, _TAG_SPLIT, _TAG_CELL, _TAG_CORPUS, _TAG_SYMPTOMS, _TAG_LABELS = range(6)
@@ -79,9 +79,6 @@ class ExperimentSuite:
     base_seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     em: EmConfig = field(default_factory=EmConfig)
-    c_a: float = 0.5
-    c_b: float = 0.25
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     semisynth_scale: SemiSynthScale | None = None
     gauss_n: tuple[int, int] | None = None  # (n_a, n_b) override, mainly for tests
 
@@ -90,6 +87,8 @@ class ExperimentSuite:
             raise ValueError(f"unknown suite {self.name!r}; expected one of {SUITE_NAMES}")
         if self.n_splits < 2:
             raise ValueError("n_splits must be at least 2 for paired t-tests")
+        if self.gauss_n is not None and (len(self.gauss_n) != 2 or min(self.gauss_n) < 1):
+            raise ValueError(f"gauss_n must be two group sizes n_a,n_b >= 1, got {self.gauss_n}")
 
     def config_echo(self) -> dict:
         echo = {
@@ -98,9 +97,9 @@ class ExperimentSuite:
             "sweep_values": [str(v) for v in self.sweep_values],
             "n_splits": self.n_splits,
             "base_seed": self.base_seed,
-            "c_a": self.c_a,
-            "c_b": self.c_b,
-            "fractions": list(self.fractions),
+            "c_a": _C["a"],
+            "c_b": _C["b"],
+            "fractions": list(_FRACTIONS),
             "train": self.train.to_dict(),
             "em": asdict(self.em),
             "accuracy_definition": "abs(ratio_to_true - 1) per split",
@@ -113,32 +112,50 @@ class ExperimentSuite:
         return echo
 
 
+_Suite = namedtuple("_Suite", "methods sweep_values train gauss_config")
+_ALL_METHODS = ("purple", "negative", "em", "supervised")
+_GAUSS_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=4000, patience=30)
 _SEMISYNTH_MODES = ("common", "high-rp", "correlated", "recognized")
 _CB_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# Each suite's default methods, sweep values and training config, and the
+# function that builds one sweep point's GaussSynthConfig (None for the
+# semi-synthetic suite, whose points are ``mode:c_b`` over one visit corpus).
+_SUITES = {
+    "separability": _Suite(
+        _ALL_METHODS, ("nonseparable", "separable"), _GAUSS_TRAIN,
+        lambda v: GaussSynthConfig(c=dict(_C), separable=(v == "separable"))),
+    "label-frequency": _Suite(
+        _ALL_METHODS, _CB_SWEEP, _GAUSS_TRAIN,
+        lambda v: GaussSynthConfig(c=dict(_C, b=float(v)))),
+    "covariate-shift": _Suite(
+        _ALL_METHODS, (-1.0, 0.0, 0.5, 0.75, 1.0), _GAUSS_TRAIN,
+        lambda v: replace(shift_sweep_config(float(v)), c=dict(_C))),
+    # Group a is the advantaged, higher-prevalence group: its mean sits on
+    # the positive side of the hyperplane and it gets the +delta/2 offset.
+    "violation": _Suite(
+        ("purple", "supervised"), (0.0, 0.1, 0.2, 0.3, 0.4), _GAUSS_TRAIN,
+        lambda v: GaussSynthConfig(c=dict(_C), mean_a=np.ones(5), mean_b=-np.ones(5),
+                                   violation_delta=float(v))),
+    "semisynth": _Suite(
+        ("purple", "negative"), tuple(f"{m}:{cb}" for m in _SEMISYNTH_MODES for cb in _CB_SWEEP),
+        TrainConfig(max_epochs=250, patience=10), None),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def make_suite(name: str, methods: tuple[str, ...] | None = None, n_splits: int = 5,
                base_seed: int = 0, **overrides) -> ExperimentSuite:
-    """Construct a suite with its documented default configuration."""
-    if name == "separability":
-        defaults = dict(methods=("purple", "negative", "em", "supervised"),
-                        sweep_values=("nonseparable", "separable"), train=_GAUSS_TRAIN)
-    elif name == "label-frequency":
-        defaults = dict(methods=("purple", "negative", "em", "supervised"),
-                        sweep_values=_CB_SWEEP, train=_GAUSS_TRAIN)
-    elif name == "covariate-shift":
-        defaults = dict(methods=("purple", "negative", "em", "supervised"),
-                        sweep_values=(-1.0, 0.0, 0.5, 0.75, 1.0), train=_GAUSS_TRAIN)
-    elif name == "violation":
-        defaults = dict(methods=("purple", "supervised"),
-                        sweep_values=(0.0, 0.1, 0.2, 0.3, 0.4), train=_GAUSS_TRAIN)
-    elif name == "semisynth":
-        defaults = dict(methods=("purple", "negative"),
-                        sweep_values=tuple(f"{m}:{cb}" for m in _SEMISYNTH_MODES
-                                           for cb in _CB_SWEEP),
-                        train=_SEMISYNTH_TRAIN, semisynth_scale=SemiSynthScale())
-    else:
+    """Construct a suite from its ``_SUITES`` entry (methods, sweep values,
+    training config; a default ``SemiSynthScale`` for ``semisynth``).
+    ``methods`` and any ``ExperimentSuite`` field given by keyword
+    (``sweep_values=``, ``train=``, ``em=``, ``gauss_n=``) replace them."""
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    spec = _SUITES[name]
+    defaults = dict(methods=spec.methods, sweep_values=spec.sweep_values, train=spec.train)
+    if spec.gauss_config is None:
+        defaults["semisynth_scale"] = SemiSynthScale()
     if methods is not None:
         defaults["methods"] = tuple(methods)
     defaults.update(overrides)
@@ -157,21 +174,7 @@ def true_relative_prevalence(data: LabeledDataset, group_a: str, group_b: str) -
 
 
 def _gauss_config_for(suite: ExperimentSuite, sweep_value) -> GaussSynthConfig:
-    c = {"a": suite.c_a, "b": suite.c_b}
-    if suite.name == "separability":
-        cfg = replace(GaussSynthConfig(c=c), separable=(sweep_value == "separable"))
-    elif suite.name == "label-frequency":
-        cfg = GaussSynthConfig(c={"a": suite.c_a, "b": float(sweep_value)})
-    elif suite.name == "covariate-shift":
-        cfg = replace(shift_sweep_config(float(sweep_value)), c=c)
-    elif suite.name == "violation":
-        # Group a is the advantaged, higher-prevalence group: its mean sits on
-        # the positive side of the hyperplane and it gets the +delta/2 offset.
-        base = GaussSynthConfig(c=c)
-        cfg = replace(base, mean_a=np.ones(base.n_dims), mean_b=-np.ones(base.n_dims),
-                      violation_delta=float(sweep_value))
-    else:
-        raise ValueError(f"suite {suite.name!r} is not Gaussian-based")
+    cfg = _SUITES[suite.name].gauss_config(sweep_value)
     if suite.gauss_n is not None:
         cfg = replace(cfg, n_a=suite.gauss_n[0], n_b=suite.gauss_n[1])
     return cfg
@@ -211,25 +214,24 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
     semi-synthetic one, generated once and shared by every symptom mode),
     so sweeps are paired comparisons.
     """
+    if _SUITES[suite.name].gauss_config is not None:
+        data_seed = derive_seed(suite.base_seed, _TAG_DATA)
+        return [(sv, generate_gauss(_gauss_config_for(suite, sv), data_seed))
+                for sv in suite.sweep_values]
+    scale = suite.semisynth_scale or SemiSynthScale()
+    corpus = generate_visit_corpus(scale.n_a, scale.n_b, scale.n_dims,
+                                   mean_active=scale.mean_active,
+                                   seed=derive_seed(suite.base_seed, _TAG_CORPUS))
+    by_mode: dict[str, tuple] = {}
     out = []
-    if suite.name == "semisynth":
-        scale = suite.semisynth_scale or SemiSynthScale()
-        corpus = generate_visit_corpus(scale.n_a, scale.n_b, scale.n_dims,
-                                       mean_active=scale.mean_active,
-                                       seed=derive_seed(suite.base_seed, _TAG_CORPUS))
-        by_mode: dict[str, tuple] = {}
-        for sv in suite.sweep_values:
-            mode, cb_str = str(sv).split(":")
-            if mode not in by_mode:
-                by_mode[mode] = _semisynth_mode_matrix(suite, corpus, mode)
-            visits, group, names, v_sym = by_mode[mode]
-            cfg = SemiSynthConfig(c={"a": suite.c_a, "b": float(cb_str)},
-                                  seed=derive_seed(suite.base_seed, _TAG_LABELS, mode))
-            out.append((sv, simulate_labels(visits, group, names, v_sym, cfg)))
-        return out
-    data_seed = derive_seed(suite.base_seed, _TAG_DATA)
     for sv in suite.sweep_values:
-        out.append((sv, generate_gauss(_gauss_config_for(suite, sv), data_seed)))
+        mode, cb_str = str(sv).split(":")
+        if mode not in by_mode:
+            by_mode[mode] = _semisynth_mode_matrix(suite, corpus, mode)
+        visits, group, names, v_sym = by_mode[mode]
+        cfg = SemiSynthConfig(c=dict(_C, b=float(cb_str)),
+                              seed=derive_seed(suite.base_seed, _TAG_LABELS, mode))
+        out.append((sv, simulate_labels(visits, group, names, v_sym, cfg)))
     return out
 
 
@@ -239,7 +241,7 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
 
 def _run_cell(suite: ExperimentSuite, data: LabeledDataset, sweep_value, split_i: int,
               method: str) -> dict:
-    spec = SplitSpec(suite.fractions,
+    spec = SplitSpec(_FRACTIONS,
                      seed=derive_seed(suite.base_seed, _TAG_SPLIT, str(sweep_value)),
                      n_repeats=suite.n_splits)
     seed = derive_seed(suite.base_seed, _TAG_CELL, str(sweep_value), split_i, method)
@@ -289,34 +291,21 @@ class RunReport:
 
 
 def _aggregate(method: str, sweep_value, true_rp: float, cells: list[dict]) -> dict:
+    """The result entry of one (method, sweep point) from its cells, in split order."""
     ok = [c for c in cells if "error" not in c]
     entry: dict = {
         "method": method,
         "sweep_value": str(sweep_value),
         "true_rp": true_rp,
-        "splits": [],
+        "splits": [c if "error" in c else dict(c, ratio_to_true=c["rp_estimate"] / true_rp)
+                   for c in cells],
+        "estimate": None,
+        "accuracy_per_split": [abs(c["rp_estimate"] / true_rp - 1.0) for c in ok],
     }
-    for c in cells:
-        if "error" in c:
-            entry["splits"].append({"split": c["split"], "error": c["error"]})
-        else:
-            entry["splits"].append({
-                "split": c["split"],
-                "rp_estimate": c["rp_estimate"],
-                "ratio_to_true": c["rp_estimate"] / true_rp,
-                "flags": c["flags"],
-            })
     if ok:
-        est = RelativePrevalenceEstimate.from_splits(
-            *_PAIR, per_split_values=[c["rp_estimate"] for c in ok],
-            true_value=true_rp,
-            flags=sorted({f for c in ok for f in c["flags"]}),
-        )
-        entry["estimate"] = est.to_dict()
-        entry["accuracy_per_split"] = [abs(c["rp_estimate"] / true_rp - 1.0) for c in ok]
-    else:
-        entry["estimate"] = None
-        entry["accuracy_per_split"] = []
+        entry["estimate"] = RelativePrevalenceEstimate.from_splits(
+            *_PAIR, per_split_values=[c["rp_estimate"] for c in ok], true_value=true_rp,
+            flags=sorted({f for c in ok for f in c["flags"]})).to_dict()
     return entry
 
 
@@ -370,35 +359,26 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> RunReport:
 
     Cells are independent; with ``jobs > 1`` they run in a thread pool.
     Per-cell seeds depend only on cell coordinates, so concurrency never
-    changes any result.
+    changes any result. Cells are listed point by point, method by method,
+    split by split, and both paths return them in that order, so each
+    (point, method) entry reads its splits as one contiguous run.
     """
     points = suite_datasets(suite)
-    tasks = [(sv, data, split_i, method)
+    tasks = [(suite, data, sv, split_i, method)
              for sv, data in points
              for method in suite.methods
              for split_i in range(suite.n_splits)]
-
-    def run(task):
-        sv, data, split_i, method = task
-        return _run_cell(suite, data, sv, split_i, method)
-
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cell_results = list(pool.map(run, tasks))
+            cells = list(pool.map(lambda task: _run_cell(*task), tasks))
     else:
-        cell_results = [run(t) for t in tasks]
+        cells = [_run_cell(*task) for task in tasks]
 
-    cells: dict[tuple, list[dict]] = {}
-    for task, res in zip(tasks, cell_results):
-        sv, _, _, method = task
-        cells.setdefault((method, str(sv)), []).append(res)
-
-    true_rp = {str(sv): true_relative_prevalence(data, *_PAIR) for sv, data in points}
+    runs = iter(cells[i:i + suite.n_splits] for i in range(0, len(cells), suite.n_splits))
     results = []
-    for sv, _ in points:
-        for method in suite.methods:
-            cell_list = sorted(cells[(method, str(sv))], key=lambda c: c["split"])
-            results.append(_aggregate(method, sv, true_rp[str(sv)], cell_list))
+    for sv, data in points:
+        true_rp = true_relative_prevalence(data, *_PAIR)
+        results.extend(_aggregate(method, sv, true_rp, next(runs)) for method in suite.methods)
     return RunReport(
         suite=suite.name,
         config=suite.config_echo(),

@@ -456,35 +456,26 @@ def fit(train: LabeledDataset, val: LabeledDataset,
         warnings.warn("training data has no positive observed labels; fit is degenerate",
                       RuntimeWarning, stacklevel=2)
 
-    candidates = []
+    fits, lambda_metrics = [], []
     for lam in config.lambda_grid:
         model, val_ce, trace, epochs, stop = _train_one_lambda(train, val, config, lam)
-        probs = predict_diagnosis(model, val.features, val.group)
         try:
-            val_auc = auc(probs, val.s)
+            val_auc = auc(predict_diagnosis(model, val.features, val.group), val.s)
         except ValueError:
             val_auc = float("nan")
-        candidates.append((model, float(lam), val_auc, val_ce, epochs, trace, stop))
+        fits.append((model, trace))
+        lambda_metrics.append({"lambda": float(lam), "val_auc": val_auc,
+                               "val_cross_entropy": val_ce, "epochs": epochs, "stop": stop})
 
-    def selection_key(cand):
-        _, _, val_auc, val_ce, _, _, _ = cand
-        # Highest AUC wins; cross-entropy breaks ties and covers the
-        # single-class case where AUC is undefined.
-        auc_key = -np.inf if np.isnan(val_auc) else val_auc
-        return (auc_key, -val_ce)
-
-    model, lam, val_auc, val_ce, epochs, trace, _ = max(candidates, key=selection_key)
-    return FitResult(
-        model=model,
-        selected_lambda=lam,
-        val_auc=val_auc,
-        val_cross_entropy=val_ce,
-        epochs_run=epochs,
-        loss_trace=trace,
-        degenerate=degenerate,
-        lambda_metrics=[{"lambda": c[1], "val_auc": c[2], "val_cross_entropy": c[3],
-                         "epochs": c[4], "stop": c[6]} for c in candidates],
-    )
+    # Highest AUC wins; cross-entropy breaks ties and covers the single-class
+    # case where AUC is undefined. The first of equal keys wins.
+    keys = [(-np.inf if np.isnan(m["val_auc"]) else m["val_auc"], -m["val_cross_entropy"])
+            for m in lambda_metrics]
+    best = max(range(len(keys)), key=keys.__getitem__)
+    (model, trace), chosen = fits[best], lambda_metrics[best]
+    return FitResult(model=model, selected_lambda=chosen["lambda"], val_auc=chosen["val_auc"],
+                     val_cross_entropy=chosen["val_cross_entropy"], epochs_run=chosen["epochs"],
+                     loss_trace=trace, degenerate=degenerate, lambda_metrics=lambda_metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,8 @@ class TestBadOptionValues:
         (["--c", "a=0.5"], "c must map exactly the groups 'a' and 'b'"),
         (["--c", "a=x,b=0.2"], "bad labeling frequency 'a=x'; expected name=number"),
         (["--dims", "0"], "n_dims must be at least 1"),
+        (["--n-a", "0"], "n_a and n_b must be at least 1, got 0, 30"),
+        (["--n-a", "0", "--n-b", "0"], "n_a and n_b must be at least 1, got 0, 0"),
     ])
     def test_simulate_gauss(self, runner, tmp_path, args, message):
         out = tmp_path / "d.csv"
@@ -352,6 +354,21 @@ class TestBenchmark:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("gauss_n, message", [
+        ("0,10", "gauss_n must be two group sizes n_a,n_b >= 1, got (0, 10)"),
+        ("-1,300", "gauss_n must be two group sizes n_a,n_b >= 1, got (-1, 300)"),
+        ("1000", "gauss_n must be two group sizes n_a,n_b >= 1, got (1000,)"),
+        ("300,450,600", "gauss_n must be two group sizes n_a,n_b >= 1, got (300, 450, 600)"),
+        ("300,x", "bad --gauss-n '300,x'; expected n_a,n_b"),
+    ])
+    def test_bad_gauss_n_is_one_config_error(self, runner, tmp_path, gauss_n, message):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["benchmark", "--suite", "separability", "--splits", "2",
+                                      "--gauss-n", gauss_n, "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == [f"configuration error: {message}"]
+        assert not out.exists()
+
     def test_small_run_succeeds(self, runner, tmp_path):
         out = str(tmp_path / "bench")
         result = runner.invoke(main, ["benchmark", "--suite", "separability",
@@ -373,3 +390,12 @@ class TestBenchmark:
         assert result.exit_code == 2, result.output
         report = json.loads(open(f"{out}/report.json").read())
         assert report["n_failed_cells"] > 0
+
+    def test_one_row_groups_fail_their_cells(self, runner, tmp_path):
+        out = str(tmp_path / "bench3")
+        result = runner.invoke(main, ["benchmark", "--suite", "separability",
+                                      "--methods", "purple", "--splits", "2",
+                                      "--gauss-n", "1,1", "--out", out])
+        assert result.exit_code == 2, result.output
+        report = json.loads(open(f"{out}/report.json").read())
+        assert report["n_failed_cells"] == 4

@@ -98,13 +98,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_dims must be at least 1"):
             GaussSynthConfig(n_dims=n_dims)
 
-    @pytest.mark.parametrize("hyperplane", [np.zeros(5), np.full(5, 1e-200),
-                                            np.array([1.0, np.nan, 0.0, 0.0, 0.0]),
-                                            np.array([np.inf, 1.0, 0.0, 0.0, 0.0])])
-    def test_hyperplane_without_a_norm_rejected(self, hyperplane):
-        # 1e-200 squared underflows: the norm generate_gauss divides by is 0.
-        with pytest.raises(ValueError, match="hyperplane must have a positive, finite norm"):
-            GaussSynthConfig(hyperplane=hyperplane)
+    @pytest.mark.parametrize("sizes", [{"n_a": 0}, {"n_b": 0}, {"n_a": -1, "n_b": 300}])
+    def test_empty_group_rejected(self, sizes):
+        with pytest.raises(ValueError, match="^n_a and n_b must be at least 1, got "):
+            GaussSynthConfig(**sizes)
 
 
 class TestMakeSeparable:

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from purple import baselines, gauss, harness, model, visits
-from purple.data import FeatureMatrix, LabeledDataset
+from purple.data import FeatureMatrix, LabeledDataset, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
     SUITE_NAMES,
@@ -95,6 +95,11 @@ class TestSuiteConstruction:
         viol = make_suite("violation")
         assert viol.sweep_values == (0.0, 0.1, 0.2, 0.3, 0.4)
 
+    @pytest.mark.parametrize("gauss_n", [(0, 10), (-1, 300), (1000,), (300, 450, 600)])
+    def test_gauss_n_must_be_two_sizes(self, gauss_n):
+        with pytest.raises(ValueError, match=r"^gauss_n must be two group sizes n_a,n_b >= 1"):
+            make_suite("separability", gauss_n=gauss_n)
+
     def test_derive_seed_stable(self):
         assert derive_seed(0, 1, "x") == derive_seed(0, 1, "x")
         assert derive_seed(0, 1, "x") != derive_seed(0, 1, "y")
@@ -146,6 +151,40 @@ class TestSuiteDatasets:
                 a, b = getattr(data, attr), getattr(alone, attr)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (sv, attr)
         assert len(calls) == 1 + len(points)
+
+
+class TestEchoedSettings:
+    """The labeling frequencies and split fractions a report echoes are the
+    ones its data and its cells' splits were made with."""
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_points_and_splits_follow_the_echo(self, monkeypatch, name):
+        size = ({"semisynth_scale": SemiSynthScale(n_a=1500, n_b=3000, n_dims=300)}
+                if name == "semisynth" else {"gauss_n": (300, 450)})
+        suite = make_suite(name, n_splits=2, **size)
+        echo = suite.config_echo()
+        points = suite_datasets(suite)
+        for sv, data in points:
+            # label-frequency sweeps c_b; a semisynth point is "mode:c_b".
+            swept = name in ("label-frequency", "semisynth")
+            c = {"a": echo["c_a"], "b": float(str(sv).split(":")[-1]) if swept else echo["c_b"]}
+            assert data.gen_info["c"] == c, sv
+            for gid, group_name in enumerate(data.group_names):
+                positives = (data.group == gid) & (data.y == 1)
+                rate, want = data.s[positives].mean(), c[group_name]
+                assert abs(rate - want) < 4 * np.sqrt(want * (1 - want) / positives.sum()), sv
+
+        specs = []
+
+        def recording_split(data, spec, i):
+            specs.append(spec)
+            return split(data, spec, i)
+
+        monkeypatch.setattr(harness, "split", recording_split)
+        sv, data = points[0]
+        for i in range(suite.n_splits):
+            assert "error" not in harness._run_cell(suite, data, sv, i, "negative")
+        assert [s.fractions for s in specs] == [tuple(echo["fractions"])] * suite.n_splits
 
 
 class TestRunSuite:
