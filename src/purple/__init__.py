@@ -27,12 +27,7 @@ from .data import (
     split,
     write_dataset,
 )
-from .gauss import (
-    GaussSynthConfig,
-    generate_gauss,
-    make_separable,
-    shift_sweep_config,
-)
+from .gauss import GaussSynthConfig, generate_gauss, make_separable
 from .harness import (
     ExperimentSuite,
     RunReport,
@@ -50,7 +45,6 @@ from .model import (
     fit,
     gradients,
     loss,
-    predict_condition_score,
     predict_diagnosis,
     relative_prevalence,
 )

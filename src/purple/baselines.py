@@ -4,12 +4,13 @@ Each baseline is fit separately on a single group's rows. Every built-in
 estimator, the core method included, scores each row with its own group's
 scorer, a plug-in estimator registered by name returns one score per row,
 and the relative prevalence is ``model.mean_score_ratio`` of those scores;
-for a baseline the group means are its absolute prevalence estimates. All
-baselines use the same linear-plus-sigmoid function class as the core
-estimator, with the labeling-frequency factor frozen at one, and train
-through its solver, ``model._lbfgs_fit``. ``fit_logistic`` supplies only
-the cross-entropy and its gradient and the validation cross-entropy, with
-every sigmoid and softplus from the core model's kernel, ``model._logistic``.
+for a baseline the group means are its absolute prevalence estimates. Every
+baseline scorer is a ``model.LogisticScorer``, the class the core model
+extends: the core estimator's function class with the labeling-frequency
+factor frozen at one. The baselines train through the core solver,
+``model._lbfgs_fit``; ``fit_logistic`` supplies only the cross-entropy and
+its gradient and the validation cross-entropy, with every sigmoid and
+softplus from the core model's kernel, ``model._logistic``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .data import LabeledDataset
 from .model import (
     FitResult,
+    LogisticScorer,
     RelativePrevalenceEstimate,
     TrainConfig,
     _label_cross_entropy,
@@ -35,18 +37,6 @@ from .model import (
 BUILTIN_KINDS = ("negative", "supervised", "em", "purple")
 
 _UNREGULARIZED = TrainConfig(lambda_grid=(0.0,))
-
-
-@dataclass
-class LogisticScorer:
-    w: np.ndarray
-    b: float
-
-    def predict(self, features) -> np.ndarray:
-        return _logistic(_linear(features, np.asarray(self.w, dtype=np.float64), self.b))
-
-    def to_dict(self) -> dict:
-        return {"w": np.asarray(self.w).tolist(), "b": float(self.b)}
 
 
 @dataclass
@@ -108,7 +98,7 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
                                   [residual.mean()]])
 
     def val_loss(p, _):
-        return _label_cross_entropy(_logistic(_linear(val_X, p[:d], p[d])), val_pos)
+        return _label_cross_entropy(LogisticScorer(p[:d], p[d]).predict(val_X), val_pos)
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
     params = _lbfgs_fit(objective, params,
@@ -252,12 +242,11 @@ def group_scores(scorers: dict, data: LabeledDataset) -> np.ndarray:
 
 
 def purple_scorers(result: FitResult, names) -> dict[str, LogisticScorer]:
-    """The core model's one condition scorer ``sigmoid(w.x+b)``, shared by
-    every group in ``names``. A degenerate fit raises ``ValueError``."""
+    """The core model itself, a ``LogisticScorer`` shared by every group in
+    ``names``. A degenerate fit raises ``ValueError``."""
     if result.degenerate:
         raise ValueError("core fit is degenerate (no observed positives in training)")
-    shared = LogisticScorer(result.model.w, result.model.b)
-    return {name: shared for name in names}
+    return {name: result.model for name in names}
 
 
 def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledDataset,

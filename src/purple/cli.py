@@ -175,7 +175,11 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, pool, pick, min_coun
         v_sym = select_correlated_symptoms(visits, anchor_set, top=top or 25)
         visits, v_sym = drop_anchor_features(visits, anchor_set, v_sym)
     else:
-        v_sym = load_symptom_indices(symptoms)
+        try:
+            v_sym = load_symptom_indices(symptoms)
+        except OSError:
+            raise ValueError(f"--symptoms {symptoms!r} is neither a mode (common, high-rp, "
+                             "correlated) nor a readable file") from None
     cfg = SemiSynthConfig(c=_parse_c(c_text), seed=seed)
     data = simulate_labels(visits, group, names, v_sym, cfg)
     write_dataset(data, out)

@@ -10,7 +10,7 @@ probability assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,12 +140,3 @@ def make_separable(data: LabeledDataset) -> LabeledDataset:
     out.gen_info = dict(data.gen_info, separable=True)
     return out
 
-
-def shift_sweep_config(v: float) -> GaussSynthConfig:
-    """Config with group a's mean fixed at -1 and group b's at v * ones.
-
-    ``v = 1`` reproduces the default configuration; ``v = -1`` makes the two
-    group distributions coincide.
-    """
-    cfg = GaussSynthConfig()
-    return replace(cfg, mean_b=float(v) * np.ones(cfg.n_dims))

@@ -27,7 +27,7 @@ import numpy as np
 from ._version import VERSION
 from .baselines import EmConfig, baseline_relative_prevalence
 from .data import LabeledDataset, SplitSpec, split
-from .gauss import GaussSynthConfig, generate_gauss, shift_sweep_config
+from .gauss import GaussSynthConfig, generate_gauss
 from .model import RelativePrevalenceEstimate, TrainConfig, mean_score_ratio
 from .stats import paired_t_test
 from .visits import (
@@ -49,6 +49,8 @@ _PAIR = ("a", "b")
 # (b's is swept by label-frequency and semisynth) and the split fractions.
 _C = {"a": 0.5, "b": 0.25}
 _FRACTIONS = (0.6, 0.2, 0.2)
+# The semisynth suite's ``generate_visit_corpus`` sizes, echoed as semisynth_scale.
+_CORPUS = {"n_a": 7000, "n_b": 14000, "n_dims": 1200, "mean_active": 8.0}
 
 # Seed-derivation tags; distinct per purpose so streams never collide.
 _TAG_DATA, _TAG_SPLIT, _TAG_CELL, _TAG_CORPUS, _TAG_SYMPTOMS, _TAG_LABELS = range(6)
@@ -63,14 +65,6 @@ def derive_seed(*parts) -> int:
 
 
 @dataclass
-class SemiSynthScale:
-    n_a: int = 7000
-    n_b: int = 14000
-    n_dims: int = 1200
-    mean_active: float = 8.0
-
-
-@dataclass
 class ExperimentSuite:
     name: str
     methods: tuple[str, ...]
@@ -79,14 +73,16 @@ class ExperimentSuite:
     base_seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     em: EmConfig = field(default_factory=EmConfig)
-    semisynth_scale: SemiSynthScale | None = None
-    gauss_n: tuple[int, int] | None = None  # (n_a, n_b) override, mainly for tests
+    gauss_n: tuple[int, int] | None = None  # (n_a, n_b) override, Gaussian suites only
 
     def __post_init__(self):
         if self.name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.name!r}; expected one of {SUITE_NAMES}")
         if self.n_splits < 2:
             raise ValueError("n_splits must be at least 2 for paired t-tests")
+        if self.gauss_n is not None and _SUITES[self.name].gauss_config is None:
+            raise ValueError(f"gauss_n sets Gaussian group sizes; suite {self.name!r} "
+                             "has no Gaussian data")
         if self.gauss_n is not None and (len(self.gauss_n) != 2 or min(self.gauss_n) < 1):
             raise ValueError(f"gauss_n must be two group sizes n_a,n_b >= 1, got {self.gauss_n}")
 
@@ -105,8 +101,8 @@ class ExperimentSuite:
             "accuracy_definition": "abs(ratio_to_true - 1) per split",
             "split_stratification": "by group",
         }
-        if self.semisynth_scale is not None:
-            echo["semisynth_scale"] = asdict(self.semisynth_scale)
+        if _SUITES[self.name].gauss_config is None:
+            echo["semisynth_scale"] = dict(_CORPUS)
         if self.gauss_n is not None:
             echo["gauss_n"] = list(self.gauss_n)
         return echo
@@ -120,7 +116,7 @@ _CB_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 # Each suite's default methods, sweep values and training config, and the
 # function that builds one sweep point's GaussSynthConfig (None for the
-# semi-synthetic suite, whose points are ``mode:c_b`` over one visit corpus).
+# semi-synthetic suite, whose points are ``mode:c_b`` over one ``_CORPUS``).
 _SUITES = {
     "separability": _Suite(
         _ALL_METHODS, ("nonseparable", "separable"), _GAUSS_TRAIN,
@@ -128,9 +124,11 @@ _SUITES = {
     "label-frequency": _Suite(
         _ALL_METHODS, _CB_SWEEP, _GAUSS_TRAIN,
         lambda v: GaussSynthConfig(c=dict(_C, b=float(v)))),
+    # Group a's mean stays at -1 and group b's is v times the all-ones vector:
+    # v = -1 makes the two groups coincide, v = 1 is the default config.
     "covariate-shift": _Suite(
         _ALL_METHODS, (-1.0, 0.0, 0.5, 0.75, 1.0), _GAUSS_TRAIN,
-        lambda v: replace(shift_sweep_config(float(v)), c=dict(_C))),
+        lambda v: GaussSynthConfig(c=dict(_C), mean_b=float(v) * np.ones(5))),
     # Group a is the advantaged, higher-prevalence group: its mean sits on
     # the positive side of the hyperplane and it gets the +delta/2 offset.
     "violation": _Suite(
@@ -146,16 +144,13 @@ SUITE_NAMES = tuple(_SUITES)
 
 def make_suite(name: str, methods: tuple[str, ...] | None = None, n_splits: int = 5,
                base_seed: int = 0, **overrides) -> ExperimentSuite:
-    """Construct a suite from its ``_SUITES`` entry (methods, sweep values,
-    training config; a default ``SemiSynthScale`` for ``semisynth``).
-    ``methods`` and any ``ExperimentSuite`` field given by keyword
-    (``sweep_values=``, ``train=``, ``em=``, ``gauss_n=``) replace them."""
+    """Construct a suite from its ``_SUITES`` entry. ``methods`` and the
+    ``ExperimentSuite`` fields given by keyword (``sweep_values=``,
+    ``train=``, ``em=``, ``gauss_n=``) replace the entry's defaults."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     spec = _SUITES[name]
     defaults = dict(methods=spec.methods, sweep_values=spec.sweep_values, train=spec.train)
-    if spec.gauss_config is None:
-        defaults["semisynth_scale"] = SemiSynthScale()
     if methods is not None:
         defaults["methods"] = tuple(methods)
     defaults.update(overrides)
@@ -218,10 +213,7 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
         data_seed = derive_seed(suite.base_seed, _TAG_DATA)
         return [(sv, generate_gauss(_gauss_config_for(suite, sv), data_seed))
                 for sv in suite.sweep_values]
-    scale = suite.semisynth_scale or SemiSynthScale()
-    corpus = generate_visit_corpus(scale.n_a, scale.n_b, scale.n_dims,
-                                   mean_active=scale.mean_active,
-                                   seed=derive_seed(suite.base_seed, _TAG_CORPUS))
+    corpus = generate_visit_corpus(**_CORPUS, seed=derive_seed(suite.base_seed, _TAG_CORPUS))
     by_mode: dict[str, tuple] = {}
     out = []
     for sv in suite.sweep_values:

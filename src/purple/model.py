@@ -1,6 +1,9 @@
 """Core estimator: fit p(s=1|x,g) = sigmoid(w.x+b) * sigmoid(theta_g), then
 read relative prevalences off group means of the condition score.
 
+The fitted ``PurpleModel`` is a ``LogisticScorer``, like every baseline's
+scorer, and takes its condition score from ``LogisticScorer.predict``.
+
 The two factors are individually identified only up to a shared constant,
 which cancels in the ratio of group means, so only ratio-type quantities
 (relative prevalence, labeling-frequency ratios, diagnosis probabilities)
@@ -41,18 +44,34 @@ _MAX_BACKTRACKS = 60
 
 
 @dataclass
-class PurpleModel:
-    """Linear condition scorer plus one labeling-frequency logit per group."""
+class LogisticScorer:
+    """The condition scorer sigmoid(w.x + b) of every fit, the core model's included."""
 
     w: np.ndarray
     b: float
+
+    def __post_init__(self):
+        self.w = np.asarray(self.w, dtype=np.float64)
+        self.b = float(self.b)
+
+    def predict(self, features) -> np.ndarray:
+        """sigmoid(w.x + b) of a feature row, a 2-d array or a FeatureMatrix."""
+        return _logistic(_linear(features, self.w, self.b))
+
+    def to_dict(self) -> dict:
+        return {"w": self.w.tolist(), "b": self.b}
+
+
+@dataclass
+class PurpleModel(LogisticScorer):
+    """The condition scorer plus one labeling-frequency logit per group."""
+
     theta: np.ndarray
     group_names: list[str]
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
+        super().__post_init__()
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        self.b = float(self.b)
         if self.theta.shape != (len(self.group_names),):
             raise ValueError("theta must have one entry per group")
 
@@ -62,12 +81,8 @@ class PurpleModel:
         return _logistic(self.theta)
 
     def to_dict(self) -> dict:
-        return {
-            "w": self.w.tolist(),
-            "b": self.b,
-            "theta": self.theta.tolist(),
-            "group_names": list(self.group_names),
-        }
+        return {**super().to_dict(), "theta": self.theta.tolist(),
+                "group_names": list(self.group_names)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PurpleModel":
@@ -196,21 +211,11 @@ def _linear(features, w: np.ndarray, b: float) -> np.ndarray:
     return arr @ w + b
 
 
-def predict_condition_score(model: PurpleModel, features) -> np.ndarray | float:
-    """sigmoid(w.x + b): the condition likelihood up to a constant factor.
-
-    Accepts a single feature row, a 2-d array, or a FeatureMatrix.
-    """
-    out = _logistic(_linear(features, model.w, model.b))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def predict_diagnosis(model: PurpleModel, features, group) -> np.ndarray | float:
     """sigmoid(w.x + b) * sigmoid(theta_g): the observable diagnosis probability.
 
     ``group`` is either a single group name or an array of per-row group ids.
     """
-    score = predict_condition_score(model, features)
     if isinstance(group, str):
         if group not in model.group_names:
             raise KeyError(f"unknown group {group!r}")
@@ -220,7 +225,7 @@ def predict_diagnosis(model: PurpleModel, features, group) -> np.ndarray | float
         if gid.size and gid.max() >= model.theta.size:
             raise KeyError(f"group id {int(gid.max())} has no theta entry")
         cg = _logistic(model.theta)[gid]
-    return score * cg
+    return model.predict(features) * cg
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,7 @@ def _forward(model: PurpleModel, batch: LabeledDataset):
     """Per-row condition score f, labeling frequency c_g and p = f * c_g."""
     if batch.n_rows == 0:
         raise ValueError("batch must be non-empty")
-    f = _logistic(_linear(batch.features, model.w, model.b))
+    f = model.predict(batch.features)
     cg = _logistic(model.theta)[batch.group]
     return f, cg, f * cg
 
@@ -509,10 +514,10 @@ def mean_score_ratio(scores: np.ndarray, data: LabeledDataset, group_a: str,
     return float(scores[in_a].mean()) / den
 
 
-def relative_prevalence(model: PurpleModel, data: LabeledDataset,
+def relative_prevalence(scorer: LogisticScorer, data: LabeledDataset,
                         group_a: str, group_b: str | None = None) -> float:
     """Estimated prevalence ratio of ``group_a`` against ``group_b``, or
     against every other row when ``group_b`` is None: ``mean_score_ratio``
-    of the condition score."""
-    return mean_score_ratio(predict_condition_score(model, data.features), data,
-                            group_a, group_b)
+    of the condition score of ``scorer``, a ``PurpleModel`` or any other
+    ``LogisticScorer``."""
+    return mean_score_ratio(scorer.predict(data.features), data, group_a, group_b)

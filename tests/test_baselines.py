@@ -237,15 +237,22 @@ class TestEstimatorContract:
         assert baseline_relative_prevalence("purple", tr, va, te, "a", "b",
                                             config=cfg).value == direct
 
+    def test_relative_prevalence_takes_a_baseline_scorer(self):
+        data = identical_groups_data(n=800, seed=3)
+        tr, va, te = split(data, SplitSpec(seed=0), 0)
+        scorer = fit_negative(tr, va, FAST)
+        assert type(scorer) is LogisticScorer
+        for b in ("b", None):
+            assert relative_prevalence(scorer, te, "a", b) == mean_score_ratio(
+                scorer.predict(te.features), te, "a", b)
+
     def test_purple_scorers_share_one_scorer_and_reject_degenerate_fits(self):
         data = generate_gauss(GaussSynthConfig(n_a=200, n_b=300), 10)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
         result = fit_purple(tr, va, TrainConfig(lambda_grid=(0.0,), max_epochs=20))
         scorers = purple_scorers(result, ["a", "b", "c"])
         assert list(scorers) == ["a", "b", "c"]
-        assert scorers["a"] is scorers["b"] is scorers["c"]
-        np.testing.assert_array_equal(scorers["a"].w, result.model.w)
-        assert scorers["a"].b == result.model.b
+        assert scorers["a"] is scorers["b"] is scorers["c"] is result.model
         result.degenerate = True
         with pytest.raises(ValueError, match="^core fit is degenerate"):
             purple_scorers(result, ["a", "b"])

@@ -9,6 +9,14 @@ from purple.baselines import EmConfig, baseline_relative_prevalence
 from purple.cli import main
 from purple.data import SplitSpec, load_dataset, split, write_dataset
 from purple.model import TrainConfig
+from purple.visits import (
+    SemiSynthConfig,
+    drop_anchor_features,
+    load_symptom_indices,
+    select_correlated_symptoms,
+    select_high_rp_symptoms,
+    simulate_labels,
+)
 
 
 @pytest.fixture()
@@ -77,6 +85,60 @@ class TestSimulate:
             "--c", "a=0.4,b=0.4", "--seed", "6", "--out", out])
         assert result.exit_code == 0, result.output
         assert load_dataset(out).n_rows == 400
+
+
+    @staticmethod
+    def semisynth(runner, tmp_path, *args):
+        """``simulate semisynth`` over a small corpus at --c a=0.5,b=0.3 and
+        --seed 4; returns the corpus and the written dataset."""
+        corpus = str(tmp_path / "visits.pu")
+        result = runner.invoke(main, ["simulate", "corpus", "--n-a", "400", "--n-b", "400",
+                                      "--dims", "120", "--seed", "2", "--out", corpus])
+        assert result.exit_code == 0, result.output
+        out = str(tmp_path / "semi.pu")
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus,
+                                      "--c", "a=0.5,b=0.3", "--seed", "4", "--out", out,
+                                      *args])
+        assert result.exit_code == 0, result.output
+        return load_dataset(corpus), load_dataset(out)
+
+    @staticmethod
+    def assert_same_labels(got, visits, base, v_sym):
+        want = simulate_labels(visits, base.group, base.group_names, v_sym,
+                               SemiSynthConfig(c={"a": 0.5, "b": 0.3}, seed=4))
+        np.testing.assert_array_equal(got.features.dense_rows(), want.features.dense_rows())
+        np.testing.assert_array_equal(got.y, want.y)
+        np.testing.assert_array_equal(got.s, want.s)
+        assert got.s.sum() > 0
+
+    def test_semisynth_high_rp_matches_library(self, runner, tmp_path):
+        base, got = self.semisynth(runner, tmp_path, "--symptoms", "high-rp",
+                                   "--group-num", "a", "--group-den", "b",
+                                   "--min-count", "20", "--top", "5")
+        v_sym = select_high_rp_symptoms(base.features, base.group, base.group_names,
+                                        "a", "b", min_count=20, top=5)
+        assert len(v_sym) == 5
+        self.assert_same_labels(got, base.features, base, v_sym)
+
+    def test_semisynth_correlated_matches_library(self, runner, tmp_path):
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("0\n3\n")
+        base, got = self.semisynth(runner, tmp_path, "--symptoms", "correlated",
+                                   "--anchors", str(anchors), "--top", "7")
+        anchor_set = load_symptom_indices(str(anchors))
+        visits, v_sym = drop_anchor_features(
+            base.features, anchor_set, select_correlated_symptoms(base.features, anchor_set,
+                                                                  top=7))
+        assert (len(v_sym), got.n_dims) == (7, 118)
+        self.assert_same_labels(got, visits, base, v_sym)
+
+    def test_semisynth_correlated_requires_anchors(self, runner, tmp_path):
+        simulate_small(runner, str(tmp_path / "d.pu"))
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits",
+                                      str(tmp_path / "d.pu"), "--symptoms", "correlated",
+                                      "--c", "a=0.5,b=0.3", "--out", str(tmp_path / "s.pu")])
+        assert result.exit_code == 2, result.output
+        assert "--symptoms correlated requires --anchors" in result.output
 
 
 METHODS = ["negative", "em", "supervised", "purple"]
@@ -320,6 +382,18 @@ class TestBadOptionValues:
                                       "--c", "a=0.5", "--out", str(tmp_path / "s.pu")])
         self.assert_one_error_line(result, "no labeling frequency for group(s) 'b'")
 
+    @pytest.mark.parametrize("symptoms", ["recognized", "comon"])
+    def test_simulate_semisynth_unknown_symptoms(self, runner, tmp_path, symptoms):
+        data = simulate_small(runner, str(tmp_path / "d.pu"))
+        out = tmp_path / "s.pu"
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", data,
+                                      "--symptoms", symptoms, "--c", "a=0.5,b=0.3",
+                                      "--out", str(out)])
+        self.assert_one_error_line(
+            result, f"--symptoms {symptoms!r} is neither a mode (common, high-rp, "
+                    "correlated) nor a readable file")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--splits", "0"], "n_repeats must be positive"),
         (["--lambda-grid", ""], "bad --lambda-grid ''; expected comma-separated numbers"),
@@ -367,6 +441,16 @@ class TestBenchmark:
                                       "--gauss-n", gauss_n, "--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
         assert result.output.splitlines() == [f"configuration error: {message}"]
+        assert not out.exists()
+
+    def test_gauss_n_refused_for_semisynth(self, runner, tmp_path):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["benchmark", "--suite", "semisynth", "--splits", "2",
+                                      "--gauss-n", "300,450", "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == [
+            "configuration error: gauss_n sets Gaussian group sizes; suite 'semisynth' "
+            "has no Gaussian data"]
         assert not out.exists()
 
     def test_small_run_succeeds(self, runner, tmp_path):

@@ -6,12 +6,7 @@ from scipy.special import expit
 
 from purple.baselines import fit_logistic
 from purple.data import SplitSpec, split, write_dataset
-from purple.gauss import (
-    GaussSynthConfig,
-    generate_gauss,
-    make_separable,
-    shift_sweep_config,
-)
+from purple.gauss import GaussSynthConfig, generate_gauss, make_separable
 from purple.metrics import auc
 from purple.model import TrainConfig
 
@@ -143,26 +138,6 @@ class TestMakeSeparable:
         d2 = make_separable(generate_gauss(GaussSynthConfig(n_a=300, n_b=300), 11))
         np.testing.assert_array_equal(d1.s, d2.s)
         np.testing.assert_array_equal(d1.features.dense_rows(), d2.features.dense_rows())
-
-
-class TestShiftSweep:
-    def test_minus_one_makes_groups_identical(self):
-        cfg = shift_sweep_config(-1.0)
-        np.testing.assert_array_equal(cfg.mean_a, cfg.mean_b)
-
-    def test_plus_one_is_default(self):
-        cfg = shift_sweep_config(1.0)
-        default = GaussSynthConfig()
-        np.testing.assert_array_equal(cfg.mean_a, default.mean_a)
-        np.testing.assert_array_equal(cfg.mean_b, default.mean_b)
-        assert cfg.variance == default.variance
-        assert (cfg.n_a, cfg.n_b) == (default.n_a, default.n_b)
-
-    def test_sweep_enumerates(self):
-        configs = [shift_sweep_config(v) for v in (-1, 0, 0.5, 0.75, 1)]
-        assert len(configs) == 5
-        gaps = [np.linalg.norm(c.mean_b - c.mean_a) for c in configs]
-        assert gaps == sorted(gaps)
 
 
 def violation(cfg: GaussSynthConfig, delta: float, seed: int):

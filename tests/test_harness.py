@@ -12,7 +12,6 @@ from purple.data import FeatureMatrix, LabeledDataset, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.harness import (
     SUITE_NAMES,
-    SemiSynthScale,
     derive_seed,
     emit_report,
     make_suite,
@@ -26,6 +25,7 @@ from purple.model import TrainConfig
 from purple.visits import generate_visit_corpus
 
 TINY_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=250, patience=250)
+SMALL_CORPUS = {"n_a": 1500, "n_b": 3000, "n_dims": 300, "mean_active": 8.0}
 
 
 def tiny_suite(name="label-frequency", methods=("purple", "negative"), **overrides):
@@ -100,9 +100,40 @@ class TestSuiteConstruction:
         with pytest.raises(ValueError, match=r"^gauss_n must be two group sizes n_a,n_b >= 1"):
             make_suite("separability", gauss_n=gauss_n)
 
+    def test_gauss_n_refused_without_gaussian_data(self):
+        with pytest.raises(ValueError, match="^gauss_n sets Gaussian group sizes; "
+                                             "suite 'semisynth' has no Gaussian data$"):
+            make_suite("semisynth", gauss_n=(300, 450))
+
     def test_derive_seed_stable(self):
         assert derive_seed(0, 1, "x") == derive_seed(0, 1, "x")
         assert derive_seed(0, 1, "x") != derive_seed(0, 1, "y")
+
+
+class TestShiftSweep:
+    """The covariate-shift entry's config: group a's mean at -1, group b's
+    at v times the all-ones vector."""
+
+    config = staticmethod(harness._SUITES["covariate-shift"].gauss_config)
+
+    def test_minus_one_makes_groups_identical(self):
+        cfg = self.config(-1.0)
+        np.testing.assert_array_equal(cfg.mean_a, cfg.mean_b)
+
+    def test_plus_one_is_default(self):
+        cfg = self.config(1.0)
+        default = GaussSynthConfig()
+        np.testing.assert_array_equal(cfg.mean_a, default.mean_a)
+        np.testing.assert_array_equal(cfg.mean_b, default.mean_b)
+        assert cfg.variance == default.variance
+        assert (cfg.n_a, cfg.n_b) == (default.n_a, default.n_b)
+        assert cfg.c == default.c
+
+    def test_sweep_enumerates(self):
+        configs = [self.config(v) for v in make_suite("covariate-shift").sweep_values]
+        assert len(configs) == 5
+        gaps = [np.linalg.norm(c.mean_b - c.mean_a) for c in configs]
+        assert gaps == sorted(gaps)
 
 
 class TestSuiteDatasets:
@@ -133,12 +164,12 @@ class TestSuiteDatasets:
             return generate_visit_corpus(*args, **kwargs)
 
         monkeypatch.setattr(harness, "generate_visit_corpus", counting)
+        monkeypatch.setattr(harness, "_CORPUS", SMALL_CORPUS)
         # "correlated" drops columns; the modes after it must still see the
         # whole corpus.
         suite = make_suite("semisynth", n_splits=2,
                            sweep_values=("correlated:0.3", "common:0.3", "high-rp:0.5",
-                                         "recognized:0.9", "common:0.7"),
-                           semisynth_scale=SemiSynthScale(n_a=1500, n_b=3000, n_dims=300))
+                                         "recognized:0.9", "common:0.7"))
         points = suite_datasets(suite)
         assert len(calls) == 1
         for sv, data in points:
@@ -159,11 +190,16 @@ class TestEchoedSettings:
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_points_and_splits_follow_the_echo(self, monkeypatch, name):
-        size = ({"semisynth_scale": SemiSynthScale(n_a=1500, n_b=3000, n_dims=300)}
-                if name == "semisynth" else {"gauss_n": (300, 450)})
-        suite = make_suite(name, n_splits=2, **size)
+        if name == "semisynth":
+            monkeypatch.setattr(harness, "_CORPUS", SMALL_CORPUS)
+            suite = make_suite(name, n_splits=2)
+        else:
+            suite = make_suite(name, n_splits=2, gauss_n=(300, 450))
         echo = suite.config_echo()
         points = suite_datasets(suite)
+        if name == "semisynth":
+            assert echo["semisynth_scale"] == SMALL_CORPUS
+            assert all(data.n_rows == 4500 for _, data in points)
         for sv, data in points:
             # label-frequency sweeps c_b; a semisynth point is "mode:c_b".
             swept = name in ("label-frequency", "semisynth")

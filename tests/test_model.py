@@ -15,17 +15,18 @@ from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import (
     PROB_FLOOR,
     FitResult,
+    LogisticScorer,
     PurpleModel,
     RelativePrevalenceEstimate,
     TrainConfig,
     _label_cross_entropy,
     _lbfgs_fit,
+    _linear,
     _logistic,
     fit,
     gradients,
     loss,
     mean_score_ratio,
-    predict_condition_score,
     predict_diagnosis,
     relative_prevalence,
 )
@@ -55,11 +56,11 @@ class TestLogisticKernel:
 class TestPredict:
     def test_zero_parameters_score_half(self):
         m = PurpleModel(np.zeros(3), 0.0, np.zeros(2), ["a", "b"])
-        assert predict_condition_score(m, np.array([5.0, -2.0, 1.0])) == 0.5
+        assert m.predict(np.array([5.0, -2.0, 1.0])) == 0.5
 
     def test_unit_weight_scores_sigmoid_one(self):
         m = PurpleModel(np.array([1.0, 0.0]), 0.0, np.zeros(1), ["a"])
-        assert predict_condition_score(m, np.array([1.0, 0.0])) == pytest.approx(SIGMOID_1, abs=1e-12)
+        assert m.predict(np.array([1.0, 0.0])) == pytest.approx(SIGMOID_1, abs=1e-12)
 
     def test_monotone_in_projection(self):
         rng = np.random.default_rng(0)
@@ -67,14 +68,24 @@ class TestPredict:
         x = rng.standard_normal((50, 5))
         z = x @ m.w + m.b
         order = np.argsort(z)
-        scores = predict_condition_score(m, x)
+        scores = m.predict(x)
         assert np.all(np.diff(scores[order]) >= 0)
+
+    def test_fitted_model_is_a_logistic_scorer(self):
+        data = generate_gauss(GaussSynthConfig(n_a=200, n_b=300), 4)
+        tr, va, te = split(data, SplitSpec(seed=0), 0)
+        model = fit(tr, va, TrainConfig(lambda_grid=(0.0,), max_epochs=30)).model
+        assert isinstance(model, LogisticScorer)
+        for features in (te.features, te.features.dense_rows(),
+                         FeatureMatrix(sp.csr_matrix(te.features.dense_rows()))):
+            want = _logistic(_linear(features, model.w, model.b))
+            assert model.predict(features).tobytes() == want.tobytes()
 
     def test_diagnosis_limits(self):
         m = PurpleModel(np.array([1.0]), 0.0, np.array([-40.0, 10.0]), ["a", "b"])
         x = np.array([[0.3]])
         assert predict_diagnosis(m, x, "a")[0] == pytest.approx(0.0, abs=1e-12)
-        score = predict_condition_score(m, x)[0]
+        score = m.predict(x)[0]
         assert predict_diagnosis(m, x, "b")[0] == pytest.approx(score, rel=1e-4)
 
     def test_diagnosis_quarter(self):
@@ -558,7 +569,7 @@ class TestRelativePrevalence:
         data = LabeledDataset(FeatureMatrix(x), group, ["a", "b", "c"],
                               np.zeros(60, dtype=np.int8))
         m = random_model(rng, d=4, n_groups=3)
-        scores = predict_condition_score(m, data.features)
+        scores = m.predict(data.features)
         expected = scores[group == 1].mean() / scores[group != 1].mean()
         assert relative_prevalence(m, data, "b") == pytest.approx(expected, rel=1e-12)
 
