@@ -374,7 +374,8 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
 @click.option("--splits", default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--jobs", default=1, show_default=True,
+              help="Worker processes for the suite's cells, started by fork.")
 @click.option("--gauss-n", default=None,
               help="Override the Gaussian suites' group sizes, e.g. 1000,2000.")
 def benchmark_cmd(suite_name, methods, splits, seed, out, jobs, gauss_n):
@@ -397,10 +398,10 @@ def benchmark_cmd(suite_name, methods, splits, seed, out, jobs, gauss_n):
                 raise ValueError(f"bad --gauss-n {gauss_n!r}; expected n_a,n_b") from None
         suite = make_suite(suite_name, methods=method_tuple, n_splits=splits,
                            base_seed=seed, **overrides)
+        report = run_suite(suite, jobs=jobs)
     except ValueError as e:
         click.echo(f"configuration error: {e}", err=True)
         sys.exit(1)
-    report = run_suite(suite, jobs=jobs)
     paths = emit_report(report, out)
     click.echo(f"wrote {paths['report.json']} and {paths['results.csv']}")
     if report.n_failed_cells:

@@ -8,6 +8,13 @@ configuration. A cell whose estimator fails -- raises ``ValueError``
 (``numpy.linalg.LinAlgError`` is one) or ``FloatingPointError`` -- is
 recorded with its error and never defaults to a number; any other
 exception is a bug and propagates out of ``run_suite``.
+
+``run_suite(jobs > 1)`` runs the cells in worker processes started by
+fork. Each worker inherits the suite's generated datasets from the parent,
+so no dataset is pickled: a cell's index goes out and its result dict comes
+back. Cells are mostly Python and small numpy calls that hold the GIL, so
+threads would not run them in parallel. Fork copies only the calling
+thread, so call it from a process that runs no other threads of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import json
 import os
 import zlib
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -346,23 +352,58 @@ def _t_tests_vs_purple(results: list[dict], methods) -> list[dict]:
     return out
 
 
+# The cells of the suite a pool worker runs, inherited from the parent by
+# fork; set in each worker by ``_inherit_tasks`` and never in the parent.
+_TASKS: list = []
+
+
+def _inherit_tasks(tasks: list) -> None:
+    global _TASKS
+    _TASKS = tasks
+
+
+def _run_task(i: int) -> dict:
+    return _run_cell(*_TASKS[i])
+
+
+def _fork_context():
+    """The ``fork`` start method's context: workers must inherit the datasets."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError("jobs > 1 runs cells in processes started by fork, which this "
+                         "platform does not offer; use jobs=1")
+    return multiprocessing.get_context("fork")
+
+
 def run_suite(suite: ExperimentSuite, jobs: int = 1) -> RunReport:
     """Execute every (method, sweep point, split) cell and aggregate.
 
-    Cells are independent; with ``jobs > 1`` they run in a thread pool.
-    Per-cell seeds depend only on cell coordinates, so concurrency never
+    Cells are independent; with ``jobs > 1`` they run in a pool of
+    ``min(jobs, number of cells)`` worker processes started by fork.
+    ``jobs`` below 1, or above 1 on a platform without fork, raises
+    ``ValueError``.
+    Per-cell seeds depend only on cell coordinates, so the pool never
     changes any result. Cells are listed point by point, method by method,
     split by split, and both paths return them in that order, so each
-    (point, method) entry reads its splits as one contiguous run.
+    (point, method) entry reads its splits as one contiguous run. A worker
+    that dies raises ``concurrent.futures.process.BrokenProcessPool``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    context = _fork_context() if jobs > 1 else None
     points = suite_datasets(suite)
     tasks = [(suite, data, sv, split_i, method)
              for sv, data in points
              for method in suite.methods
              for split_i in range(suite.n_splits)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(lambda task: _run_cell(*task), tasks))
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_inherit_tasks,
+                                 initargs=(tasks,)) as pool:
+            cells = list(pool.map(_run_task, range(len(tasks))))
     else:
         cells = [_run_cell(*task) for task in tasks]
 

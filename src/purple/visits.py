@@ -133,6 +133,10 @@ def select_high_rp_symptoms(visits: FeatureMatrix, groups: np.ndarray,
     index.
     """
     groups = np.asarray(groups, dtype=np.int64)
+    for name in (group_num, group_den):
+        if name not in group_names:
+            raise ValueError(f"unknown group {name!r}; the data holds groups "
+                             f"{', '.join(map(repr, group_names))}")
     gi_num = group_names.index(group_num)
     gi_den = group_names.index(group_den)
     mask_num = groups == gi_num

@@ -382,6 +382,15 @@ class TestBadOptionValues:
                                       "--c", "a=0.5", "--out", str(tmp_path / "s.pu")])
         self.assert_one_error_line(result, "no labeling frequency for group(s) 'b'")
 
+    def test_simulate_semisynth_unknown_group(self, runner, tmp_path):
+        data = simulate_small(runner, str(tmp_path / "d.pu"))
+        out = tmp_path / "s.pu"
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", data,
+                                      "--symptoms", "high-rp", "--group-num", "zz",
+                                      "--c", "a=0.5,b=0.3", "--out", str(out)])
+        self.assert_one_error_line(result, "unknown group 'zz'; the data holds groups 'a', 'b'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("symptoms", ["recognized", "comon"])
     def test_simulate_semisynth_unknown_symptoms(self, runner, tmp_path, symptoms):
         data = simulate_small(runner, str(tmp_path / "d.pu"))
@@ -441,6 +450,16 @@ class TestBenchmark:
                                       "--gauss-n", gauss_n, "--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
         assert result.output.splitlines() == [f"configuration error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_one_config_error(self, runner, tmp_path, jobs):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["benchmark", "--suite", "separability", "--splits", "2",
+                                      "--gauss-n", "300,450", "--jobs", jobs, "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == [f"configuration error: jobs must be at least 1, "
+                                              f"got {jobs}"]
         assert not out.exists()
 
     def test_gauss_n_refused_for_semisynth(self, runner, tmp_path):

@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +40,25 @@ def tiny_suite(name="label-frequency", methods=("purple", "negative"), **overrid
     if name == "label-frequency" and "sweep_values" not in defaults:
         defaults["sweep_values"] = (0.3, 0.9)
     return make_suite(name, **defaults)
+
+
+def exploding(train, val, eval_data, seed):
+    raise ValueError("boom")
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with ``TimeoutError`` instead of hanging past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestTrueRelativePrevalence:
@@ -224,6 +248,11 @@ class TestEchoedSettings:
 
 
 class TestRunSuite:
+    @pytest.fixture(autouse=True)
+    def no_worker_outlives_its_call(self):
+        yield
+        assert multiprocessing.active_children() == []
+
     def test_report_structure_and_means(self):
         report = run_suite(tiny_suite())
         assert report.n_failed_cells == 0
@@ -250,15 +279,41 @@ class TestRunSuite:
         assert report_json_bytes(r1) == report_json_bytes(r2)
         assert results_csv_bytes(r1) == results_csv_bytes(r2)
 
-    def test_jobs_do_not_change_results(self):
-        suite = tiny_suite()
-        assert report_json_bytes(run_suite(suite, jobs=1)) == \
-            report_json_bytes(run_suite(suite, jobs=4))
+    def test_jobs_do_not_change_results(self, monkeypatch):
+        monkeypatch.setitem(baselines._EXTERNAL, "exploding", exploding)
+        monkeypatch.setattr(harness, "_CORPUS", SMALL_CORPUS)
+        suites = [tiny_suite(), tiny_suite(methods=("negative", "exploding")),
+                  # CSR data, inherited by the workers
+                  make_suite("semisynth", n_splits=2, train=TINY_TRAIN,
+                             sweep_values=("common:0.3", "high-rp:0.5"))]
+        for suite in suites:
+            reports = [run_suite(suite, jobs=jobs) for jobs in (1, 2, 3)]
+            assert reports[0].n_failed_cells == 4 * ("exploding" in suite.methods)
+            for report in reports[1:]:
+                assert report_json_bytes(report) == report_json_bytes(reports[0])
+                assert results_csv_bytes(report) == results_csv_bytes(reports[0])
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused(self, jobs):
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            run_suite(tiny_suite(), jobs=jobs)
+
+    def test_jobs_need_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ValueError, match="^jobs > 1 runs cells in processes started "
+                                             "by fork, which this platform does not offer"):
+            run_suite(tiny_suite(), jobs=2)
+        run_suite(tiny_suite(methods=("negative",)), jobs=1)
+
+    def test_dead_worker_breaks_the_pool(self, monkeypatch):
+        def dying(train, val, eval_data, seed):
+            os._exit(3)
+
+        monkeypatch.setitem(baselines._EXTERNAL, "dying", dying)
+        with time_limit(60), pytest.raises(BrokenProcessPool):
+            run_suite(tiny_suite(methods=("negative", "dying")), jobs=2)
 
     def test_failed_cells_recorded_not_defaulted(self, monkeypatch):
-        def exploding(train, val, eval_data, seed):
-            raise ValueError("boom")
-
         monkeypatch.setitem(baselines._EXTERNAL, "exploding", exploding)
         report = run_suite(tiny_suite(methods=("purple", "exploding")))
         assert report.n_failed_cells == 4
