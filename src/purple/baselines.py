@@ -10,7 +10,9 @@ extends: the core estimator's function class with the labeling-frequency
 factor frozen at one. The baselines train through the core solver,
 ``model._lbfgs_fit``; ``fit_logistic`` supplies only the cross-entropy and
 its gradient and the validation cross-entropy, with every sigmoid and
-softplus from the core model's kernel, ``model._logistic``.
+softplus from the core model's kernel, ``model._logistic``. The M-steps of
+one EM fit share one L-BFGS memory: the soft targets enter the objective
+linearly, so one M-step's curvature pairs are exact for the next.
 """
 
 from __future__ import annotations
@@ -72,14 +74,17 @@ class EmFit:
 
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
                  init: LogisticScorer | None = None, early_stop: bool = True,
-                 max_epochs: int | None = None) -> LogisticScorer:
+                 max_epochs: int | None = None, memory: list | None = None) -> LogisticScorer:
     """Logistic fit supporting soft training targets in [0, 1], by L-BFGS,
     with early stopping on the cross-entropy against 0/1 ``val_targets``.
 
     With ``early_stop``, a fit stopped by validation cross-entropy or by its
     budget returns its best-validation parameters, and a converged fit its
     optimum; without it, the fit runs to convergence or to ``max_epochs``
-    iterations (used for warm-started M-steps).
+    iterations (used for warm-started M-steps). ``memory`` is the solver's
+    list of curvature pairs (``model._lbfgs_fit``), read at the start and
+    refilled at the end; successive fits that differ only in ``targets``
+    may share one.
     """
     d = train_X.n_dims
     targets = np.asarray(targets, dtype=np.float64)
@@ -104,7 +109,7 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
     params = _lbfgs_fit(objective, params,
                         max_epochs if max_epochs is not None else config.max_epochs,
                         val_loss=val_loss if early_stop else None,
-                        patience=config.patience)[0]
+                        patience=config.patience, memory=memory)[0]
     return LogisticScorer(params[:d], float(params[d]))
 
 
@@ -151,7 +156,9 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     labeling-frequency estimate stabilizes.
 
     The initial scorer is fit against the observed labels and the initial
-    c is twice the observed positive rate (clamped). Non-convergence after
+    c is twice the observed positive rate (clamped). Each M-step starts from
+    the previous scorer and from the L-BFGS memory the previous M-step left;
+    the memory belongs to this fit alone. Non-convergence after
     ``max_iters`` is reported, not masked.
     """
     em_config = em_config or EmConfig()
@@ -163,12 +170,14 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     c_hat = c_init
     scorer = fit_logistic(train.features, s, val.features, val.s, config)
     f = scorer.predict(train.features)
+    memory: list = []
     converged = False
     iters = 0
     for iters in range(1, em_config.max_iters + 1):
         q = em_soft_labels(f, train.s, c_hat)
         scorer = fit_logistic(train.features, q, val.features, val.s, config, init=scorer,
-                              early_stop=False, max_epochs=em_config.inner_epochs)
+                              early_stop=False, max_epochs=em_config.inner_epochs,
+                              memory=memory)
         # The scores of the c update are the next E step's: one pass per iteration.
         f = scorer.predict(train.features)
         c_new = em_update_c(train.s, f)

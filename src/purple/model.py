@@ -17,8 +17,9 @@ orthant steps for the L1 term; its objective is the fused
 ``gradients(..., with_loss=True)``, so each evaluation is one forward pass,
 one ``X.T @ r`` (``FeatureMatrix.rtvec``, which on CSR data reuses a
 transpose built once per matrix) and one log per row for the loss. The
-baselines' logistic fits share the solver: callers pass an objective
-and, for early stopping, a validation loss. Every sigmoid and softplus of a
+baselines' logistic fits share the solver: callers pass an objective,
+for early stopping a validation loss, and for EM's M-steps one curvature
+memory shared through the EM fit. Every sigmoid and softplus of a
 fit, a score or a data generator, the baselines' included, comes from
 ``_logistic``, one numpy kernel built on the vectorised ``exp`` and ``log1p``.
 """
@@ -320,7 +321,7 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
 
 
 def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
-               n_l1: int = 0, val_loss=None, patience: int = 0):
+               n_l1: int = 0, val_loss=None, patience: int = 0, memory: list | None = None):
     """The solver of every fit: L-BFGS with Armijo backtracking on the full
     batch. ``objective(p)`` returns ``(f, g)``; any ``l1 * ||p[:n_l1]||_1``
     term is in ``f`` and enters ``g`` as ``l1 * sign(p)`` with sign(0) = 0,
@@ -336,6 +337,14 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
     ``val_loss``, the returned iterate is always the last and its loss inf.
     Raises ``FloatingPointError`` if the objective or its gradient is not
     finite at ``params``, where no step could ever be accepted.
+
+    ``memory``, if given, is a list of the L-BFGS curvature pairs ``(s, y,
+    1/s.y)``, oldest first. The solver starts from the pairs in it, not from
+    steepest descent, and leaves its own last pairs in it, at most
+    ``_LBFGS_MEMORY``. A pair holds for another objective only if the two
+    differ by a term linear in the parameters, which leaves every gradient
+    difference unchanged, and neither has an L1 term. EM's M-steps are such
+    a sequence. ``memory=None`` and ``memory=[]`` give the same fit.
     """
     def smooth(x, g):  # the gradient without the L1 term
         if not l1:
@@ -355,7 +364,7 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
         raise FloatingPointError("objective or its gradient is not finite at the "
                                  "starting point")
     pg = pseudo(x, g)
-    pairs: list = []
+    pairs: list = [] if memory is None else list(memory)
     best_params, best_loss, bad = x, np.inf, 0
     current, it, stop = np.inf, 0, "budget"
     while it < max_iter:
@@ -400,6 +409,8 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
         if np.max(np.abs(pg)) < _LBFGS_GTOL or decrease < _LBFGS_FTOL:
             stop = "converged"
             break
+    if memory is not None:
+        memory[:] = pairs
     if val_loss is None or stop == "converged":
         return x, current, it, stop
     return best_params, best_loss, it, stop

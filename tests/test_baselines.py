@@ -149,6 +149,12 @@ class TestEmSteps:
             assert 0.0 < c <= 1.0
 
 
+def assert_same_em(first, second):
+    assert (first.c_hat, first.n_iters, first.scorer.b) == (
+        second.c_hat, second.n_iters, second.scorer.b)
+    np.testing.assert_array_equal(first.scorer.w, second.scorer.w)
+
+
 class TestEmFit:
     def test_requires_a_positive(self):
         data = identical_groups_data(c_a=0.0, c_b=0.0, n=200, seed=6)
@@ -173,25 +179,61 @@ class TestEmFit:
         em = fit_em(tr, va, EmConfig(max_iters=2), FAST)
         assert em.c_init == pytest.approx(min(2.0 * tr.s.mean(), 1.0 - 1e-3), abs=1e-12)
 
-    def test_matches_rescoring_every_iteration(self):
-        # The reference EM loop scores the training rows again at each E step.
-        data = identical_groups_data(n=600, seed=16)
-        tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        em_config = EmConfig(max_iters=5)
-        em = fit_em(tr, va, em_config, FAST)
+    @staticmethod
+    def reference_em(tr, va, em_config, memory):
+        """The EM loop written out, scoring the training rows again at each E
+        step. Each M-step gets ``memory``: one list shared by every M-step,
+        or ``None`` for cold M-steps. Returns ``(iterations, c_hat, scorer)``."""
         s = tr.s.astype(np.float64)
         c_hat = min(max(2.0 * float(s.mean()), 1e-3), 1.0 - 1e-3)
         scorer = fit_logistic(tr.features, s, va.features, va.s, FAST)
         for iters in range(1, em_config.max_iters + 1):
             q = em_soft_labels(scorer.predict(tr.features), tr.s, c_hat)
             scorer = fit_logistic(tr.features, q, va.features, va.s, FAST, init=scorer,
-                                  early_stop=False, max_epochs=em_config.inner_epochs)
+                                  early_stop=False, max_epochs=em_config.inner_epochs,
+                                  memory=memory)
             c_new = em_update_c(tr.s, scorer.predict(tr.features))
             delta, c_hat = abs(c_new - c_hat), c_new
             if delta < em_config.tol:
                 break
+        return iters, c_hat, scorer
+
+    def test_matches_rescoring_every_iteration(self):
+        data = identical_groups_data(n=600, seed=16)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        em_config = EmConfig(max_iters=5)
+        em = fit_em(tr, va, em_config, FAST)
+        iters, c_hat, scorer = self.reference_em(tr, va, em_config, memory=[])
         assert (em.n_iters, em.c_hat, em.scorer.b) == (iters, c_hat, scorer.b)
         np.testing.assert_array_equal(em.scorer.w, scorer.w)
+
+    def test_shared_memory_stays_close_to_cold_m_steps(self):
+        # The M-steps share one L-BFGS memory; each still stops inside its
+        # tolerance, so the fit stays close to one whose M-steps start cold.
+        data = identical_groups_data(n=600, seed=16)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        em_config = EmConfig(max_iters=5)
+        em = fit_em(tr, va, em_config, FAST)
+        iters, c_hat, scorer = self.reference_em(tr, va, em_config, memory=None)
+        assert em.n_iters == iters
+        assert abs(em.c_hat - c_hat) < 1e-4
+        np.testing.assert_allclose(np.append(em.scorer.w, em.scorer.b),
+                                   np.append(scorer.w, scorer.b), rtol=0, atol=1e-3)
+
+    def test_fits_share_no_memory(self):
+        # Each fit starts its own memory: a second call repeats the first.
+        data = identical_groups_data(n=800, seed=18)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        assert_same_em(*(fit_em(tr, va, EmConfig(max_iters=4), FAST) for _ in range(2)))
+
+    def test_groups_share_no_memory(self):
+        # A group's EM fit is the same whether or not the other group was fit first.
+        data = identical_groups_data(n=800, seed=19)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        em_config = EmConfig(max_iters=4)
+        both = fit_group_scorers("em", tr, va, [0, 1], FAST, em_config)
+        alone = fit_group_scorers("em", tr, va, [1], FAST, em_config)
+        assert_same_em(both["b"], alone["b"])
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iters": 0}, "EM max_iters and inner_epochs must be at least 1"),

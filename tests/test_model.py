@@ -14,6 +14,7 @@ from purple.data import FeatureMatrix, LabeledDataset, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import (
     PROB_FLOOR,
+    _LBFGS_MEMORY,
     FitResult,
     LogisticScorer,
     PurpleModel,
@@ -305,6 +306,48 @@ class TestLbfgsFit:
         # best at iteration 3, then patience=3 worse iterations
         assert (iters, stop, best) == (6, "early-stopped", 3.0)
         np.testing.assert_array_equal(params, seen[2])
+
+    def test_empty_memory_changes_nothing(self):
+        fg = self.objective(self.train_set(False), 0.0)
+        start = np.zeros(8)
+        cold = _lbfgs_fit(fg, start, 1000)
+        memory = []
+        with_memory = _lbfgs_fit(fg, start, 1000, memory=memory)
+        assert cold[1:] == with_memory[1:] and cold[2] > _LBFGS_MEMORY
+        np.testing.assert_array_equal(cold[0], with_memory[0])
+        assert len(memory) == _LBFGS_MEMORY
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_memory_carries_across_a_linear_shift(self, sparse):
+        # Soft-target logistic objectives, as in EM's M-steps: the targets q
+        # enter mean(softplus(z) - q*z) linearly, so the curvature pairs of
+        # one fit hold for the next.
+        tr = self.train_set(sparse)
+        x, d = tr.features, tr.n_dims
+
+        def soft_target_objective(q):
+            def fg(p):
+                z = _linear(x, p[:d], p[d])
+                sigmoid, softplus = _logistic(z, with_softplus=True)
+                r = sigmoid - q
+                return float(np.mean(softplus - q * z)), np.append(x.rtvec(r) / x.n_rows,
+                                                                 r.mean())
+            return fg
+
+        memory = []
+        first = _lbfgs_fit(soft_target_objective(tr.s.astype(np.float64)), np.zeros(d + 1),
+                           1000, memory=memory)[0]
+        assert 0 < len(memory) <= _LBFGS_MEMORY
+        shifted = soft_target_objective(np.where(tr.s == 1, 1.0, 0.3))
+        cold = _lbfgs_fit(shifted, first, 1000)
+        warm = _lbfgs_fit(shifted, first, 1000, memory=memory)
+        oracle = minimize(shifted, first, jac=True, method="L-BFGS-B",
+                          options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-10})
+        assert cold[3] == warm[3] == "converged"
+        assert warm[2] < cold[2]
+        assert len(memory) <= _LBFGS_MEMORY
+        np.testing.assert_allclose(cold[0], oracle.x, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(warm[0], oracle.x, rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)])
     def test_non_finite_start_raises(self, bad):

@@ -136,6 +136,34 @@ def test_rescaling_features_keeps_the_estimate(seed, scales):
                                relative_prevalence(base.model, te, "a", "b"), rtol=1e-2)
 
 
+def unit_floats(size, low=-1.0, high=1.0):
+    return st.lists(st.floats(low, high), min_size=size, max_size=size).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_soft_targets_do_not_change_gradient_differences(data):
+    """The targets q enter ``fit_logistic``'s objective mean(softplus(z) - q*z)
+    linearly, so the gradient difference between two points, an L-BFGS
+    curvature pair, is the same for any q up to rounding. EM's M-steps share
+    one L-BFGS memory on this ground."""
+    n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 5))
+    x = FeatureMatrix(data.draw(unit_floats(n * d)).reshape(n, d))
+    points = [data.draw(unit_floats(d + 1, -3.0, 3.0)) for _ in range(2)]
+    captured = []
+
+    def capture(objective, params, max_iter, **_):
+        captured.append(objective)
+        return params, np.inf, 0, "budget"
+
+    with mock.patch.object(baselines, "_lbfgs_fit", capture):
+        for _ in range(2):
+            targets = data.draw(unit_floats(n, 0.0, 1.0))
+            baselines.fit_logistic(x, targets, x, targets.round(), TrainConfig())
+    y = [objective(points[1])[1] - objective(points[0])[1] for objective in captured]
+    np.testing.assert_allclose(y[0], y[1], rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Dataset files and splits
 
