@@ -9,15 +9,15 @@ baseline scorer is a ``model.LogisticScorer``, the class the core model
 extends: the core estimator's function class with the labeling-frequency
 factor frozen at one. The baselines train through the core solver,
 ``model._lbfgs_fit``; ``fit_logistic`` supplies only the cross-entropy and
-its gradient and the validation cross-entropy, with every sigmoid and
-softplus from the core model's kernel, ``model._logistic``. The M-steps of
-one EM fit share one L-BFGS memory: the soft targets enter the objective
-linearly, so one M-step's curvature pairs are exact for the next.
+its gradient and, given validation rows, the cross-entropy that stops it
+early, with every sigmoid and softplus from ``model._logistic``. The M-steps
+of one EM fit get no validation rows and share one L-BFGS memory: the soft
+targets enter the objective linearly, so each pair is exact for the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -73,24 +73,19 @@ class EmFit:
 
 
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
-                 init: LogisticScorer | None = None, early_stop: bool = True,
-                 max_epochs: int | None = None, memory: list | None = None) -> LogisticScorer:
-    """Logistic fit supporting soft training targets in [0, 1], by L-BFGS,
-    with early stopping on the cross-entropy against 0/1 ``val_targets``.
+                 init: LogisticScorer | None = None,
+                 memory: list | None = None) -> LogisticScorer:
+    """A ``LogisticScorer`` fit to soft targets in [0, 1] by L-BFGS, within
+    ``config.max_epochs`` iterations.
 
-    With ``early_stop``, a fit stopped by validation cross-entropy or by its
-    budget returns its best-validation parameters, and a converged fit its
-    optimum; without it, the fit runs to convergence or to ``max_epochs``
-    iterations (used for warm-started M-steps). ``memory`` is the solver's
-    list of curvature pairs (``model._lbfgs_fit``), read at the start and
-    refilled at the end; successive fits that differ only in ``targets``
-    may share one.
+    Given validation rows, the fit stops early on the cross-entropy against
+    0/1 ``val_targets``; stopped so or by its budget, it returns its
+    best-validation parameters. With ``val_X=None`` it runs to convergence
+    or to its budget. ``memory`` is the solver's list of curvature pairs
+    (``model._lbfgs_fit``); fits that differ only in ``targets`` may share one.
     """
     d = train_X.n_dims
     targets = np.asarray(targets, dtype=np.float64)
-    val_pos = np.asarray(val_targets) == 1
-    if val_X.n_rows == 0:
-        raise ValueError("validation subset is empty")
 
     def objective(p):
         z = _linear(train_X, p[:d], p[d])
@@ -102,13 +97,17 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
         return f, np.concatenate([train_X.rtvec(residual) / train_X.n_rows,
                                   [residual.mean()]])
 
-    def val_loss(p, _):
-        return _label_cross_entropy(LogisticScorer(p[:d], p[d]).predict(val_X), val_pos)
+    val_loss = None
+    if val_X is not None:
+        if val_X.n_rows == 0:
+            raise ValueError("validation subset is empty")
+        val_pos = np.asarray(val_targets) == 1
+
+        def val_loss(p, _):
+            return _label_cross_entropy(LogisticScorer(p[:d], p[d]).predict(val_X), val_pos)
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
-    params = _lbfgs_fit(objective, params,
-                        max_epochs if max_epochs is not None else config.max_epochs,
-                        val_loss=val_loss if early_stop else None,
+    params = _lbfgs_fit(objective, params, config.max_epochs, val_loss=val_loss,
                         patience=config.patience, memory=memory)[0]
     return LogisticScorer(params[:d], float(params[d]))
 
@@ -156,13 +155,15 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     labeling-frequency estimate stabilizes.
 
     The initial scorer is fit against the observed labels and the initial
-    c is twice the observed positive rate (clamped). Each M-step starts from
-    the previous scorer and from the L-BFGS memory the previous M-step left;
-    the memory belongs to this fit alone. Non-convergence after
+    c is twice the observed positive rate (clamped). Each M-step is a
+    ``fit_logistic`` without validation rows and with ``inner_epochs`` as its
+    budget, started from the previous scorer and from the L-BFGS memory the
+    previous M-step left; the memory belongs to this fit alone. Non-convergence after
     ``max_iters`` is reported, not masked.
     """
     em_config = em_config or EmConfig()
     config = config or _UNREGULARIZED
+    m_step = replace(config, max_epochs=em_config.inner_epochs)
     s = train.s.astype(np.float64)
     if s.sum() == 0:
         raise ValueError("EM requires at least one observed positive")
@@ -171,20 +172,15 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     scorer = fit_logistic(train.features, s, val.features, val.s, config)
     f = scorer.predict(train.features)
     memory: list = []
-    converged = False
-    iters = 0
-    for iters in range(1, em_config.max_iters + 1):
+    for iters in range(1, em_config.max_iters + 1):  # runs at least once: max_iters >= 1
         q = em_soft_labels(f, train.s, c_hat)
-        scorer = fit_logistic(train.features, q, val.features, val.s, config, init=scorer,
-                              early_stop=False, max_epochs=em_config.inner_epochs,
+        scorer = fit_logistic(train.features, q, None, None, m_step, init=scorer,
                               memory=memory)
         # The scores of the c update are the next E step's: one pass per iteration.
         f = scorer.predict(train.features)
         c_new = em_update_c(train.s, f)
-        delta = abs(c_new - c_hat)
-        c_hat = c_new
-        if delta < em_config.tol:
-            converged = True
+        converged, c_hat = abs(c_new - c_hat) < em_config.tol, c_new
+        if converged:
             break
     return EmFit(scorer, c_hat, converged, iters, c_init)
 

@@ -188,17 +188,14 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, pool, pick, min_coun
 
 
 def _train_config(lambda_grid, max_epochs, patience):
-    kwargs = {}
+    kwargs = {k: v for k, v in (("max_epochs", max_epochs), ("patience", patience))
+              if v is not None}
     if lambda_grid is not None:
         try:
             kwargs["lambda_grid"] = tuple(float(x) for x in lambda_grid.split(","))
         except ValueError:
             raise ValueError(f"bad --lambda-grid {lambda_grid!r}; expected comma-separated "
                              "numbers") from None
-    if max_epochs is not None:
-        kwargs["max_epochs"] = max_epochs
-    if patience is not None:
-        kwargs["patience"] = patience
     return TrainConfig(**kwargs)
 
 
@@ -251,9 +248,19 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
     _write_json(payload, out)
 
 
+class _ModelFileObject(dict):
+    """A JSON object of a model file: a missing key is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"model file has no {key!r} entry")
+
+
 def _load_model_file(path: str) -> dict:
+    """A saved model file, its ``train`` entry read as a ``TrainConfig``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh, object_hook=_ModelFileObject)
+    payload["train"] = TrainConfig.from_dict(payload["train"])
+    return payload
 
 
 def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
@@ -359,7 +366,7 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
                      payload["split"]["n_repeats"])
     train, val, test = split(data, spec, split_index)
     report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
-                                     TrainConfig.from_dict(payload["train"]), n_bins=bins,
+                                     payload["train"], n_bins=bins,
                                      ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
     _write_json({"version": VERSION, "model": model_path, "data": data_path,
                  "split_index": split_index, **report.to_dict()}, out)
@@ -386,10 +393,6 @@ def benchmark_cmd(suite_name, methods, splits, seed, out, jobs, gauss_n):
     """
     try:
         method_tuple = tuple(m.strip() for m in methods.split(",")) if methods else None
-        if method_tuple:
-            unknown = [m for m in method_tuple if m not in BUILTIN_KINDS]
-            if unknown:
-                raise ValueError(f"unknown methods: {unknown}")
         overrides = {}
         if gauss_n:
             try:

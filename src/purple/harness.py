@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ._version import VERSION
-from .baselines import EmConfig, baseline_relative_prevalence
+from .baselines import _EXTERNAL, BUILTIN_KINDS, EmConfig, baseline_relative_prevalence
 from .data import LabeledDataset, SplitSpec, split
 from .gauss import GaussSynthConfig, generate_gauss
 from .model import RelativePrevalenceEstimate, TrainConfig, mean_score_ratio
@@ -86,6 +86,10 @@ class ExperimentSuite:
             raise ValueError(f"unknown suite {self.name!r}; expected one of {SUITE_NAMES}")
         if self.n_splits < 2:
             raise ValueError("n_splits must be at least 2 for paired t-tests")
+        unknown = [m for m in self.methods if m not in BUILTIN_KINDS and m not in _EXTERNAL]
+        if unknown:
+            raise ValueError(f"unknown methods: {unknown}; expected one of the built-in or "
+                             f"registered estimators {[*BUILTIN_KINDS, *sorted(_EXTERNAL)]}")
         if self.gauss_n is not None and _SUITES[self.name].gauss_config is None:
             raise ValueError(f"gauss_n sets Gaussian group sizes; suite {self.name!r} "
                              "has no Gaussian data")

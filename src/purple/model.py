@@ -12,11 +12,11 @@ are meaningful outputs.
 Training minimizes the cross-entropy of the analytic model with optional L1
 on the weights, with early stopping on validation cross-entropy, and selects
 across the L1 grid by validation AUC against the observed labels. Every fit
-runs ``_lbfgs_fit`` on the full batch, a numpy L-BFGS that takes OWL-QN
-orthant steps for the L1 term; its objective is the fused
-``gradients(..., with_loss=True)``, so each evaluation is one forward pass,
-one ``X.T @ r`` (``FeatureMatrix.rtvec``, which on CSR data reuses a
-transpose built once per matrix) and one log per row for the loss. The
+runs ``_lbfgs_fit`` on the full batch, a numpy L-BFGS that adds the L1 term
+itself and takes OWL-QN orthant steps for it. Its objective is the smooth,
+fused ``gradients(..., 0.0, with_loss=True)``: one forward pass, one
+``X.T @ r`` (``FeatureMatrix.rtvec``, which on CSR data reuses a transpose
+built once per matrix) and one log per row. The
 baselines' logistic fits share the solver: callers pass an objective,
 for early stopping a validation loss, and for EM's M-steps one curvature
 memory shared through the EM fit. Every sigmoid and softplus of a
@@ -27,7 +27,7 @@ fit, a score or a data generator, the baselines' included, comes from
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -118,14 +118,17 @@ class TrainConfig:
         """Inverse of ``to_dict``. Also reads configs from when fits could run
         minibatch Adam with weight decay: the Adam settings are dropped, and
         ``batch_size``/``weight_decay`` are accepted only at the values that
-        meant a full-batch fit without decay."""
+        meant a full-batch fit without decay; other keys raise ValueError."""
         d = {k: v for k, v in d.items() if k not in ("learning_rate", "adam_eps")}
         for key, plain in (("batch_size", None), ("weight_decay", 0.0)):
             value = d.pop(key, plain)
             if value != plain:
                 raise ValueError(f"unsupported {key}={value!r}: every fit is full batch "
                                  "without weight decay")
-        return cls(**{**d, "lambda_grid": tuple(d["lambda_grid"])})
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown training settings: {unknown}")
+        return cls(**{**d, "lambda_grid": tuple(d.get("lambda_grid", cls.lambda_grid))})
 
 
 @dataclass
@@ -140,16 +143,8 @@ class FitResult:
     lambda_metrics: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "selected_lambda": self.selected_lambda,
-            "val_auc": self.val_auc,
-            "val_cross_entropy": self.val_cross_entropy,
-            "epochs_run": self.epochs_run,
-            "loss_trace": [[e, tl, vl] for e, tl, vl in self.loss_trace],
-            "degenerate": self.degenerate,
-            "lambda_metrics": self.lambda_metrics,
-        }
+        return {**asdict(self), "model": self.model.to_dict(),
+                "loss_trace": [list(t) for t in self.loss_trace]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
@@ -323,10 +318,11 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
 def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
                n_l1: int = 0, val_loss=None, patience: int = 0, memory: list | None = None):
     """The solver of every fit: L-BFGS with Armijo backtracking on the full
-    batch. ``objective(p)`` returns ``(f, g)``; any ``l1 * ||p[:n_l1]||_1``
-    term is in ``f`` and enters ``g`` as ``l1 * sign(p)`` with sign(0) = 0,
-    and is handled by OWL-QN orthant steps (Andrew & Gao 2007), which keep
-    exact zeros.
+    batch of ``f + l1 * ||p[:n_l1]||_1``, where the smooth ``objective(p)``
+    returns ``(f, g)``. The solver adds the L1 term to every ``f`` it
+    compares or hands on, and takes OWL-QN orthant steps for it (Andrew &
+    Gao 2007), which keep exact zeros; its curvature pairs are differences
+    of the smooth ``g``.
 
     With ``val_loss(params, f)``, called at each iteration's iterate, stops
     ``patience`` iterations after the best validation loss. A fit that
@@ -343,23 +339,23 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
     steepest descent, and leaves its own last pairs in it, at most
     ``_LBFGS_MEMORY``. A pair holds for another objective only if the two
     differ by a term linear in the parameters, which leaves every gradient
-    difference unchanged, and neither has an L1 term. EM's M-steps are such
-    a sequence. ``memory=None`` and ``memory=[]`` give the same fit.
+    difference unchanged; EM's M-steps are such a sequence. ``memory=None``
+    and ``memory=[]`` give the same fit.
     """
-    def smooth(x, g):  # the gradient without the L1 term
-        if not l1:
-            return g
-        return np.concatenate([g[:n_l1] - l1 * np.sign(x[:n_l1]), g[n_l1:]])
+    def penalized(x):  # f + l1 * ||x[:n_l1]||_1, and the smooth gradient
+        f, g = objective(x)
+        return f + l1 * float(np.abs(x[:n_l1]).sum()), g
 
     def pseudo(x, g):  # OWL-QN pseudo-gradient: the steepest one-sided slope
         if not l1:
             return g
-        gw = g[:n_l1]  # at w = 0 this is the smooth gradient
+        gw = g[:n_l1]  # at w = 0, shrink the smooth slope by l1 towards 0
         at_zero = np.where(gw + l1 < 0.0, gw + l1, np.where(gw - l1 > 0.0, gw - l1, 0.0))
-        return np.concatenate([np.where(x[:n_l1] == 0.0, at_zero, gw), g[n_l1:]])
+        return np.concatenate([np.where(x[:n_l1] == 0.0, at_zero,
+                                        gw + l1 * np.sign(x[:n_l1])), g[n_l1:]])
 
     x = params
-    f, g = objective(x)
+    f, g = penalized(x)
     if not (np.isfinite(f) and np.isfinite(g).all()):
         raise FloatingPointError("objective or its gradient is not finite at the "
                                  "starting point")
@@ -379,7 +375,7 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
             x_new = x + step * d
             if l1:
                 x_new[:n_l1] = np.where(np.sign(x_new[:n_l1]) == orthant, x_new[:n_l1], 0.0)
-            f_new, g_new = objective(x_new)
+            f_new, g_new = penalized(x_new)
             if f_new <= f + _ARMIJO_C1 * float(pg @ (x_new - x)):
                 break
             step *= 0.5
@@ -390,7 +386,7 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
             stop = "converged"  # no decrease left at float precision
             break
         it += 1
-        s_k, y_k = x_new - x, smooth(x_new, g_new) - smooth(x, g)
+        s_k, y_k = x_new - x, g_new - g
         sy = float(s_k @ y_k)
         if sy > np.finfo(np.float64).eps * float(y_k @ y_k):
             pairs = (pairs + [(s_k, y_k, 1.0 / sy)])[-_LBFGS_MEMORY:]
@@ -418,10 +414,10 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
 
 def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainConfig,
                       lam: float):
-    """One L-BFGS fit at one L1 strength. ``loss_trace`` has one entry
-    ``(iteration, train loss, val cross-entropy)`` per iteration, at the
-    accepted iterate. Returns ``(model, its val cross-entropy, trace,
-    iterations, stop reason)``.
+    """One L-BFGS fit at one L1 strength, which only the solver is given.
+    ``loss_trace`` has one entry ``(iteration, loss(model, train, lam), val
+    cross-entropy)`` per iteration, at the accepted iterate. Returns
+    ``(model, its val cross-entropy, trace, iterations, stop reason)``.
     """
     d = train.n_dims
     val_pos = val.s == 1
@@ -437,7 +433,7 @@ def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainC
         return val_ce
 
     def objective(p):
-        f, gw, gb, gtheta = gradients(model_at(p), train, lam, with_loss=True)
+        f, gw, gb, gtheta = gradients(model_at(p), train, 0.0, with_loss=True)
         return f, np.concatenate([gw, [gb], gtheta])
 
     params, best_ce, n, stop = _lbfgs_fit(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import rel_err
@@ -119,6 +121,38 @@ class TestFitLogisticObjective:
         assert rel_err(g, fd).max() < 1e-6
 
 
+class TestFitLogisticStopping:
+    """A fit stops early exactly when it is given validation rows, and runs
+    at most ``config.max_epochs`` iterations either way."""
+
+    @staticmethod
+    def solver_runs(monkeypatch):
+        """The ``(iterations, stop)`` of every solver run ``fit_logistic`` makes."""
+        solver, runs = baselines._lbfgs_fit, []
+
+        def recording(*args, **kwargs):
+            out = solver(*args, **kwargs)
+            runs.append(out[2:])
+            return out
+
+        monkeypatch.setattr(baselines, "_lbfgs_fit", recording)
+        return runs
+
+    @pytest.mark.parametrize("max_epochs", [1, 5, 400])
+    def test_without_validation_rows_never_stops_early(self, monkeypatch, max_epochs):
+        data = identical_groups_data(n=600, seed=12)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=max_epochs, patience=1)
+        runs = self.solver_runs(monkeypatch)
+        fit_logistic(tr.features, tr.s, va.features, va.s, cfg)
+        fit_logistic(tr.features, tr.s, None, None, cfg)
+        (with_val_iters, with_val_stop), (iters, stop) = runs
+        assert stop != "early-stopped" and iters <= max_epochs
+        assert with_val_iters <= max_epochs
+        if max_epochs == 400:  # the same fit with validation rows does stop early
+            assert with_val_stop == "early-stopped"
+
+
 class TestEmSteps:
     def test_soft_labels_hand_computed(self):
         f = np.array([0.8, 0.3])
@@ -189,9 +223,9 @@ class TestEmFit:
         scorer = fit_logistic(tr.features, s, va.features, va.s, FAST)
         for iters in range(1, em_config.max_iters + 1):
             q = em_soft_labels(scorer.predict(tr.features), tr.s, c_hat)
-            scorer = fit_logistic(tr.features, q, va.features, va.s, FAST, init=scorer,
-                                  early_stop=False, max_epochs=em_config.inner_epochs,
-                                  memory=memory)
+            scorer = fit_logistic(tr.features, q, None, None,
+                                  replace(FAST, max_epochs=em_config.inner_epochs),
+                                  init=scorer, memory=memory)
             c_new = em_update_c(tr.s, scorer.predict(tr.features))
             delta, c_hat = abs(c_new - c_hat), c_new
             if delta < em_config.tol:

@@ -166,6 +166,17 @@ def with_group_names(runner, tmp_path, names):
     return path
 
 
+# Edits that break a saved purple model file, and the one error line each gives.
+BROKEN_MODEL_FILES = {
+    "no-split": (lambda blob: blob.pop("split"), "model file has no 'split' entry"),
+    "no-fits": (lambda blob: blob.pop("fits"), "model file has no 'fits' entry"),
+    "fit-without-split": (lambda blob: blob["fits"][0].pop("split"),
+                          "model file has no 'split' entry"),
+    "unknown-train-key": (lambda blob: blob["train"].update(bogus=1),
+                          "unknown training settings: ['bogus']"),
+}
+
+
 class TestFitEstimateCheck:
     def fit_model(self, runner, tmp_path, method="purple", extra=(), data=None):
         data = data or simulate_small(runner, str(tmp_path / "d.csv"))
@@ -340,6 +351,21 @@ class TestFitEstimateCheck:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
         assert ("Error: group 'a' has single-class observed labels in training; "
                 "its own scorer needs both classes") in result.output
+
+    @pytest.mark.parametrize("case", BROKEN_MODEL_FILES)
+    @pytest.mark.parametrize("command", ["estimate", "check"])
+    def test_malformed_model_file_is_one_error_line(self, runner, tmp_path, command, case):
+        break_file, message = BROKEN_MODEL_FILES[case]
+        data, model = self.fit_model(runner, tmp_path)
+        blob = json.loads(open(model).read())
+        break_file(blob)
+        with open(model, "w") as fh:
+            json.dump(blob, fh)
+        args = (["--pairs", "a:b"] if command == "estimate"
+                else ["--out", str(tmp_path / "checks.json")])
+        result = runner.invoke(main, [command, "--model", model, "--data", data, *args])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == [f"Error: {message}"]
 
     @pytest.mark.parametrize("option", ["--batch-size", "--learning-rate"])
     def test_retired_fit_options_rejected(self, runner, tmp_path, option):

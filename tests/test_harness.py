@@ -129,6 +129,15 @@ class TestSuiteConstruction:
                                              "suite 'semisynth' has no Gaussian data$"):
             make_suite("semisynth", gauss_n=(300, 450))
 
+    def test_unknown_method_refused(self, monkeypatch):
+        # A misspelled method is a configuration error when the suite is made,
+        # not a failed cell of every split; a registered plug-in is accepted.
+        methods = ("purple", "negtive")
+        with pytest.raises(ValueError, match=r"^unknown methods: \['negtive'\]; expected "):
+            make_suite("separability", methods=methods, n_splits=2, gauss_n=(300, 450))
+        monkeypatch.setitem(baselines._EXTERNAL, "negtive", exploding)
+        assert make_suite("separability", methods=methods, n_splits=2).methods == methods
+
     def test_derive_seed_stable(self):
         assert derive_seed(0, 1, "x") == derive_seed(0, 1, "x")
         assert derive_seed(0, 1, "x") != derive_seed(0, 1, "y")

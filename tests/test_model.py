@@ -273,7 +273,7 @@ class TestLbfgsFit:
         fg = self.objective(tr, lam)
         smooth = self.decayed(self.objective(tr, 0.0))
         start = np.zeros(d + 3)
-        params, _, _, stop = _lbfgs_fit(self.decayed(fg), start, 1000, l1=lam, n_l1=d)
+        params, _, _, stop = _lbfgs_fit(smooth, start, 1000, l1=lam, n_l1=d)
 
         def split_objective(q):  # w = u - v with u, v >= 0, so |w| = u + v at the optimum
             f, g = smooth(np.concatenate([q[:d] - q[d:2 * d], q[2 * d:]]))
@@ -291,6 +291,24 @@ class TestLbfgsFit:
         np.testing.assert_allclose(params, np.concatenate([u - v, oracle.x[2 * d:]]),
                                    rtol=0, atol=1e-5)
         assert abs(self.decayed(fg)(params)[0] - oracle.fun) < 1e-9
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_penalty_is_counted_once(self, sparse):
+        # The objective is smooth and the solver adds the L1 term: the value
+        # it hands to val_loss at each iterate is the penalized reference loss.
+        lam, tr = 1e-3, self.train_set(sparse, noise_dims=3)
+        d = tr.n_dims
+        seen = []
+
+        def val_loss(p, f):
+            seen.append((p, f))
+            return f
+
+        _lbfgs_fit(self.objective(tr, 0.0), np.zeros(d + 3), 30, l1=lam, n_l1=d,
+                   val_loss=val_loss, patience=30)
+        assert len(seen) > 10 and any((p[:d] == 0.0).any() for p, _ in seen)
+        for p, f in seen:
+            assert f == loss(PurpleModel(p[:d], p[d], p[d + 1:], tr.group_names), tr, lam)
 
     def test_early_stop_returns_the_best_validation_iterate(self):
         fg = self.objective(self.train_set(False), 0.0)
@@ -456,7 +474,7 @@ class TestLossTrace:
             return PurpleModel(p[:d], p[d], p[d + 1:], tr.group_names)
 
         def objective(p):
-            f, gw, gb, gtheta = gradients(model_at(p), tr, self.LAM, with_loss=True)
+            f, gw, gb, gtheta = gradients(model_at(p), tr, 0.0, with_loss=True)
             return f, np.concatenate([gw, [gb], gtheta])
 
         return [loss(model_at(_lbfgs_fit(objective, start, k, l1=self.LAM, n_l1=d)[0]),
@@ -492,6 +510,11 @@ class TestSerialization:
     OLD_TRAIN = ('{"adam_eps": 1e-08, "batch_size": null, "lambda_grid": [0.01, 0.001, 0.0001, '
                  '1e-05, 1e-06, 0.0], "learning_rate": 0.001, "max_epochs": 500, '
                  '"patience": 10, "weight_decay": 0.0}')
+
+    def test_train_config_defaults_missing_keys_and_refuses_unknown_ones(self):
+        assert TrainConfig.from_dict({"max_epochs": 7}) == TrainConfig(max_epochs=7)
+        with pytest.raises(ValueError, match=r"^unknown training settings: \['bogus'\]$"):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), "bogus": 1})
 
     def test_train_config_reads_older_model_files(self):
         old = json.loads(self.OLD_TRAIN)

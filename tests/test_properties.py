@@ -24,7 +24,8 @@ from purple.cli import main
 from purple.data import (FeatureMatrix, LabeledDataset, ParseError, SplitSpec, load_dataset,
                          split, split_indices, write_dataset)
 from purple.gauss import GaussSynthConfig, generate_gauss
-from purple.model import TrainConfig, fit, relative_prevalence
+from purple.model import (PurpleModel, TrainConfig, _lbfgs_fit, fit, gradients,
+                          relative_prevalence)
 
 CFG = TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=300, patience=10)
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -162,6 +163,35 @@ def test_soft_targets_do_not_change_gradient_differences(data):
             baselines.fit_logistic(x, targets, x, targets.round(), TrainConfig())
     y = [objective(points[1])[1] - objective(points[0])[1] for objective in captured]
     np.testing.assert_allclose(y[0], y[1], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_l1_curvature_pairs_are_smooth_gradient_differences(data):
+    """With an L1 term the solver keeps the objective smooth and adds the
+    penalty itself, so each curvature pair it leaves is exact: ``s`` is the
+    difference of two points the objective was called on, and ``y``, bit for
+    bit, the difference of the smooth gradients there."""
+    n, d = data.draw(st.integers(10, 40)), data.draw(st.integers(1, 4))
+    x = data.draw(unit_floats(n * d, -3.0, 3.0)).reshape(n, d)
+    group = np.arange(n) % 2
+    s = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    batch = LabeledDataset(FeatureMatrix(x), group, ["a", "b"], s)
+    lam = data.draw(st.floats(1e-4, 1e-1))
+    calls = []
+
+    def objective(p):
+        model = PurpleModel(p[:d], p[d], p[d + 1:], batch.group_names)
+        f, gw, gb, gtheta = gradients(model, batch, 0.0, with_loss=True)
+        calls.append((p.copy(), np.concatenate([gw, [gb], gtheta])))
+        return f, calls[-1][1].copy()
+
+    memory = []
+    _lbfgs_fit(objective, np.zeros(d + 3), 30, l1=lam, n_l1=d, memory=memory)
+    assert memory
+    for step, y, _ in memory:
+        assert any(np.array_equal(p1 - p0, step) and np.array_equal(g1 - g0, y)
+                   for p0, g0 in calls for p1, g1 in calls)
 
 
 # ---------------------------------------------------------------------------
