@@ -27,7 +27,7 @@ from .data import (
     split,
     write_dataset,
 )
-from .gauss import GaussSynthConfig, generate_gauss, make_separable
+from .gauss import GaussSynthConfig, generate_gauss
 from .harness import (
     ExperimentSuite,
     RunReport,

@@ -20,7 +20,8 @@ from ._version import VERSION
 from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
                         fit_group_scorers, group_scores, purple_scorers)
 from .checks import assumption_check_report
-from .data import LabeledDataset, SplitSpec, load_dataset, split, split_indices, write_dataset
+from .data import (SPLIT_FRACTIONS, LabeledDataset, SplitSpec, load_dataset, split,
+                   split_indices, write_dataset)
 from .gauss import GaussSynthConfig, generate_gauss
 from .harness import SUITE_NAMES, emit_report, make_suite, run_suite
 from .model import FitResult, TrainConfig, fit as fit_purple, mean_score_ratio
@@ -43,8 +44,11 @@ def _parse_c(text: str) -> dict[str, float]:
             raise click.UsageError(f"bad labeling-frequency entry {part!r}; "
                                    "expected name=value")
         name, value = part.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"labeling frequency for group {name!r} given twice")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise ValueError(f"bad labeling frequency {part!r}; expected name=number") from None
     return out
@@ -171,7 +175,7 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, pool, pick, min_coun
     elif symptoms == "correlated":
         if not anchors:
             raise click.UsageError("--symptoms correlated requires --anchors")
-        anchor_set = load_symptom_indices(anchors, name="anchors")
+        anchor_set = load_symptom_indices(anchors)
         v_sym = select_correlated_symptoms(visits, anchor_set, top=top or 25)
         visits, v_sym = drop_anchor_features(visits, anchor_set, v_sym)
     else:
@@ -239,7 +243,7 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
         "method": method,
         "data": {"path": data_path, "sha256": _file_sha256(data_path),
                  "n_rows": data.n_rows, "n_dims": data.n_dims},
-        "split": {"fractions": list(spec.fractions), "seed": spec.seed,
+        "split": {"fractions": list(SPLIT_FRACTIONS), "seed": spec.seed,
                   "n_repeats": spec.n_repeats},
         "train": config.to_dict(),
         "em": {"max_iters": em_max_iters, "tol": em_tol} if method == "em" else None,
@@ -255,11 +259,35 @@ class _ModelFileObject(dict):
         raise ValueError(f"model file has no {key!r} entry")
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value``, or a ValueError naming the model file entry if it is not a ``kind``."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"model file entry {name!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
 def _load_model_file(path: str) -> dict:
-    """A saved model file, its ``train`` entry read as a ``TrainConfig``."""
+    """A saved model file, its ``train`` entry read as a ``TrainConfig`` and its
+    ``split`` entry as a ``SplitSpec``. Every entry that ``purple estimate``
+    and ``purple check`` read is checked for its JSON type."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh, object_hook=_ModelFileObject)
-    payload["train"] = TrainConfig.from_dict(payload["train"])
+    if not isinstance(payload, dict):
+        raise ValueError("model file must hold a JSON object")
+    _typed(payload["method"], str, "method")
+    _typed(_typed(payload["data"], dict, "data")["sha256"], str, "data.sha256")
+    for i, entry in enumerate(_typed(payload["fits"], list, "fits")):
+        _typed(_typed(entry, dict, f"fits[{i}]")["split"], int, f"fits[{i}].split")
+    stored = _typed(payload["split"], dict, "split")
+    if stored["fractions"] != list(SPLIT_FRACTIONS):
+        raise ValueError(f"model file split fractions {stored['fractions']} differ from "
+                         f"the {list(SPLIT_FRACTIONS)} every split uses")
+    payload["split"] = SplitSpec(_typed(stored["seed"], int, "split.seed"),
+                                 _typed(stored["n_repeats"], int, "split.n_repeats"))
+    payload["train"] = TrainConfig.from_dict(_typed(payload["train"], dict, "train"))
     return payload
 
 
@@ -272,9 +300,7 @@ def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
         raise click.UsageError(
             "data file differs from the one the model was fit on; pass --all-rows "
             "to score every row instead of the held-out test partitions")
-    spec = SplitSpec(tuple(payload["split"]["fractions"]), payload["split"]["seed"],
-                     payload["split"]["n_repeats"])
-    return {i: split_indices(data, spec, i)[2] for i in splits}
+    return {i: split_indices(data, payload["split"], i)[2] for i in splits}
 
 
 def _split_rp(data, rows: np.ndarray, scorers: dict, group_a: str,
@@ -362,9 +388,7 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
     entry = next((f for f in payload["fits"] if f["split"] == split_index), None)
     if entry is None:
         raise click.UsageError(f"model file has no split {split_index}")
-    spec = SplitSpec(tuple(payload["split"]["fractions"]), payload["split"]["seed"],
-                     payload["split"]["n_repeats"])
-    train, val, test = split(data, spec, split_index)
+    train, val, test = split(data, payload["split"], split_index)
     report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
                                      payload["train"], n_bins=bins,
                                      ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)

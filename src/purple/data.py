@@ -21,6 +21,10 @@ from them.
 Group identifiers are stored as dense small integers plus a name table;
 all reports and files use the names. A load builds the table from the
 rows in order of first appearance, so a name with no rows is not kept.
+
+Splits are stratified by group, in the fixed ``SPLIT_FRACTIONS`` (60/20/20)
+train/val/test proportions; a ``SplitSpec`` sets only the seed and the
+number of repeats.
 """
 
 from __future__ import annotations
@@ -150,8 +154,7 @@ class LabeledDataset:
     """Rows of (features, group, observed label s, optional true label y).
 
     ``latent_p`` holds the generator's ground-truth p(y=1|x) and exists only
-    on generated data. ``gen_info`` carries generator provenance (seed and
-    per-group labeling frequencies) needed by downstream transforms.
+    on generated data.
     """
 
     features: FeatureMatrix
@@ -160,7 +163,6 @@ class LabeledDataset:
     s: np.ndarray
     y: np.ndarray | None = None
     latent_p: np.ndarray | None = None
-    gen_info: dict | None = None
 
     def __post_init__(self):
         self.group = np.asarray(self.group, dtype=np.int64)
@@ -211,27 +213,25 @@ class LabeledDataset:
             s=self.s[idx],
             y=None if self.y is None else self.y[idx],
             latent_p=None if self.latent_p is None else self.latent_p[idx],
-            gen_info=self.gen_info,
         )
 
     def present_groups(self) -> list[int]:
         return sorted(np.unique(self.group).tolist())
 
 
+# The train/val/test fractions of every split.
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Deterministic train/val/test splitting, stratified by group."""
+    """Deterministic train/val/test splitting, stratified by group, in the
+    ``SPLIT_FRACTIONS`` proportions."""
 
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     seed: int = 0
     n_repeats: int = 5
 
     def __post_init__(self):
-        f = self.fractions
-        if len(f) != 3 or any(not (0.0 < x < 1.0) for x in f):
-            raise ValueError("fractions must each lie in (0, 1)")
-        if abs(sum(f) - 1.0) > 1e-9:
-            raise ValueError("fractions must sum to 1")
         if self.n_repeats < 1:
             raise ValueError("n_repeats must be positive")
 
@@ -246,7 +246,7 @@ def split_indices(data: LabeledDataset, spec: SplitSpec, repeat_index: int):
     if repeat_index >= spec.n_repeats or repeat_index < 0:
         raise ValueError(f"repeat_index {repeat_index} outside n_repeats {spec.n_repeats}")
     rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), int(repeat_index)]))
-    _, fv, ft = spec.fractions
+    _, fv, ft = SPLIT_FRACTIONS
     train_parts, val_parts, test_parts = [], [], []
     for gid in range(len(data.group_names)):
         rows = np.flatnonzero(data.group == gid)

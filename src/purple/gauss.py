@@ -5,7 +5,7 @@ is a logistic function of the signed distance to the hyperplane through the
 origin normal to the all-ones vector; observed labels thin the true labels
 by a per-group frequency. Variants cover separable classes, a sweep over the
 gap between group means, and a controlled breach of the shared-condition-
-probability assumption.
+probability assumption. A dataset is a pure function of its config and seed.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ class GaussSynthConfig:
                 raise ValueError(f"{name} must have length n_dims={self.n_dims}")
 
 
-def _streams(seed: int):
-    return [np.random.default_rng(np.random.SeedSequence([int(seed), k]))
-            for k in (_STREAM_X, _STREAM_Y, _STREAM_S)]
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 
 
 def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
@@ -72,14 +71,18 @@ def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
     construction and the true relative prevalence is recoverable downstream.
     A nonzero ``violation_delta`` breaks the shared condition probability:
     it adds +delta/2 in group a and -delta/2 in group b, clamped to [0, 1].
+
+    ``separable`` drops the 40% of rows whose ``latent_p`` is closest to 0.5
+    (ties broken by row index). The rest keep their order and their
+    features, ``latent_p`` is thresholded to 0/1, ``y`` equals it, and ``s``
+    is drawn from a sub-stream of its own.
     """
-    rng_x, rng_y, rng_s = _streams(seed)
     n = config.n_a + config.n_b
     group = np.concatenate([np.zeros(config.n_a, dtype=np.int64),
                             np.ones(config.n_b, dtype=np.int64)])
     std = np.sqrt(config.variance)
     # Standard normals first: the x stream is identical across mean/c sweeps.
-    x = rng_x.standard_normal((n, config.n_dims)) * std
+    x = _rng(seed, _STREAM_X).standard_normal((n, config.n_dims)) * std
     x[:config.n_a] += config.mean_a
     x[config.n_a:] += config.mean_b
 
@@ -91,52 +94,17 @@ def generate_gauss(config: GaussSynthConfig, seed: int) -> LabeledDataset:
         latent_p = latent_p + np.where(group == 0, half, -half)
         latent_p = np.clip(latent_p, 0.0, 1.0)
 
-    y = (rng_y.uniform(size=n) < latent_p).astype(np.int8)
-    c_row = np.where(group == 0, config.c["a"], config.c["b"])
-    s = ((rng_s.uniform(size=n) < c_row) & (y == 1)).astype(np.int8)
-
-    data = LabeledDataset(
-        features=FeatureMatrix(x),
-        group=group,
-        group_names=["a", "b"],
-        s=s,
-        y=y,
-        latent_p=latent_p,
-        gen_info={"seed": int(seed), "c": dict(config.c), "separable": False,
-                  "violation_delta": float(config.violation_delta)},
-    )
     if config.separable:
-        data = make_separable(data)
-    return data
-
-
-def make_separable(data: LabeledDataset) -> LabeledDataset:
-    """Collapse condition probabilities to {0, 1} and drop the ambiguous core.
-
-    The 40% of rows with ``latent_p`` closest to 0.5 are removed (ties broken
-    by row index); survivors keep their original order, get ``latent_p``
-    thresholded to 0/1, ``y`` set equal to it, and ``s`` redrawn from a fresh
-    sub-stream of the dataset's recorded seed.
-    """
-    if data.latent_p is None:
-        raise ValueError("make_separable requires latent_p (generated data only)")
-    if data.gen_info is None or "seed" not in data.gen_info or "c" not in data.gen_info:
-        raise ValueError("make_separable requires generator provenance (seed and c)")
-    n = data.n_rows
-    closeness = np.abs(data.latent_p - 0.5)
-    order = np.argsort(closeness, kind="stable")
-    n_drop = int(np.floor(0.4 * n))
-    survivors = np.sort(order[n_drop:])
-
-    out = data.take_rows(survivors)
-    out.latent_p = (out.latent_p > 0.5).astype(np.float64)
-    out.y = out.latent_p.astype(np.int8)
-
-    c_map = data.gen_info["c"]
-    c_row = np.asarray([c_map[name] for name in out.group_names])[out.group]
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(data.gen_info["seed"]), _STREAM_SEPARABLE_S]))
-    out.s = ((rng.uniform(size=out.n_rows) < c_row) & (out.y == 1)).astype(np.int8)
-    out.gen_info = dict(data.gen_info, separable=True)
-    return out
-
+        n_drop = int(np.floor(0.4 * n))
+        keep = np.sort(np.argsort(np.abs(latent_p - 0.5), kind="stable")[n_drop:])
+        x, group = x[keep], group[keep]
+        latent_p = (latent_p[keep] > 0.5).astype(np.float64)
+        y = latent_p.astype(np.int8)
+        rng_s = _rng(seed, _STREAM_SEPARABLE_S)
+    else:
+        y = (_rng(seed, _STREAM_Y).uniform(size=n) < latent_p).astype(np.int8)
+        rng_s = _rng(seed, _STREAM_S)
+    c_row = np.where(group == 0, config.c["a"], config.c["b"])
+    s = ((rng_s.uniform(size=group.size) < c_row) & (y == 1)).astype(np.int8)
+    return LabeledDataset(features=FeatureMatrix(x), group=group, group_names=["a", "b"],
+                          s=s, y=y, latent_p=latent_p)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._version import VERSION
 from .baselines import _EXTERNAL, BUILTIN_KINDS, EmConfig, baseline_relative_prevalence
-from .data import LabeledDataset, SplitSpec, split
+from .data import SPLIT_FRACTIONS, LabeledDataset, SplitSpec, split
 from .gauss import GaussSynthConfig, generate_gauss
 from .model import RelativePrevalenceEstimate, TrainConfig, mean_score_ratio
 from .stats import paired_t_test
@@ -51,10 +51,9 @@ from .visits import (
 # prevalence of the first relative to the second.
 _PAIR = ("a", "b")
 
-# Settings every suite shares and echoes: the labeling frequencies c_a and c_b
-# (b's is swept by label-frequency and semisynth) and the split fractions.
+# The labeling frequencies c_a and c_b every suite shares and echoes (b's is
+# swept by label-frequency and semisynth).
 _C = {"a": 0.5, "b": 0.25}
-_FRACTIONS = (0.6, 0.2, 0.2)
 # The semisynth suite's ``generate_visit_corpus`` sizes, echoed as semisynth_scale.
 _CORPUS = {"n_a": 7000, "n_b": 14000, "n_dims": 1200, "mean_active": 8.0}
 
@@ -105,7 +104,7 @@ class ExperimentSuite:
             "base_seed": self.base_seed,
             "c_a": _C["a"],
             "c_b": _C["b"],
-            "fractions": list(_FRACTIONS),
+            "fractions": list(SPLIT_FRACTIONS),
             "train": self.train.to_dict(),
             "em": asdict(self.em),
             "accuracy_definition": "abs(ratio_to_true - 1) per split",
@@ -205,7 +204,7 @@ def _semisynth_mode_matrix(suite: ExperimentSuite, corpus: tuple, mode: str):
         eligible = np.flatnonzero(counts >= 10)
         rng = np.random.default_rng(np.random.SeedSequence([sym_seed]))
         chosen = rng.choice(eligible, size=min(100, eligible.size), replace=False)
-        v_sym = SymptomSet(tuple(int(i) for i in chosen), name="recognized")
+        v_sym = SymptomSet(tuple(int(i) for i in chosen))
     else:
         raise ValueError(f"unknown symptom-selection mode {mode!r}")
     return visits, group, names, v_sym
@@ -243,8 +242,7 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
 
 def _run_cell(suite: ExperimentSuite, data: LabeledDataset, sweep_value, split_i: int,
               method: str) -> dict:
-    spec = SplitSpec(_FRACTIONS,
-                     seed=derive_seed(suite.base_seed, _TAG_SPLIT, str(sweep_value)),
+    spec = SplitSpec(seed=derive_seed(suite.base_seed, _TAG_SPLIT, str(sweep_value)),
                      n_repeats=suite.n_splits)
     seed = derive_seed(suite.base_seed, _TAG_CELL, str(sweep_value), split_i, method)
     try:

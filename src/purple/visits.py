@@ -4,7 +4,9 @@ A visit matrix is a binary one-hot encoding of codes assigned during a
 visit. Labels are simulated from a chosen set of suspicious symptoms: the
 condition probability is a logistic function of the number of suspicious
 symptoms present, identical across groups, and observed labels thin the
-true labels by a per-group frequency.
+true labels by a per-group frequency. A symptom set is a bare set of
+feature indices, and the labels are a pure function of the visit matrix,
+the set and the ``SemiSynthConfig``.
 
 Note on the probability formula: the condition probability is
 ``sigmoid(k / sqrt(|v_sym|))`` where ``k`` counts the active suspicious
@@ -25,10 +27,9 @@ from .model import _logistic
 
 @dataclass(frozen=True)
 class SymptomSet:
-    """A named set of suspicious feature indices."""
+    """A non-empty set of suspicious feature indices, held sorted."""
 
     indices: tuple[int, ...]
-    name: str = ""
 
     def __post_init__(self):
         idx = tuple(sorted(int(i) for i in self.indices))
@@ -99,7 +100,6 @@ def simulate_labels(visits: FeatureMatrix, groups: np.ndarray, group_names: list
         s=s,
         y=y,
         latent_p=latent_p,
-        gen_info={"seed": int(cfg.seed), "c": dict(cfg.c), "symptoms": v_sym.name},
     )
 
 
@@ -119,7 +119,7 @@ def select_common_symptoms(visits: FeatureMatrix, pool: int = 50, pick: int = 25
     pool_idx = order[:pool]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     chosen = rng.choice(pool_idx, size=pick, replace=False)
-    return SymptomSet(tuple(int(i) for i in chosen), name="common")
+    return SymptomSet(tuple(int(i) for i in chosen))
 
 
 def select_high_rp_symptoms(visits: FeatureMatrix, groups: np.ndarray,
@@ -153,7 +153,7 @@ def select_high_rp_symptoms(visits: FeatureMatrix, groups: np.ndarray,
     ratio = np.where(keep, rate_num / np.where(keep, rate_den, 1.0), -np.inf)
     order = np.lexsort((np.arange(ratio.size), -ratio))
     chosen = [int(i) for i in order if keep[i]][:top]
-    return SymptomSet(tuple(chosen), name="high-rp")
+    return SymptomSet(tuple(chosen))
 
 
 def select_correlated_symptoms(visits: FeatureMatrix, anchor: SymptomSet,
@@ -181,7 +181,7 @@ def select_correlated_symptoms(visits: FeatureMatrix, anchor: SymptomSet,
     chosen = [int(i) for i in order if np.isfinite(ratio[i])][:top]
     if not chosen:
         raise ValueError("no candidate feature outside the anchor set")
-    return SymptomSet(tuple(chosen), name="correlated")
+    return SymptomSet(tuple(chosen))
 
 
 def drop_anchor_features(visits: FeatureMatrix, anchor: SymptomSet,
@@ -191,10 +191,10 @@ def drop_anchor_features(visits: FeatureMatrix, anchor: SymptomSet,
     remapped = tuple(int(index_map[i]) for i in selected.indices)
     if any(i < 0 for i in remapped):
         raise ValueError("selected symptoms overlap the anchor set")
-    return reduced, SymptomSet(remapped, name=selected.name)
+    return reduced, SymptomSet(remapped)
 
 
-def load_symptom_indices(path: str, name: str = "") -> SymptomSet:
+def load_symptom_indices(path: str) -> SymptomSet:
     """Read a newline-separated list of feature indices."""
     indices = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -206,7 +206,7 @@ def load_symptom_indices(path: str, name: str = "") -> SymptomSet:
                 indices.append(int(line))
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: expected an integer index") from None
-    return SymptomSet(tuple(indices), name=name or path)
+    return SymptomSet(tuple(indices))
 
 
 _ZIPF_EXPONENT = 0.9

@@ -174,7 +174,40 @@ BROKEN_MODEL_FILES = {
                           "model file has no 'split' entry"),
     "unknown-train-key": (lambda blob: blob["train"].update(bogus=1),
                           "unknown training settings: ['bogus']"),
+    "other-fractions": (lambda blob: blob["split"].update(fractions=[0.5, 0.25, 0.25]),
+                        "model file split fractions [0.5, 0.25, 0.25] differ from the "
+                        "[0.6, 0.2, 0.2] every split uses"),
 }
+
+
+def _retyped(path: str, value):
+    """A ``break_file`` that sets the entry at a dotted ``path`` to ``value``."""
+    def break_file(blob):
+        *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
+        for key in parents:
+            blob = blob[key]
+        blob[last] = value
+    return break_file
+
+
+# A wrong JSON type in each entry the loader reads.
+BROKEN_MODEL_FILES.update({
+    f"{path}-{type(value).__name__}": (
+        _retyped(path, value),
+        f"model file entry {path.replace('.0', '[0]')!r} must be {kind}")
+    for path, value, kind in [
+        ("method", 1, "a string"),
+        ("data", "d.csv", "an object"),
+        ("data.sha256", None, "a string"),
+        ("fits", {"a": 1}, "a list"),
+        ("fits.0", 1, "an object"),
+        ("fits.0.split", "0", "an integer"),
+        ("fits.0.split", True, "an integer"),
+        ("split", [0], "an object"),
+        ("split.seed", 0.5, "an integer"),
+        ("split.n_repeats", "2", "an integer"),
+        ("train", [], "an object"),
+    ]})
 
 
 class TestFitEstimateCheck:
@@ -367,6 +400,17 @@ class TestFitEstimateCheck:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
         assert result.output.splitlines() == [f"Error: {message}"]
 
+    @pytest.mark.parametrize("command", ["estimate", "check"])
+    def test_model_file_not_an_object_is_one_error_line(self, runner, tmp_path, command):
+        data, model = self.fit_model(runner, tmp_path)
+        with open(model, "w") as fh:
+            fh.write("[]")
+        args = (["--pairs", "a:b"] if command == "estimate"
+                else ["--out", str(tmp_path / "checks.json")])
+        result = runner.invoke(main, [command, "--model", model, "--data", data, *args])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == ["Error: model file must hold a JSON object"]
+
     @pytest.mark.parametrize("option", ["--batch-size", "--learning-rate"])
     def test_retired_fit_options_rejected(self, runner, tmp_path, option):
         data = simulate_small(runner, str(tmp_path / "d.csv"))
@@ -391,6 +435,7 @@ class TestBadOptionValues:
         (["--dims", "0"], "n_dims must be at least 1"),
         (["--n-a", "0"], "n_a and n_b must be at least 1, got 0, 30"),
         (["--n-a", "0", "--n-b", "0"], "n_a and n_b must be at least 1, got 0, 0"),
+        (["--c", "a=0.5,b=0.2,a=0.9"], "labeling frequency for group 'a' given twice"),
     ])
     def test_simulate_gauss(self, runner, tmp_path, args, message):
         out = tmp_path / "d.csv"

@@ -6,7 +6,7 @@ from scipy.special import expit
 
 from purple.baselines import fit_logistic
 from purple.data import SplitSpec, split, write_dataset
-from purple.gauss import GaussSynthConfig, generate_gauss, make_separable
+from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.metrics import auc
 from purple.model import TrainConfig
 
@@ -100,25 +100,37 @@ class TestConfig:
 
 
 class TestMakeSeparable:
+    """``generate_gauss`` with ``separable=True``, checked against the
+    nonseparable draw of the same config and seed."""
+
+    @staticmethod
+    def draws(cfg: GaussSynthConfig, seed: int):
+        """The nonseparable and separable draws, and the index each separable
+        row has in the nonseparable one, found by its feature bytes."""
+        data = generate_gauss(cfg, seed)
+        out = generate_gauss(replace(cfg, separable=True), seed)
+        where = {row.tobytes(): i for i, row in enumerate(data.features.dense_rows())}
+        kept = np.array([where[row.tobytes()] for row in out.features.dense_rows()])
+        return data, out, kept
+
     def test_forty_percent_removed(self):
-        data = generate_gauss(GaussSynthConfig(n_a=5, n_b=5), 0)
-        out = make_separable(data)
+        _, out, _ = self.draws(GaussSynthConfig(n_a=5, n_b=5), 0)
         assert out.n_rows == 6
 
     def test_latent_collapsed_to_indicator(self):
-        out = generate_gauss(GaussSynthConfig(n_a=400, n_b=400, separable=True), 1)
-        assert set(np.unique(out.latent_p)) <= {0.0, 1.0}
+        data, out, kept = self.draws(GaussSynthConfig(n_a=400, n_b=400), 1)
+        np.testing.assert_array_equal(out.latent_p, (data.latent_p[kept] > 0.5).astype(float))
         np.testing.assert_array_equal(out.y, out.latent_p.astype(np.int8))
 
     def test_drops_rows_closest_to_boundary(self):
-        data = generate_gauss(GaussSynthConfig(n_a=500, n_b=500), 2)
-        kept = make_separable(data)
-        closeness = np.sort(np.abs(data.latent_p - 0.5))
-        cutoff = closeness[int(np.floor(0.4 * data.n_rows))]
-        assert np.abs(kept.features.dense_rows() @ np.ones(5)).min() >= 0.0
-        # every kept row was at least as far from 0.5 as the cutoff
-        orig = np.abs(expit(kept.features.dense_rows() @ np.ones(5) / np.sqrt(5)) - 0.5)
-        assert orig.min() >= cutoff - 1e-12
+        for delta in (0.0, 0.3):
+            cfg = GaussSynthConfig(n_a=500, n_b=500, violation_delta=delta)
+            data, out, kept = self.draws(cfg, 2)
+            assert kept.size == data.n_rows - int(np.floor(0.4 * data.n_rows))
+            assert np.all(np.diff(kept) > 0)  # the original order
+            np.testing.assert_array_equal(out.group, data.group[kept])
+            closeness = np.abs(data.latent_p - 0.5)
+            assert closeness[kept].min() >= np.delete(closeness, kept).max()
 
     def test_classes_linearly_separable_by_fit(self):
         data = generate_gauss(GaussSynthConfig(n_a=1500, n_b=3000, separable=True), 0)
@@ -127,15 +139,9 @@ class TestMakeSeparable:
         scorer = fit_logistic(tr.features, tr.y, va.features, va.y, cfg)
         assert auc(scorer.predict(tr.features), tr.y) == 1.0
 
-    def test_requires_latent(self):
-        data = generate_gauss(GaussSynthConfig(n_a=50, n_b=50), 0)
-        data.latent_p = None
-        with pytest.raises(ValueError, match="latent_p"):
-            make_separable(data)
-
     def test_deterministic(self):
-        d1 = make_separable(generate_gauss(GaussSynthConfig(n_a=300, n_b=300), 11))
-        d2 = make_separable(generate_gauss(GaussSynthConfig(n_a=300, n_b=300), 11))
+        d1 = generate_gauss(GaussSynthConfig(n_a=300, n_b=300, separable=True), 11)
+        d2 = generate_gauss(GaussSynthConfig(n_a=300, n_b=300, separable=True), 11)
         np.testing.assert_array_equal(d1.s, d2.s)
         np.testing.assert_array_equal(d1.features.dense_rows(), d2.features.dense_rows())
 

@@ -262,9 +262,8 @@ class TestSymptomFile:
     def test_load(self, tmp_path):
         p = tmp_path / "sym.txt"
         p.write_text("# comment\n3\n1\n7\n")
-        s = load_symptom_indices(str(p), name="fromfile")
+        s = load_symptom_indices(str(p))
         assert s.indices == (1, 3, 7)
-        assert s.name == "fromfile"
 
     def test_bad_line(self, tmp_path):
         p = tmp_path / "sym.txt"
