@@ -32,6 +32,7 @@ from .model import (
     _lbfgs_fit,
     _linear,
     _logistic,
+    _solver_scale,
     fit as fit_purple,
     mean_score_ratio,
 )
@@ -108,7 +109,8 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
     params = _lbfgs_fit(objective, params, config.max_epochs, val_loss=val_loss,
-                        patience=config.patience, memory=memory)[0]
+                        patience=config.patience, memory=memory,
+                        scale=_solver_scale(train_X, 1))[0]
     return LogisticScorer(params[:d], float(params[d]))
 
 

@@ -259,28 +259,72 @@ class _ModelFileObject(dict):
         raise ValueError(f"model file has no {key!r} entry")
 
 
-_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+_NUMBER = (int, float)
+_JSON_TYPES = {str: "a string", int: "an integer", _NUMBER: "a number", bool: "true or false",
+               list: "a list", dict: "an object"}
 
 
-def _typed(value, kind: type, name: str):
-    """``value``, or a ValueError naming the model file entry if it is not a ``kind``."""
-    if not isinstance(value, kind) or isinstance(value, bool):
+def _typed(value, kind, name: str):
+    """``value``, or a ValueError naming the model file entry if it is not a
+    ``kind``, a key of ``_JSON_TYPES``."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"model file entry {name!r} must be {_JSON_TYPES[kind]}")
     return value
 
 
+def _vector(value, name: str) -> np.ndarray:
+    """A model file's list of numbers as a float array."""
+    if not set(map(type, _typed(value, list, name))) <= set(_NUMBER):
+        raise ValueError(f"model file entry {name!r} must be a list of numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _purple_fit(entry: dict, name: str) -> FitResult:
+    """A stored core fit, every entry ``FitResult.from_dict`` reads checked."""
+    model = _typed(entry["model"], dict, f"{name}.model")
+    for key in ("w", "theta"):
+        _vector(model[key], f"{name}.model.{key}")
+    _typed(model["b"], _NUMBER, f"{name}.model.b")
+    for j, group in enumerate(_typed(model["group_names"], list, f"{name}.model.group_names")):
+        _typed(group, str, f"{name}.model.group_names[{j}]")
+    for j, step in enumerate(_typed(entry["loss_trace"], list, f"{name}.loss_trace")):
+        _typed(step, list, f"{name}.loss_trace[{j}]")
+    _typed(entry["degenerate"], bool, f"{name}.degenerate")
+    return FitResult.from_dict(entry)
+
+
+def _baseline_scorers(entry: dict, name: str) -> dict[str, LogisticScorer]:
+    """A stored baseline fit's scorer for each group name."""
+    scorers = {}
+    for group, stored in _typed(entry["scorers"], dict, f"{name}.scorers").items():
+        where = f"{name}.scorers.{group}"
+        _typed(stored, dict, where)
+        scorers[group] = LogisticScorer(_vector(stored["w"], f"{where}.w"),
+                                        _typed(stored["b"], _NUMBER, f"{where}.b"))
+    return scorers
+
+
 def _load_model_file(path: str) -> dict:
-    """A saved model file, its ``train`` entry read as a ``TrainConfig`` and its
-    ``split`` entry as a ``SplitSpec``. Every entry that ``purple estimate``
-    and ``purple check`` read is checked for its JSON type."""
+    """A saved model file, its ``train`` entry read as a ``TrainConfig``, its
+    ``split`` entry as a ``SplitSpec`` and its ``fits`` as a map from split
+    index to that split's fit: a ``FitResult`` for purple, else each group's
+    ``LogisticScorer``. Every entry that ``purple estimate`` and ``purple
+    check`` read is checked for its JSON type."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh, object_hook=_ModelFileObject)
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
-    _typed(payload["method"], str, "method")
+    read_fit = _purple_fit if _typed(payload["method"], str, "method") == "purple" \
+        else _baseline_scorers
     _typed(_typed(payload["data"], dict, "data")["sha256"], str, "data.sha256")
+    fits = {}
     for i, entry in enumerate(_typed(payload["fits"], list, "fits")):
-        _typed(_typed(entry, dict, f"fits[{i}]")["split"], int, f"fits[{i}].split")
+        name = f"fits[{i}]"
+        split_i = _typed(_typed(entry, dict, name)["split"], int, f"{name}.split")
+        if split_i in fits:
+            raise ValueError(f"model file holds two fits of split {split_i}")
+        fits[split_i] = read_fit(entry, name)
+    payload["fits"] = fits
     stored = _typed(payload["split"], dict, "split")
     if stored["fractions"] != list(SPLIT_FRACTIONS):
         raise ValueError(f"model file split fractions {stored['fractions']} differ from "
@@ -293,7 +337,7 @@ def _load_model_file(path: str) -> dict:
 
 def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
     """Rows to score for each stored split: all rows, or its test partition."""
-    splits = [f["split"] for f in payload["fits"]]
+    splits = list(payload["fits"])
     if all_rows:
         return {i: np.arange(data.n_rows) for i in splits}
     if _file_sha256(data_path) != payload["data"]["sha256"]:
@@ -343,13 +387,8 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
     if vs_complement:
         requests.append(("vs-complement", vs_complement.strip(), None))
     rows_by_split = _eval_rows(payload, data, data_path, all_rows)
-    if payload["method"] == "purple":
-        scorers = {f["split"]: purple_scorers(FitResult.from_dict(f), data.group_names)
-                   for f in payload["fits"]}
-    else:
-        scorers = {f["split"]: {name: LogisticScorer(np.asarray(s["w"]), s["b"])
-                                for name, s in f["scorers"].items()}
-                   for f in payload["fits"]}
+    scorers = {i: purple_scorers(fit, data.group_names) if payload["method"] == "purple"
+               else fit for i, fit in payload["fits"].items()}
     for kind, a, b in requests:
         per_split = []
         for split_i, rows in rows_by_split.items():
@@ -385,11 +424,11 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
     if _file_sha256(data_path) != payload["data"]["sha256"]:
         raise click.UsageError("data file differs from the one the model was fit on")
     data = load_dataset(data_path)
-    entry = next((f for f in payload["fits"] if f["split"] == split_index), None)
-    if entry is None:
+    result = payload["fits"].get(split_index)
+    if result is None:
         raise click.UsageError(f"model file has no split {split_index}")
     train, val, test = split(data, payload["split"], split_index)
-    report = assumption_check_report(FitResult.from_dict(entry), train, val, test,
+    report = assumption_check_report(result, train, val, test,
                                      payload["train"], n_bins=bins,
                                      ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
     _write_json({"version": VERSION, "model": model_path, "data": data_path,

@@ -79,6 +79,7 @@ class FeatureMatrix:
         if not np.isfinite(stored).all():
             raise ValueError("feature values must be finite")
         self._t = None  # the transpose, built by the first rtvec
+        self._mean_square = None  # built by the first column_mean_square
 
     @property
     def n_rows(self) -> int:
@@ -116,6 +117,24 @@ class FeatureMatrix:
             self._t = self._m.T.tocsr() if self.is_sparse else self._m.T
         out = self._t @ np.asarray(r, dtype=np.float64)
         return np.asarray(out).ravel()
+
+    def column_mean_square(self) -> np.ndarray:
+        """Mean over rows of each column's squared entries, computed on the
+        first call and kept, like ``rtvec``'s transpose. CSR duplicates are
+        summed first, as the products see them. 0 for a matrix with no rows.
+        """
+        if self._mean_square is None:
+            m = self._m
+            if self.is_sparse:
+                if not m.has_canonical_format:
+                    m = m.copy()
+                    m.sum_duplicates()
+                squares = np.bincount(m.indices, weights=np.square(m.data),
+                                      minlength=self.n_dims)
+            else:
+                squares = np.einsum("ij,ij->j", m, m)
+            self._mean_square = squares / max(self.n_rows, 1)
+        return self._mean_square
 
     def take_rows(self, idx: np.ndarray) -> "FeatureMatrix":
         return FeatureMatrix(self._m[np.asarray(idx)])

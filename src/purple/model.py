@@ -18,8 +18,15 @@ fused ``gradients(..., 0.0, with_loss=True)``: one forward pass, one
 ``X.T @ r`` (``FeatureMatrix.rtvec``, which on CSR data reuses a transpose
 built once per matrix) and one log per row. The
 baselines' logistic fits share the solver: callers pass an objective,
-for early stopping a validation loss, and for EM's M-steps one curvature
-memory shared through the EM fit. Every sigmoid and softplus of a
+for early stopping a validation loss, for EM's M-steps one curvature
+memory shared through the EM fit, and always ``_solver_scale`` of their
+features. That scale makes the solver's initial inverse Hessian the
+diagonal ``gamma * diag(scale)``, not ``gamma * I``; it only shrinks, bringing
+each weight column whose mean square exceeds the intercept's 1 down to it,
+so on binary features it is all ones and a fit is bit-identical to the
+scalar solver's. Full Jacobi scaling, which also enlarges rare columns, was
+rejected: on the semisynth suite it moved per-split ``negative`` estimates
+by up to 40% and added 5% of iterations. Every sigmoid and softplus of a
 fit, a score or a data generator, the baselines' included, comes from
 ``_logistic``, one numpy kernel built on the vectorised ``exp`` and ``log1p``.
 """
@@ -299,24 +306,39 @@ def gradients(model: PurpleModel, batch: LabeledDataset, lam: float, *,
 # Training loop
 
 
-def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+def _solver_scale(features: FeatureMatrix, n_unscaled: int) -> np.ndarray:
+    """The diagonal ``scale`` of ``_lbfgs_fit``'s initial inverse Hessian for
+    parameters ``(w, then n_unscaled others)``: ``1 / max(1, mean_i x_ij^2)``
+    per weight, 1 for the bias and every theta. It only shrinks, so it is
+    exactly 1.0 on binary features and on any column no larger than the
+    intercept."""
+    return np.concatenate([1.0 / np.maximum(features.column_mean_square(), 1.0),
+                           np.ones(n_unscaled)])
+
+
+def _two_loop(g: np.ndarray, pairs, scale: np.ndarray) -> np.ndarray:
     """-H g for the L-BFGS inverse-Hessian estimate H held in ``pairs``,
-    a list of ``(s, y, 1/s.y)`` oldest first."""
+    a list of ``(s, y, 1/s.y)`` oldest first, over the initial matrix
+    ``gamma * diag(scale)``, with ``gamma = s.y / y.(scale*y)`` of the newest
+    pair, or 1 without pairs."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         alphas.append(rho * (s @ q))
         q -= alphas[-1] * y
+    gamma = 1.0
     if pairs:
         s, y, _ = pairs[-1]
-        q *= (s @ y) / (y @ y)
+        gamma = (s @ y) / (y @ (scale * y))
+    q *= gamma * scale
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - rho * (y @ q)) * s
     return -q
 
 
 def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
-               n_l1: int = 0, val_loss=None, patience: int = 0, memory: list | None = None):
+               n_l1: int = 0, val_loss=None, patience: int = 0, memory: list | None = None,
+               scale: np.ndarray | None = None):
     """The solver of every fit: L-BFGS with Armijo backtracking on the full
     batch of ``f + l1 * ||p[:n_l1]||_1``, where the smooth ``objective(p)``
     returns ``(f, g)``. The solver adds the L1 term to every ``f`` it
@@ -341,6 +363,18 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
     differ by a term linear in the parameters, which leaves every gradient
     difference unchanged; EM's M-steps are such a sequence. ``memory=None``
     and ``memory=[]`` give the same fit.
+
+    The initial inverse Hessian is ``gamma * diag(scale)`` (Liu & Nocedal
+    1989), ``gamma`` taken from the newest pair, and the first step and any
+    restart is ``-scale * pg`` cut to length at most 1. ``scale=None`` is
+    all ones, the scalar ``gamma * I``. Callers pass ``_solver_scale``,
+    which brings each weight column larger than the intercept to its
+    curvature scale and leaves smaller ones alone; the pairs stay in the
+    unscaled parameters, so a shared ``memory`` stays exact. Full Jacobi
+    scaling, ``1 / mean square`` on every column, also enlarges rare
+    columns; it was rejected because on the semisynth suite (seed 0) it
+    moved per-split ``negative`` estimates, which stop early and so keep
+    the solver's path, by up to 40%, and added 5% of iterations.
     """
     def penalized(x):  # f + l1 * ||x[:n_l1]||_1, and the smooth gradient
         f, g = objective(x)
@@ -360,11 +394,12 @@ def _lbfgs_fit(objective, params: np.ndarray, max_iter: int, *, l1: float = 0.0,
         raise FloatingPointError("objective or its gradient is not finite at the "
                                  "starting point")
     pg = pseudo(x, g)
+    scale = np.ones_like(x) if scale is None else scale
     pairs: list = [] if memory is None else list(memory)
     best_params, best_loss, bad = x, np.inf, 0
     current, it, stop = np.inf, 0, "budget"
     while it < max_iter:
-        d = _two_loop(pg, pairs)
+        d = _two_loop(pg, pairs, scale)
         if l1:  # keep only the components that descend along -pg
             d[:n_l1] = np.where(d[:n_l1] * pg[:n_l1] < 0.0, d[:n_l1], 0.0)
             orthant = np.where(x[:n_l1] != 0.0, np.sign(x[:n_l1]), -np.sign(pg[:n_l1]))
@@ -438,7 +473,8 @@ def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainC
 
     params, best_ce, n, stop = _lbfgs_fit(
         objective, np.zeros(d + 1 + len(train.group_names)), config.max_epochs,
-        l1=lam, n_l1=d, val_loss=record, patience=config.patience)
+        l1=lam, n_l1=d, val_loss=record, patience=config.patience,
+        scale=_solver_scale(train.features, 1 + len(train.group_names)))
     return model_at(params), best_ce, trace, n, stop
 
 

@@ -166,17 +166,20 @@ def with_group_names(runner, tmp_path, names):
     return path
 
 
-# Edits that break a saved purple model file, and the one error line each gives.
+# Edits that break a saved model file, the one error line each gives, and the
+# method whose model file they break.
 BROKEN_MODEL_FILES = {
-    "no-split": (lambda blob: blob.pop("split"), "model file has no 'split' entry"),
-    "no-fits": (lambda blob: blob.pop("fits"), "model file has no 'fits' entry"),
+    "no-split": (lambda blob: blob.pop("split"), "model file has no 'split' entry", "purple"),
+    "no-fits": (lambda blob: blob.pop("fits"), "model file has no 'fits' entry", "purple"),
     "fit-without-split": (lambda blob: blob["fits"][0].pop("split"),
-                          "model file has no 'split' entry"),
+                          "model file has no 'split' entry", "purple"),
     "unknown-train-key": (lambda blob: blob["train"].update(bogus=1),
-                          "unknown training settings: ['bogus']"),
+                          "unknown training settings: ['bogus']", "purple"),
     "other-fractions": (lambda blob: blob["split"].update(fractions=[0.5, 0.25, 0.25]),
                         "model file split fractions [0.5, 0.25, 0.25] differ from the "
-                        "[0.6, 0.2, 0.2] every split uses"),
+                        "[0.6, 0.2, 0.2] every split uses", "purple"),
+    "repeated-split": (lambda blob: blob["fits"].append(blob["fits"][0]),
+                       "model file holds two fits of split 0", "purple"),
 }
 
 
@@ -194,7 +197,7 @@ def _retyped(path: str, value):
 BROKEN_MODEL_FILES.update({
     f"{path}-{type(value).__name__}": (
         _retyped(path, value),
-        f"model file entry {path.replace('.0', '[0]')!r} must be {kind}")
+        f"model file entry {path.replace('.0', '[0]')!r} must be {kind}", "purple")
     for path, value, kind in [
         ("method", 1, "a string"),
         ("data", "d.csv", "an object"),
@@ -203,11 +206,17 @@ BROKEN_MODEL_FILES.update({
         ("fits.0", 1, "an object"),
         ("fits.0.split", "0", "an integer"),
         ("fits.0.split", True, "an integer"),
+        ("fits.0.model", "x", "an object"),
+        ("fits.0.loss_trace", 5, "a list"),
         ("split", [0], "an object"),
         ("split.seed", 0.5, "an integer"),
         ("split.n_repeats", "2", "an integer"),
         ("train", [], "an object"),
     ]})
+# A baseline fit holds scorers, which a purple model file cannot express.
+BROKEN_MODEL_FILES["negative-fits.0.scorers-list"] = (
+    _retyped("fits.0.scorers", [1]), "model file entry 'fits[0].scorers' must be an object",
+    "negative")
 
 
 class TestFitEstimateCheck:
@@ -388,8 +397,8 @@ class TestFitEstimateCheck:
     @pytest.mark.parametrize("case", BROKEN_MODEL_FILES)
     @pytest.mark.parametrize("command", ["estimate", "check"])
     def test_malformed_model_file_is_one_error_line(self, runner, tmp_path, command, case):
-        break_file, message = BROKEN_MODEL_FILES[case]
-        data, model = self.fit_model(runner, tmp_path)
+        break_file, message, method = BROKEN_MODEL_FILES[case]
+        data, model = self.fit_model(runner, tmp_path, method)
         blob = json.loads(open(model).read())
         break_file(blob)
         with open(model, "w") as fh:

@@ -24,7 +24,7 @@ from purple.cli import main
 from purple.data import (FeatureMatrix, LabeledDataset, ParseError, SplitSpec, load_dataset,
                          split, split_indices, write_dataset)
 from purple.gauss import GaussSynthConfig, generate_gauss
-from purple.model import (PurpleModel, TrainConfig, _lbfgs_fit, fit, gradients,
+from purple.model import (PurpleModel, TrainConfig, _lbfgs_fit, _two_loop, fit, gradients,
                           relative_prevalence)
 
 CFG = TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=300, patience=10)
@@ -192,6 +192,39 @@ def test_l1_curvature_pairs_are_smooth_gradient_differences(data):
     for step, y, _ in memory:
         assert any(np.array_equal(p1 - p0, step) and np.array_equal(g1 - g0, y)
                    for p0, g0 in calls for p1, g1 in calls)
+
+
+def classic_two_loop(g, pairs):
+    """-H g over the scalar initial matrix ``(s.y / y.y) I`` of the newest
+    pair, or I without pairs: the L-BFGS two-loop recursion before the
+    solver took a diagonal initial matrix."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_two_loop_with_unit_scale_is_the_classic_recursion(data):
+    """With every ``scale`` entry 1.0, as on binary features, the diagonal
+    initial matrix is the scalar one and ``_two_loop`` gives the classic
+    recursion's result bit for bit."""
+    n, k = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 10))
+    g = data.draw(unit_floats(n, -1e3, 1e3))
+    pairs = []
+    for _ in range(k):
+        s, y = data.draw(unit_floats(n, -10.0, 10.0)), data.draw(unit_floats(n, -10.0, 10.0))
+        if s @ y > 1e-8:
+            pairs.append((s, y, 1.0 / (s @ y)))
+    np.testing.assert_array_equal(_two_loop(g, pairs, np.ones(n)), classic_two_loop(g, pairs))
 
 
 # ---------------------------------------------------------------------------
