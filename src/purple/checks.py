@@ -27,6 +27,7 @@ from .model import FitResult, TrainConfig, fit as fit_purple, predict_diagnosis
 
 MIN_GROUP_ROWS = 30
 
+DEFAULT_N_BINS = 10
 DEFAULT_ECE_WARN = 0.05
 DEFAULT_DELTA_AUC_WARN = 0.01
 
@@ -132,7 +133,7 @@ class AssumptionCheckReport:
 
 def assumption_check_report(result: FitResult, train: LabeledDataset,
                             val: LabeledDataset, test: LabeledDataset,
-                            config: TrainConfig | None = None, n_bins: int = 10,
+                            config: TrainConfig | None = None, n_bins: int = DEFAULT_N_BINS,
                             ece_warn: float = DEFAULT_ECE_WARN,
                             delta_auc_warn: float = DEFAULT_DELTA_AUC_WARN
                             ) -> AssumptionCheckReport:

@@ -19,22 +19,15 @@ from ._version import VERSION
 # fit_em is unused here but kept importable: perfbench's tracer wraps cli.fit_em.
 from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
                         fit_group_scorers, group_scores, purple_scorers)
-from .checks import assumption_check_report
+from .checks import (DEFAULT_DELTA_AUC_WARN, DEFAULT_ECE_WARN, DEFAULT_N_BINS,
+                     assumption_check_report)
 from .data import (SPLIT_FRACTIONS, LabeledDataset, SplitSpec, load_dataset, split,
                    split_indices, write_dataset)
 from .gauss import GaussSynthConfig, generate_gauss
-from .harness import SUITE_NAMES, emit_report, make_suite, run_suite
+from .harness import _CORPUS, SUITE_NAMES, emit_report, make_suite, run_suite
 from .model import FitResult, TrainConfig, fit as fit_purple, mean_score_ratio
-from .visits import (
-    SemiSynthConfig,
-    drop_anchor_features,
-    generate_visit_corpus,
-    load_symptom_indices,
-    select_common_symptoms,
-    select_correlated_symptoms,
-    select_high_rp_symptoms,
-    simulate_labels,
-)
+from .visits import (SYMPTOM_MODES, SemiSynthConfig, generate_visit_corpus,
+                     load_symptom_indices, select_symptoms, simulate_labels)
 
 
 def _parse_c(text: str) -> dict[str, float]:
@@ -96,12 +89,12 @@ def simulate():
 
 
 @simulate.command("gauss")
-@click.option("--n-a", default=10000, show_default=True)
-@click.option("--n-b", default=20000, show_default=True)
-@click.option("--dims", default=5, show_default=True)
+@click.option("--n-a", default=GaussSynthConfig.n_a, show_default=True)
+@click.option("--n-b", default=GaussSynthConfig.n_b, show_default=True)
+@click.option("--dims", default=GaussSynthConfig.n_dims, show_default=True)
 @click.option("--mean-b-scale", default=1.0, show_default=True,
               help="Group b mean is this value times the all-ones vector.")
-@click.option("--variance", default=16.0, show_default=True)
+@click.option("--variance", default=GaussSynthConfig.variance, show_default=True)
 @click.option("--c", "c_text", default="a=0.5,b=0.25", show_default=True,
               help="Per-group labeling frequencies, e.g. a=0.5,b=0.25.")
 @click.option("--separable", is_flag=True)
@@ -124,10 +117,10 @@ def simulate_gauss(n_a, n_b, dims, mean_b_scale, variance, c_text, separable,
 
 
 @simulate.command("corpus")
-@click.option("--n-a", default=7000, show_default=True)
-@click.option("--n-b", default=14000, show_default=True)
-@click.option("--dims", default=1200, show_default=True)
-@click.option("--mean-active", default=8.0, show_default=True)
+@click.option("--n-a", default=_CORPUS["n_a"], show_default=True)
+@click.option("--n-b", default=_CORPUS["n_b"], show_default=True)
+@click.option("--dims", default=_CORPUS["n_dims"], show_default=True)
+@click.option("--mean-active", default=_CORPUS["mean_active"], show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @_value_errors_as_errors
@@ -144,48 +137,37 @@ def simulate_corpus(n_a, n_b, dims, mean_active, seed, out):
 @click.option("--visits", "visits_path", required=True, type=click.Path(exists=True),
               help="Dataset file providing the binary features and groups.")
 @click.option("--symptoms", required=True,
-              help="Selection mode (common, high-rp, correlated) or a path to a "
+              help=f"Selection mode ({', '.join(SYMPTOM_MODES)}) or a path to a "
                    "newline-separated feature-index list.")
 @click.option("--c", "c_text", required=True, help="e.g. a=0.5,b=0.25")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--pool", default=50, show_default=True, help="common: frequency pool size.")
-@click.option("--pick", default=25, show_default=True, help="common: symptoms sampled.")
-@click.option("--min-count", default=50, show_default=True,
-              help="high-rp: minimum per-group occurrence count.")
-@click.option("--top", default=None, type=int,
-              help="high-rp / correlated: number of symptoms kept.")
-@click.option("--group-num", default=None, help="high-rp: ratio numerator group.")
-@click.option("--group-den", default=None, help="high-rp: ratio denominator group.")
+@click.option("--group-num", default=None,
+              help="high-rp: ratio numerator group (default: the last).")
+@click.option("--group-den", default=None,
+              help="high-rp: ratio denominator group (default: the first).")
 @click.option("--anchors", default=None, type=click.Path(exists=True),
-              help="correlated: path to anchor feature indices (dropped from x).")
+              help="correlated: path to anchor feature indices (dropped from x); "
+                   "default: 10 drawn from the 100 most frequent.")
 @click.option("--out", required=True, type=click.Path())
 @_value_errors_as_errors
-def simulate_semisynth(visits_path, symptoms, c_text, seed, pool, pick, min_count,
-                       top, group_num, group_den, anchors, out):
+def simulate_semisynth(visits_path, symptoms, c_text, seed, group_num, group_den, anchors,
+                       out):
     """Simulate disease labels over a visit matrix from suspicious symptoms."""
     base = load_dataset(visits_path)
-    visits, group, names = base.features, base.group, base.group_names
-    if symptoms == "common":
-        v_sym = select_common_symptoms(visits, pool=pool, pick=pick, seed=seed)
-    elif symptoms == "high-rp":
-        num = group_num or names[-1]
-        den = group_den or names[0]
-        v_sym = select_high_rp_symptoms(visits, group, names, num, den,
-                                        min_count=min_count, top=top or 10)
-    elif symptoms == "correlated":
-        if not anchors:
-            raise click.UsageError("--symptoms correlated requires --anchors")
-        anchor_set = load_symptom_indices(anchors)
-        v_sym = select_correlated_symptoms(visits, anchor_set, top=top or 25)
-        visits, v_sym = drop_anchor_features(visits, anchor_set, v_sym)
+    visits = base.features
+    if symptoms in SYMPTOM_MODES:
+        visits, v_sym = select_symptoms(
+            visits, base.group, base.group_names, symptoms, seed,
+            anchors=load_symptom_indices(anchors) if anchors else None,
+            group_num=group_num, group_den=group_den)
     else:
         try:
             v_sym = load_symptom_indices(symptoms)
         except OSError:
-            raise ValueError(f"--symptoms {symptoms!r} is neither a mode (common, high-rp, "
-                             "correlated) nor a readable file") from None
+            raise ValueError(f"--symptoms {symptoms!r} is neither a mode "
+                             f"({', '.join(SYMPTOM_MODES)}) nor a readable file") from None
     cfg = SemiSynthConfig(c=_parse_c(c_text), seed=seed)
-    data = simulate_labels(visits, group, names, v_sym, cfg)
+    data = simulate_labels(visits, base.group, base.group_names, v_sym, cfg)
     write_dataset(data, out)
     click.echo(f"wrote {out} ({data.n_rows} rows, {data.n_dims} dims, "
                f"{len(v_sym)} suspicious symptoms)")
@@ -214,8 +196,8 @@ def _train_config(lambda_grid, max_epochs, patience):
               help="Early-stopping patience, in L-BFGS iterations.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--splits", default=5, show_default=True)
-@click.option("--em-max-iters", default=100, show_default=True)
-@click.option("--em-tol", default=1e-5, show_default=True)
+@click.option("--em-max-iters", default=EmConfig.max_iters, show_default=True)
+@click.option("--em-tol", default=EmConfig.tol, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @_value_errors_as_errors
 def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
@@ -335,6 +317,18 @@ def _load_model_file(path: str) -> dict:
     return payload
 
 
+def _check_widths(fits: dict, data, data_path: str) -> None:
+    """Refuse a stored scorer whose weight count is not the data's column count."""
+    for j, fit in enumerate(fits.values()):  # in the file's order
+        scorers = ({"model": fit.model} if isinstance(fit, FitResult)
+                   else {f"scorers.{group}": scorer for group, scorer in fit.items()})
+        for where, scorer in scorers.items():
+            if scorer.w.size != data.n_dims:
+                raise ValueError(f"model file entry 'fits[{j}].{where}.w' has length "
+                                 f"{scorer.w.size}, but data file {data_path!r} has "
+                                 f"{data.n_dims} columns")
+
+
 def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
     """Rows to score for each stored split: all rows, or its test partition."""
     splits = list(payload["fits"])
@@ -374,6 +368,7 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
         raise click.UsageError("nothing to do: pass --pairs and/or --vs-complement")
     payload = _load_model_file(model_path)
     data = load_dataset(data_path)
+    _check_widths(payload["fits"], data, data_path)
     report = {"version": VERSION, "method": payload["method"], "model": model_path,
               "data": data_path, "eval_rows": "all" if all_rows else "test-partitions",
               "estimates": []}
@@ -409,11 +404,11 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
 @main.command("check")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
-@click.option("--bins", default=10, show_default=True)
+@click.option("--bins", default=DEFAULT_N_BINS, show_default=True)
 @click.option("--split-index", default=0, show_default=True,
               help="Which stored split's model and partitions to audit.")
-@click.option("--ece-warn", default=0.05, show_default=True)
-@click.option("--delta-auc-warn", default=0.01, show_default=True)
+@click.option("--ece-warn", default=DEFAULT_ECE_WARN, show_default=True)
+@click.option("--delta-auc-warn", default=DEFAULT_DELTA_AUC_WARN, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @_value_errors_as_errors
 def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn, out):
@@ -424,6 +419,7 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
     if _file_sha256(data_path) != payload["data"]["sha256"]:
         raise click.UsageError("data file differs from the one the model was fit on")
     data = load_dataset(data_path)
+    _check_widths(payload["fits"], data, data_path)
     result = payload["fits"].get(split_index)
     if result is None:
         raise click.UsageError(f"model file has no split {split_index}")

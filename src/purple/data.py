@@ -636,7 +636,9 @@ def write_dataset(data: LabeledDataset, path: str) -> None:
     Floats are written with shortest round-trip formatting, so write/load
     reproduces features exactly. ``latent_p`` and provenance are not part
     of either format and are dropped. A group name holding the format's
-    field separator or a line break is rejected before the file is opened.
+    field separator or a line break, or naming a group with no rows (a file
+    names only the groups of its rows), is rejected before the file is
+    opened.
     """
     fmt = _infer_format(path)
     writer, separator = ((_write_dense_csv, ",") if fmt == "dense-csv"
@@ -646,5 +648,10 @@ def write_dataset(data: LabeledDataset, path: str) -> None:
             if ch in name:
                 raise ValueError(f"group name {name!r} cannot be written to a {fmt} "
                                  f"file: it contains {ch!r}")
+    for name, n_rows in zip(data.group_names,
+                            np.bincount(data.group, minlength=len(data.group_names))):
+        if n_rows == 0:
+            raise ValueError(f"group name {name!r} cannot be written to a {fmt} file: "
+                             "no row is in that group")
     with open(path, "wb") as fh:  # UTF-8, each line ended by "\n"
         writer(data, fh)

@@ -36,16 +36,8 @@ from .data import SPLIT_FRACTIONS, LabeledDataset, SplitSpec, split
 from .gauss import GaussSynthConfig, generate_gauss
 from .model import RelativePrevalenceEstimate, TrainConfig, mean_score_ratio
 from .stats import paired_t_test
-from .visits import (
-    SemiSynthConfig,
-    SymptomSet,
-    drop_anchor_features,
-    generate_visit_corpus,
-    select_common_symptoms,
-    select_correlated_symptoms,
-    select_high_rp_symptoms,
-    simulate_labels,
-)
+from .visits import (SYMPTOM_MODES, SemiSynthConfig, generate_visit_corpus, select_symptoms,
+                     simulate_labels)
 
 # The group names every suite's generators produce: each cell estimates the
 # prevalence of the first relative to the second.
@@ -120,7 +112,6 @@ class ExperimentSuite:
 _Suite = namedtuple("_Suite", "methods sweep_values train gauss_config")
 _ALL_METHODS = ("purple", "negative", "em", "supervised")
 _GAUSS_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=4000, patience=30)
-_SEMISYNTH_MODES = ("common", "high-rp", "correlated", "recognized")
 _CB_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 # Each suite's default methods, sweep values and training config, and the
@@ -145,7 +136,7 @@ _SUITES = {
         lambda v: GaussSynthConfig(c=dict(_C), mean_a=np.ones(5), mean_b=-np.ones(5),
                                    violation_delta=float(v))),
     "semisynth": _Suite(
-        ("purple", "negative"), tuple(f"{m}:{cb}" for m in _SEMISYNTH_MODES for cb in _CB_SWEEP),
+        ("purple", "negative"), tuple(f"{m}:{cb}" for m in SYMPTOM_MODES for cb in _CB_SWEEP),
         TrainConfig(max_epochs=250, patience=10), None),
 }
 SUITE_NAMES = tuple(_SUITES)
@@ -184,32 +175,6 @@ def _gauss_config_for(suite: ExperimentSuite, sweep_value) -> GaussSynthConfig:
     return cfg
 
 
-def _semisynth_mode_matrix(suite: ExperimentSuite, corpus: tuple, mode: str):
-    """Visit matrix, groups and symptom set for one selection mode, from the
-    suite's ``(visits, group ids, group names)`` corpus, which it leaves as
-    it is."""
-    visits, group, names = corpus
-    sym_seed = derive_seed(suite.base_seed, _TAG_SYMPTOMS, mode)
-    if mode == "common":
-        v_sym = select_common_symptoms(visits, pool=50, pick=25, seed=sym_seed)
-    elif mode == "high-rp":
-        v_sym = select_high_rp_symptoms(visits, group, names, "b", "a",
-                                        min_count=50, top=10)
-    elif mode == "correlated":
-        anchors = select_common_symptoms(visits, pool=100, pick=10, seed=sym_seed)
-        selected = select_correlated_symptoms(visits, anchors, top=25)
-        visits, v_sym = drop_anchor_features(visits, anchors, selected)
-    elif mode == "recognized":
-        counts = visits.column_counts()
-        eligible = np.flatnonzero(counts >= 10)
-        rng = np.random.default_rng(np.random.SeedSequence([sym_seed]))
-        chosen = rng.choice(eligible, size=min(100, eligible.size), replace=False)
-        v_sym = SymptomSet(tuple(int(i) for i in chosen))
-    else:
-        raise ValueError(f"unknown symptom-selection mode {mode!r}")
-    return visits, group, names, v_sym
-
-
 def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]]:
     """Materialize (sweep value, dataset) pairs for every sweep point.
 
@@ -222,14 +187,16 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
         data_seed = derive_seed(suite.base_seed, _TAG_DATA)
         return [(sv, generate_gauss(_gauss_config_for(suite, sv), data_seed))
                 for sv in suite.sweep_values]
-    corpus = generate_visit_corpus(**_CORPUS, seed=derive_seed(suite.base_seed, _TAG_CORPUS))
+    corpus, group, names = generate_visit_corpus(
+        **_CORPUS, seed=derive_seed(suite.base_seed, _TAG_CORPUS))
     by_mode: dict[str, tuple] = {}
     out = []
     for sv in suite.sweep_values:
         mode, cb_str = str(sv).split(":")
         if mode not in by_mode:
-            by_mode[mode] = _semisynth_mode_matrix(suite, corpus, mode)
-        visits, group, names, v_sym = by_mode[mode]
+            by_mode[mode] = select_symptoms(corpus, group, names, mode,
+                                            derive_seed(suite.base_seed, _TAG_SYMPTOMS, mode))
+        visits, v_sym = by_mode[mode]
         cfg = SemiSynthConfig(c=dict(_C, b=float(cb_str)),
                               seed=derive_seed(suite.base_seed, _TAG_LABELS, mode))
         out.append((sv, simulate_labels(visits, group, names, v_sym, cfg)))

@@ -6,7 +6,9 @@ condition probability is a logistic function of the number of suspicious
 symptoms present, identical across groups, and observed labels thin the
 true labels by a per-group frequency. A symptom set is a bare set of
 feature indices, and the labels are a pure function of the visit matrix,
-the set and the ``SemiSynthConfig``.
+the set and the ``SemiSynthConfig``. ``select_symptoms`` chooses the set in
+one of the four ``SYMPTOM_MODES`` of the paper's semi-synthetic evaluation;
+the semisynth suite and ``purple simulate semisynth`` both call it.
 
 Note on the probability formula: the condition probability is
 ``sigmoid(k / sqrt(|v_sym|))`` where ``k`` counts the active suspicious
@@ -192,6 +194,49 @@ def drop_anchor_features(visits: FeatureMatrix, anchor: SymptomSet,
     if any(i < 0 for i in remapped):
         raise ValueError("selected symptoms overlap the anchor set")
     return reduced, SymptomSet(remapped)
+
+
+SYMPTOM_MODES = ("common", "high-rp", "correlated", "recognized")
+
+
+def select_symptoms(visits: FeatureMatrix, groups: np.ndarray, group_names: list[str],
+                    mode: str, seed: int, anchors: SymptomSet | None = None,
+                    group_num: str | None = None, group_den: str | None = None,
+                    ) -> tuple[FeatureMatrix, SymptomSet]:
+    """The visit matrix to simulate labels on and the symptom set of one of
+    the ``SYMPTOM_MODES``:
+
+    - ``common``: 25 codes drawn from the 50 most frequent;
+    - ``high-rp``: the 10 codes with the highest rate in ``group_num`` over
+      ``group_den`` (default: the last group over the first), among codes
+      that occur at least 50 times in both;
+    - ``correlated``: the 25 codes most over-represented around ``anchors``,
+      or else around 10 codes drawn from the 100 most frequent; the anchor
+      columns are dropped from the returned matrix;
+    - ``recognized``: 100 codes drawn from those that occur at least 10
+      times (all of them if fewer do).
+
+    Every mode but ``correlated`` returns ``visits`` itself. ``seed`` drives
+    the draws.
+    """
+    if mode == "common":
+        return visits, select_common_symptoms(visits, seed=seed)
+    if mode == "high-rp":
+        return visits, select_high_rp_symptoms(visits, groups, group_names,
+                                               group_num or group_names[-1],
+                                               group_den or group_names[0])
+    if mode == "correlated":
+        if anchors is None:
+            anchors = select_common_symptoms(visits, pool=100, pick=10, seed=seed)
+        return drop_anchor_features(visits, anchors,
+                                    select_correlated_symptoms(visits, anchors))
+    if mode == "recognized":
+        eligible = np.flatnonzero(visits.column_counts() >= 10)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+        chosen = rng.choice(eligible, size=min(100, eligible.size), replace=False)
+        return visits, SymptomSet(tuple(int(i) for i in chosen))
+    raise ValueError(f"unknown symptom-selection mode {mode!r}; expected one of "
+                     f"{', '.join(SYMPTOM_MODES)}")
 
 
 def load_symptom_indices(path: str) -> SymptomSet:

@@ -9,14 +9,8 @@ from purple.baselines import EmConfig, baseline_relative_prevalence
 from purple.cli import main
 from purple.data import SplitSpec, load_dataset, split, write_dataset
 from purple.model import TrainConfig
-from purple.visits import (
-    SemiSynthConfig,
-    drop_anchor_features,
-    load_symptom_indices,
-    select_correlated_symptoms,
-    select_high_rp_symptoms,
-    simulate_labels,
-)
+from purple.visits import (SYMPTOM_MODES, SemiSynthConfig, SymptomSet, select_symptoms,
+                           simulate_labels)
 
 
 @pytest.fixture()
@@ -66,8 +60,7 @@ class TestSimulate:
         out = str(tmp_path / "semi.pu")
         result = runner.invoke(main, [
             "simulate", "semisynth", "--visits", corpus, "--symptoms", "common",
-            "--pool", "30", "--pick", "10", "--c", "a=0.5,b=0.3", "--seed", "4",
-            "--out", out])
+            "--c", "a=0.5,b=0.3", "--seed", "4", "--out", out])
         assert result.exit_code == 0, result.output
         data = load_dataset(out)
         assert data.n_rows == 800
@@ -89,10 +82,11 @@ class TestSimulate:
 
     @staticmethod
     def semisynth(runner, tmp_path, *args):
-        """``simulate semisynth`` over a small corpus at --c a=0.5,b=0.3 and
-        --seed 4; returns the corpus and the written dataset."""
+        """``simulate semisynth`` over a small 120-column corpus at
+        --c a=0.5,b=0.3 and --seed 4; returns the corpus and the written
+        dataset."""
         corpus = str(tmp_path / "visits.pu")
-        result = runner.invoke(main, ["simulate", "corpus", "--n-a", "400", "--n-b", "400",
+        result = runner.invoke(main, ["simulate", "corpus", "--n-a", "500", "--n-b", "500",
                                       "--dims", "120", "--seed", "2", "--out", corpus])
         assert result.exit_code == 0, result.output
         out = str(tmp_path / "semi.pu")
@@ -111,34 +105,45 @@ class TestSimulate:
         np.testing.assert_array_equal(got.s, want.s)
         assert got.s.sum() > 0
 
+    # Symptom-set size and column count of each mode on that corpus.
+    MODE_SIZES = {"common": (25, 120), "high-rp": (10, 120), "correlated": (25, 110),
+                  "recognized": (100, 120)}
+
+    @pytest.mark.parametrize("mode", SYMPTOM_MODES)
+    def test_semisynth_mode_matches_library(self, runner, tmp_path, mode):
+        # correlated draws its own anchors: no --anchors is passed.
+        base, got = self.semisynth(runner, tmp_path, "--symptoms", mode)
+        visits, v_sym = select_symptoms(base.features, base.group, base.group_names, mode, 4)
+        assert (len(v_sym), got.n_dims) == self.MODE_SIZES[mode]
+        self.assert_same_labels(got, visits, base, v_sym)
+
     def test_semisynth_high_rp_matches_library(self, runner, tmp_path):
         base, got = self.semisynth(runner, tmp_path, "--symptoms", "high-rp",
-                                   "--group-num", "a", "--group-den", "b",
-                                   "--min-count", "20", "--top", "5")
-        v_sym = select_high_rp_symptoms(base.features, base.group, base.group_names,
-                                        "a", "b", min_count=20, top=5)
-        assert len(v_sym) == 5
+                                   "--group-num", "a", "--group-den", "b")
+        _, v_sym = select_symptoms(base.features, base.group, base.group_names, "high-rp", 4,
+                                   group_num="a", group_den="b")
+        _, b_over_a = select_symptoms(base.features, base.group, base.group_names,
+                                      "high-rp", 4)
+        assert len(v_sym) == 10 and v_sym != b_over_a
         self.assert_same_labels(got, base.features, base, v_sym)
 
     def test_semisynth_correlated_matches_library(self, runner, tmp_path):
         anchors = tmp_path / "anchors.txt"
         anchors.write_text("0\n3\n")
         base, got = self.semisynth(runner, tmp_path, "--symptoms", "correlated",
-                                   "--anchors", str(anchors), "--top", "7")
-        anchor_set = load_symptom_indices(str(anchors))
-        visits, v_sym = drop_anchor_features(
-            base.features, anchor_set, select_correlated_symptoms(base.features, anchor_set,
-                                                                  top=7))
-        assert (len(v_sym), got.n_dims) == (7, 118)
+                                   "--anchors", str(anchors))
+        visits, v_sym = select_symptoms(base.features, base.group, base.group_names,
+                                        "correlated", 4, anchors=SymptomSet((0, 3)))
+        assert (len(v_sym), got.n_dims) == (25, 118)
         self.assert_same_labels(got, visits, base, v_sym)
 
-    def test_semisynth_correlated_requires_anchors(self, runner, tmp_path):
-        simulate_small(runner, str(tmp_path / "d.pu"))
-        result = runner.invoke(main, ["simulate", "semisynth", "--visits",
-                                      str(tmp_path / "d.pu"), "--symptoms", "correlated",
-                                      "--c", "a=0.5,b=0.3", "--out", str(tmp_path / "s.pu")])
-        assert result.exit_code == 2, result.output
-        assert "--symptoms correlated requires --anchors" in result.output
+    @pytest.mark.parametrize("option", ["--pool", "--pick", "--min-count", "--top"])
+    def test_retired_semisynth_options_rejected(self, runner, tmp_path, option):
+        data = simulate_small(runner, str(tmp_path / "d.pu"))
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", data,
+                                      "--symptoms", "common", "--c", "a=0.5,b=0.3",
+                                      option, "5", "--out", str(tmp_path / "s.pu")])
+        assert result.exit_code == 2 and "No such option" in result.output
 
 
 METHODS = ["negative", "em", "supervised", "purple"]
@@ -336,7 +341,8 @@ class TestFitEstimateCheck:
         data, model = self.fit_model(runner, tmp_path, method=method)
         full = load_dataset(data)
         only_a = str(tmp_path / "only-a.csv")
-        write_dataset(full.take_rows(np.flatnonzero(full.group_mask("a"))), only_a)
+        write_dataset(replace(full.take_rows(np.flatnonzero(full.group_mask("a"))),
+                              group_names=["a"]), only_a)
         output = estimate_error(runner, model, only_a, "--all-rows", "--vs-complement", "a")
         assert "Error: no rows in the complement of group 'a'" in output
 
@@ -409,6 +415,28 @@ class TestFitEstimateCheck:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
         assert result.output.splitlines() == [f"Error: {message}"]
 
+    @pytest.mark.parametrize("method, command, entry", [
+        ("purple", "estimate", "fits[0].model.w"),
+        ("purple", "check", "fits[0].model.w"),
+        ("negative", "estimate", "fits[0].scorers.a.w"),
+    ])
+    def test_weight_count_other_than_columns_is_one_error_line(self, runner, tmp_path,
+                                                                method, command, entry):
+        data, model = self.fit_model(runner, tmp_path, method)
+        blob = json.loads(open(model).read())
+        fit = blob["fits"][0]
+        scorer = fit["model"] if method == "purple" else fit["scorers"]["a"]
+        scorer["w"] = scorer["w"][:1]
+        with open(model, "w") as fh:
+            json.dump(blob, fh)
+        args = (["--pairs", "a:b"] if command == "estimate"
+                else ["--out", str(tmp_path / "checks.json")])
+        result = runner.invoke(main, [command, "--model", model, "--data", data, *args])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == [
+            f"Error: model file entry {entry!r} has length 1, but data file {data!r} has "
+            "5 columns"]
+
     @pytest.mark.parametrize("command", ["estimate", "check"])
     def test_model_file_not_an_object_is_one_error_line(self, runner, tmp_path, command):
         data, model = self.fit_model(runner, tmp_path)
@@ -458,8 +486,8 @@ class TestBadOptionValues:
         runner.invoke(main, ["simulate", "corpus", "--n-a", "200", "--n-b", "200",
                              "--dims", "60", "--seed", "5", "--out", corpus])
         result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus,
-                                      "--symptoms", "common", "--pool", "20", "--pick", "5",
-                                      "--c", "a=0.5", "--out", str(tmp_path / "s.pu")])
+                                      "--symptoms", "common", "--c", "a=0.5",
+                                      "--out", str(tmp_path / "s.pu")])
         self.assert_one_error_line(result, "no labeling frequency for group(s) 'b'")
 
     def test_simulate_semisynth_unknown_group(self, runner, tmp_path):
@@ -471,7 +499,7 @@ class TestBadOptionValues:
         self.assert_one_error_line(result, "unknown group 'zz'; the data holds groups 'a', 'b'")
         assert not out.exists()
 
-    @pytest.mark.parametrize("symptoms", ["recognized", "comon"])
+    @pytest.mark.parametrize("symptoms", ["comon"])
     def test_simulate_semisynth_unknown_symptoms(self, runner, tmp_path, symptoms):
         data = simulate_small(runner, str(tmp_path / "d.pu"))
         out = tmp_path / "s.pu"
@@ -480,7 +508,7 @@ class TestBadOptionValues:
                                       "--out", str(out)])
         self.assert_one_error_line(
             result, f"--symptoms {symptoms!r} is neither a mode (common, high-rp, "
-                    "correlated) nor a readable file")
+                    "correlated, recognized) nor a readable file")
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [

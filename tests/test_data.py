@@ -236,6 +236,17 @@ class TestRoundTrip:
             write_dataset(data, str(p))
         assert not p.exists()
 
+    # A file records each row's group, so a name with no rows would not load
+    # back, and the ids of the names after it would shift.
+    @pytest.mark.parametrize("ext", ["pu", "csv"])
+    @pytest.mark.parametrize("sizes, empty", [((0, 3), "a"), ((3, 0), "b")])
+    def test_group_without_rows_rejected(self, tmp_path, ext, sizes, empty):
+        p = tmp_path / f"d.{ext}"
+        with pytest.raises(ValueError, match=re.escape(f"group name {empty!r} cannot be "
+                                                       "written") + ".*no row is in that group"):
+            write_dataset(make_dataset(sizes), str(p))
+        assert not p.exists()
+
     @pytest.mark.parametrize("ext,name", [("pu", "a,b"), ("csv", "a b")])
     def test_other_format_separator_round_trips(self, tmp_path, ext, name):
         data = make_dataset((3, 3))

@@ -5,6 +5,7 @@ import pytest
 
 from purple.data import FeatureMatrix
 from purple.visits import (
+    SYMPTOM_MODES,
     SemiSynthConfig,
     SymptomSet,
     drop_anchor_features,
@@ -13,6 +14,7 @@ from purple.visits import (
     select_common_symptoms,
     select_correlated_symptoms,
     select_high_rp_symptoms,
+    select_symptoms,
     simulate_labels,
 )
 
@@ -227,6 +229,23 @@ class TestDropAnchors:
         rows = np.eye(4)
         with pytest.raises(ValueError, match="overlap"):
             drop_anchor_features(binary_matrix(rows), SymptomSet((1,)), SymptomSet((1, 2)))
+
+
+class TestSelectSymptoms:
+    def test_unknown_mode_rejected(self):
+        visits, groups, names = generate_visit_corpus(50, 50, 60, seed=1)
+        with pytest.raises(ValueError, match="^unknown symptom-selection mode 'comon'; "
+                                             f"expected one of {', '.join(SYMPTOM_MODES)}$"):
+            select_symptoms(visits, groups, names, "comon", 0)
+
+    @pytest.mark.parametrize("n_rows, n_eligible", [(50, 18), (400, 233)])
+    def test_recognized_draws_from_codes_seen_ten_times(self, n_rows, n_eligible):
+        visits, groups, names = generate_visit_corpus(n_rows, n_rows, 300, seed=1)
+        same, v_sym = select_symptoms(visits, groups, names, "recognized", 3)
+        counts = visits.column_counts()
+        assert same is visits and int((counts >= 10).sum()) == n_eligible
+        assert len(v_sym) == min(100, n_eligible)
+        assert all(counts[i] >= 10 for i in v_sym.indices)
 
 
 class TestCorpus:
