@@ -153,6 +153,11 @@ def simulate_corpus(n_a, n_b, dims, mean_active, seed, out):
 def simulate_semisynth(visits_path, symptoms, c_text, seed, group_num, group_den, anchors,
                        out):
     """Simulate disease labels over a visit matrix from suspicious symptoms."""
+    if anchors is not None and symptoms != "correlated":
+        raise ValueError(f"--anchors applies only to --symptoms correlated, not to {symptoms!r}")
+    if (group_num, group_den) != (None, None) and symptoms != "high-rp":
+        raise ValueError("--group-num and --group-den apply only to --symptoms high-rp, "
+                         f"not to {symptoms!r}")
     base = load_dataset(visits_path)
     visits = base.features
     if symptoms in SYMPTOM_MODES:

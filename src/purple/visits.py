@@ -105,6 +105,10 @@ def simulate_labels(visits: FeatureMatrix, groups: np.ndarray, group_names: list
     )
 
 
+class _TooFewCodes(ValueError):
+    """A selection rule found too few codes to choose from."""
+
+
 def select_common_symptoms(visits: FeatureMatrix, pool: int = 50, pick: int = 25,
                            seed: int = 0) -> SymptomSet:
     """Uniformly sample ``pick`` symptoms from the ``pool`` most frequent ones.
@@ -115,8 +119,10 @@ def select_common_symptoms(visits: FeatureMatrix, pool: int = 50, pick: int = 25
     if pick > pool:
         raise ValueError("pick must not exceed pool")
     counts = visits.column_counts()
-    if int((counts > 0).sum()) < pool:
-        raise ValueError(f"fewer than pool={pool} features ever occur")
+    seen = int((counts > 0).sum())
+    if seen < pool:
+        raise _TooFewCodes(f"only {seen} features ever occur, fewer than the {pool} "
+                           "most frequent to draw from")
     order = np.lexsort((np.arange(counts.size), -counts))
     pool_idx = order[:pool]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
@@ -149,7 +155,7 @@ def select_high_rp_symptoms(visits: FeatureMatrix, groups: np.ndarray,
     counts_den = visits.column_counts(mask_den)
     keep = (counts_num >= min_count) & (counts_den >= min_count)
     if not keep.any():
-        raise ValueError(f"no feature occurs at least min_count={min_count} times in both groups")
+        raise _TooFewCodes(f"no feature occurs at least {min_count} times in both groups")
     rate_num = counts_num / mask_num.sum()
     rate_den = counts_den / mask_den.sum()
     ratio = np.where(keep, rate_num / np.where(keep, rate_den, 1.0), -np.inf)
@@ -217,17 +223,25 @@ def select_symptoms(visits: FeatureMatrix, groups: np.ndarray, group_names: list
       times (all of them if fewer do).
 
     Every mode but ``correlated`` returns ``visits`` itself. ``seed`` drives
-    the draws.
+    the draws. Where a mode finds too few codes to choose from, the
+    ``ValueError`` says what to pass instead: anchors (``--anchors``) or a
+    symptom file (``--symptoms PATH``).
     """
-    if mode == "common":
-        return visits, select_common_symptoms(visits, seed=seed)
-    if mode == "high-rp":
-        return visits, select_high_rp_symptoms(visits, groups, group_names,
-                                               group_num or group_names[-1],
-                                               group_den or group_names[0])
-    if mode == "correlated":
-        if anchors is None:
+    try:
+        if mode == "common":
+            return visits, select_common_symptoms(visits, seed=seed)
+        if mode == "high-rp":
+            return visits, select_high_rp_symptoms(visits, groups, group_names,
+                                                   group_num or group_names[-1],
+                                                   group_den or group_names[0])
+        if mode == "correlated" and anchors is None:
             anchors = select_common_symptoms(visits, pool=100, pick=10, seed=seed)
+    except _TooFewCodes as e:
+        what, remedy = f"{mode} symptoms", "a symptom file with --symptoms PATH"
+        if mode == "correlated":
+            what, remedy = "correlated anchors", f"anchor indices with --anchors PATH or {remedy}"
+        raise ValueError(f"{what}: {e}; pass {remedy}") from None
+    if mode == "correlated":
         return drop_anchor_features(visits, anchors,
                                     select_correlated_symptoms(visits, anchors))
     if mode == "recognized":

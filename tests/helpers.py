@@ -1,5 +1,5 @@
-"""Shared test utilities: random instances, the finite-difference oracle and
-a timed suite run."""
+"""Shared test utilities: random instances, the finite-difference oracle, the
+row-by-row reference of the model's objective and a timed suite run."""
 
 import time
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from purple.data import FeatureMatrix, LabeledDataset
 from purple.harness import make_suite, run_suite
-from purple.model import PurpleModel, loss
+from purple.model import PROB_FLOOR, PurpleModel, _logistic, loss
 
 
 def tiny_batch(rng, n=32, d=5, n_groups=2):
@@ -46,6 +46,34 @@ def fd_gradients(model, batch, lam, h=1e-6):
         tm[k] -= h
         gt[k] = (loss_at(model.w, model.b, tp) - loss_at(model.w, model.b, tm)) / (2 * h)
     return gw, gb, gt
+
+
+def reference_objective(model, batch, lam):
+    """``(loss, gw, gb, gtheta)`` of the core model, row by row: each row
+    gathers its ``c_g``, takes both branches of its two row gradients with
+    ``np.where`` and keeps the one of its label, rows on the probability
+    clamp get zero, and ``gtheta`` is a per-row ``bincount``."""
+    f = model.predict(batch.features)
+    cg = _logistic(model.theta)[batch.group]
+    p = f * cg
+    pos = batch.s == 1
+    inactive = ~((p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR))
+    one_minus_p = np.maximum(1.0 - p, PROB_FLOOR)
+
+    def row_gradient(one_minus):
+        # d(ce)/dz = -(1-f) on positives, p(1-f)/(1-p) on negatives; the
+        # same for theta with (1-c) in place of (1-f).
+        out = np.where(pos, -one_minus, p * one_minus / one_minus_p)
+        out[inactive] = 0.0
+        return out
+
+    dz, dtheta_row = row_gradient(1.0 - f), row_gradient(1.0 - cg)
+    n = batch.n_rows
+    q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    cross_entropy = -float(np.log(np.where(pos, q, 1.0 - q)).mean())
+    return (cross_entropy + lam * float(np.abs(model.w).sum()),
+            batch.features.rtvec(dz) / n + lam * np.sign(model.w), float(dz.mean()),
+            np.bincount(batch.group, weights=dtheta_row, minlength=model.theta.size) / n)
 
 
 def rel_err(a, b, floor=1e-4):

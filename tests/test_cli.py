@@ -456,6 +456,11 @@ class TestFitEstimateCheck:
         assert result.exit_code == 2 and "No such option" in result.output
 
 
+ANCHORS_ONLY = "--anchors applies only to --symptoms correlated, not to {!r}"
+GROUPS_ONLY = "--group-num and --group-den apply only to --symptoms high-rp, not to {!r}"
+FILE_REMEDY = "pass a symptom file with --symptoms PATH"
+
+
 class TestBadOptionValues:
     """A bad option value is one ``Error:`` line and exit status 1, not a traceback."""
 
@@ -510,6 +515,54 @@ class TestBadOptionValues:
             result, f"--symptoms {symptoms!r} is neither a mode (common, high-rp, "
                     "correlated, recognized) nor a readable file")
         assert not out.exists()
+
+    @staticmethod
+    def small_corpus(runner, tmp_path, dims=60):
+        """A 100+100-row corpus: too few rows for high-rp's 50 occurrences
+        per group, and at 60 columns too few codes for correlated's anchors."""
+        corpus = str(tmp_path / "visits.pu")
+        result = runner.invoke(main, ["simulate", "corpus", "--n-a", "100", "--n-b", "100",
+                                      "--dims", str(dims), "--seed", "5", "--out", corpus])
+        assert result.exit_code == 0, result.output
+        return corpus
+
+    @pytest.mark.parametrize("symptoms, args, message", [
+        *[(mode, ["--anchors", "anchors.txt"], ANCHORS_ONLY)
+          for mode in ("common", "high-rp", "recognized", "symptoms.txt")],
+        *[(mode, [option, "a"], GROUPS_ONLY)
+          for mode in ("common", "correlated", "recognized", "symptoms.txt")
+          for option in ("--group-num", "--group-den")],
+    ])
+    def test_simulate_semisynth_option_its_mode_ignores(self, runner, tmp_path, symptoms, args,
+                                                       message):
+        corpus = self.small_corpus(runner, tmp_path)
+        (tmp_path / "anchors.txt").write_text("0\n1\n")
+        (tmp_path / "symptoms.txt").write_text("2\n3\n")
+        paths = {name: str(tmp_path / name) for name in ("anchors.txt", "symptoms.txt")}
+        symptoms = paths.get(symptoms, symptoms)
+        out = tmp_path / "s.pu"
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus,
+                                      "--symptoms", symptoms, "--c", "a=0.5,b=0.3",
+                                      "--out", str(out), *[paths.get(a, a) for a in args]])
+        self.assert_one_error_line(result, message.format(symptoms))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("symptoms, dims, message", [
+        ("correlated", 60, "correlated anchors: only 60 features ever occur, fewer than the 100 "
+                           "most frequent to draw from; pass anchor indices with --anchors PATH "
+                           "or a symptom file with --symptoms PATH"),
+        ("high-rp", 60, "high-rp symptoms: no feature occurs at least 50 times in both groups; "
+                        + FILE_REMEDY),
+        ("common", 40, "common symptoms: only 40 features ever occur, fewer than the 50 most "
+                       "frequent to draw from; " + FILE_REMEDY),
+    ])
+    def test_simulate_semisynth_too_few_codes_says_what_to_pass(self, runner, tmp_path,
+                                                               symptoms, dims, message):
+        corpus = self.small_corpus(runner, tmp_path, dims)
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus,
+                                      "--symptoms", symptoms, "--c", "a=0.5,b=0.3",
+                                      "--out", str(tmp_path / "s.pu")])
+        self.assert_one_error_line(result, message)
 
     @pytest.mark.parametrize("args, message", [
         (["--splits", "0"], "n_repeats must be positive"),

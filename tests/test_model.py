@@ -489,6 +489,11 @@ class TestFit:
         with pytest.raises(ValueError, match="absent in train"):
             fit(tr2, va, TrainConfig(max_epochs=5))
 
+    def test_empty_val_rejected(self):
+        tr, va, _ = self.small_data()
+        with pytest.raises(ValueError, match="^val has no rows"):
+            fit(tr, va.take_rows(np.arange(0)), TrainConfig(max_epochs=5))
+
     def test_train_loss_moving_average_non_increasing(self):
         tr, va, _ = self.small_data()
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=300, patience=300)

@@ -1,5 +1,6 @@
-"""Invariants checked on generated inputs: the full-batch fit, CLI
-estimates, dataset file round trips and parse errors, and splitting.
+"""Invariants checked on generated inputs: the objective kernel, the
+full-batch fit, CLI estimates, dataset file round trips and parse errors,
+and splitting.
 
 Fit example counts stay small: each example runs two fits over a two-value
 L1 grid.
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
+from helpers import reference_objective
 
 from purple import baselines, data
 from purple.baselines import baseline_relative_prevalence
@@ -24,8 +26,8 @@ from purple.cli import main
 from purple.data import (FeatureMatrix, LabeledDataset, ParseError, SplitSpec, load_dataset,
                          split, split_indices, write_dataset)
 from purple.gauss import GaussSynthConfig, generate_gauss
-from purple.model import (PurpleModel, TrainConfig, _lbfgs_fit, _two_loop, fit, gradients,
-                          relative_prevalence)
+from purple.model import (PROB_FLOOR, PurpleModel, TrainConfig, _lbfgs_fit, _two_loop, fit,
+                          gradients, loss, predict_diagnosis, relative_prevalence)
 
 CFG = TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=300, patience=10)
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -192,6 +194,77 @@ def test_l1_curvature_pairs_are_smooth_gradient_differences(data):
     for step, y, _ in memory:
         assert any(np.array_equal(p1 - p0, step) and np.array_equal(g1 - g0, y)
                    for p0, g0 in calls for p1, g1 in calls)
+
+
+# A logit of +-60 puts sigmoid within 1e-26 of 0 or 1, so a row's p lies on
+# the clamp at PROB_FLOOR or at 1 - PROB_FLOOR. At 30 it lies 9e-14 below 1,
+# where an unmasked negative row's gradient p (1 - f) / (1 - p) is not small.
+logits = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-60.0, 30.0, 60.0]))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model and a dense or CSR batch for the objective kernel. Up to four
+    groups with any mix of labels, so some groups lack positives or
+    negatives and some group ids have no rows; rows may lie on the clamp."""
+    n, d, n_groups = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = draw(unit_floats(n * d, -3.0, 3.0)).reshape(n, d)
+    group = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n)))
+    s = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    names = [f"g{k}" for k in range(n_groups)]
+    if draw(st.booleans()):
+        x[draw(unit_floats(n * d, 0.0, 1.0)).reshape(n, d) < 0.5] = 0.0
+        features = FeatureMatrix(sp.csr_matrix(x))
+    else:
+        features = FeatureMatrix(x)
+    model = PurpleModel(draw(unit_floats(d, -2.0, 2.0)), draw(logits),
+                        draw(st.lists(logits, min_size=n_groups, max_size=n_groups)), names)
+    return model, LabeledDataset(features, group, names, s), draw(st.sampled_from([0.0, 1e-2]))
+
+
+def assert_matches_reference(model, batch, lam):
+    """``loss`` and ``gradients`` against the row-by-row reference to 1e-12
+    relative. Each row adds at most 3 in size to a gradient entry (|x| <= 3,
+    |dz| <= 1), so an entry that cancels to near 0 is held to 1e-12 absolute."""
+    want = reference_objective(model, batch, lam)
+    np.testing.assert_allclose(loss(model, batch, lam), want[0], rtol=1e-12)
+    for got, ref in zip(gradients(model, batch, lam), want[1:]):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_cases(), data=st.data())
+def test_kernel_matches_the_row_by_row_reference_in_any_row_order(case, data):
+    model, batch, lam = case
+    assert_matches_reference(model, batch, lam)
+    order = np.array(data.draw(st.permutations(range(batch.n_rows))))
+    shuffled = batch.take_rows(order)
+    np.testing.assert_allclose(loss(model, shuffled, lam), loss(model, batch, lam), rtol=1e-12)
+    for got, ref in zip(gradients(model, shuffled, lam), gradients(model, batch, lam)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_kernel_matches_the_reference_on_the_edge_cases(sparse):
+    """One batch with every case the run kernel treats apart: rows on both
+    clamps, a group without positives, one without negatives, and a group
+    id without rows."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, (60, 4))
+    x[rng.uniform(size=x.shape) < 0.3] = 0.0
+    x[:4] = 7.375  # w.x + b = 30: score and c_g0 each 9e-14 below 1
+    group = np.repeat([0, 1, 2, 3], 15)  # g4 has no rows
+    s = rng.integers(0, 2, 60)
+    s[15:30], s[30:45] = 0, 1  # g1 has no positives, g2 no negatives
+    s[:4] = [1, 0, 1, 0]
+    names = ["g0", "g1", "g2", "g3", "g4"]
+    batch = LabeledDataset(FeatureMatrix(sp.csr_matrix(x) if sparse else x), group, names, s)
+    model = PurpleModel(np.ones(4), 0.5, np.array([30.0, 0.3, -0.4, -60.0, 1.0]), names)
+    p = predict_diagnosis(model, batch.features, batch.group)
+    assert (p[:4] >= 1.0 - PROB_FLOOR).all() and (p[45:] <= PROB_FLOOR).all()
+    for lam in (0.0, 1e-2):
+        assert_matches_reference(model, batch, lam)
+    assert gradients(model, batch, 0.0)[2][4] == 0.0
 
 
 def classic_two_loop(g, pairs):

@@ -113,7 +113,8 @@ class TestSelectCommon:
 
     def test_too_few_active_features(self):
         visits = binary_matrix(np.zeros((5, 10)))
-        with pytest.raises(ValueError, match="fewer than pool"):
+        with pytest.raises(ValueError, match="^only 0 features ever occur, fewer than the 3 "
+                                             "most frequent to draw from$"):
             select_common_symptoms(visits, pool=3, pick=2, seed=0)
 
 
@@ -146,7 +147,8 @@ class TestSelectHighRp:
         rows = np.zeros((20, 2))
         rows[0, 0] = 1
         groups = np.repeat([0, 1], 10)
-        with pytest.raises(ValueError, match="min_count"):
+        with pytest.raises(ValueError, match="^no feature occurs at least 10 times in both "
+                                             "groups$"):
             select_high_rp_symptoms(binary_matrix(rows), groups, ["a", "b"],
                                     "a", "b", min_count=10, top=5)
 
