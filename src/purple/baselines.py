@@ -7,12 +7,14 @@ and the relative prevalence is ``model.mean_score_ratio`` of those scores;
 for a baseline the group means are its absolute prevalence estimates. Every
 baseline scorer is a ``model.LogisticScorer``, the class the core model
 extends: the core estimator's function class with the labeling-frequency
-factor frozen at one. The baselines train through the core solver,
-``model._lbfgs_fit``; ``fit_logistic`` supplies only the cross-entropy and
-its gradient and, given validation rows, the cross-entropy that stops it
-early, with every sigmoid and softplus from ``model._logistic``. The M-steps
-of one EM fit get no validation rows and share one L-BFGS memory: the soft
-targets enter the objective linearly, so each pair is exact for the next.
+factor frozen at one. An EM fit is one too: ``EmFit`` subclasses it and
+adds EM's labeling-frequency estimate and convergence record. The
+baselines train through the core solver, ``model._lbfgs_fit``;
+``fit_logistic`` supplies only the cross-entropy and its gradient and,
+given validation rows, the cross-entropy that stops it early, with every
+sigmoid and softplus from ``model._logistic``. The M-steps of one EM fit get
+no validation rows and share one L-BFGS memory: the soft targets enter the
+objective linearly, so each pair is exact for the next.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import (
-    FitResult,
     LogisticScorer,
     RelativePrevalenceEstimate,
     TrainConfig,
@@ -58,19 +59,17 @@ class EmConfig:
 
 
 @dataclass
-class EmFit:
-    scorer: LogisticScorer
+class EmFit(LogisticScorer):
+    """An EM fit's condition scorer, with its labeling-frequency estimate
+    ``c_hat`` and whether EM converged within ``n_iters`` iterations."""
+
     c_hat: float
     converged: bool
     n_iters: int
-    c_init: float
-
-    def predict(self, features) -> np.ndarray:
-        return self.scorer.predict(features)
 
     def to_dict(self) -> dict:
-        return {**self.scorer.to_dict(), "c_hat": self.c_hat, "converged": self.converged,
-                "n_iters": self.n_iters, "c_init": self.c_init}
+        return {**super().to_dict(), "c_hat": self.c_hat, "converged": self.converged,
+                "n_iters": self.n_iters}
 
 
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
@@ -169,8 +168,7 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     s = train.s.astype(np.float64)
     if s.sum() == 0:
         raise ValueError("EM requires at least one observed positive")
-    c_init = min(max(2.0 * float(s.mean()), 1e-3), 1.0 - 1e-3)
-    c_hat = c_init
+    c_hat = min(max(2.0 * float(s.mean()), 1e-3), 1.0 - 1e-3)
     scorer = fit_logistic(train.features, s, val.features, val.s, config)
     f = scorer.predict(train.features)
     memory: list = []
@@ -184,7 +182,7 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
         converged, c_hat = abs(c_new - c_hat) < em_config.tol, c_new
         if converged:
             break
-    return EmFit(scorer, c_hat, converged, iters, c_init)
+    return EmFit(scorer.w, scorer.b, c_hat, converged, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +205,9 @@ def register_estimator(name: str, fn: Callable) -> None:
 
 def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, groups,
                       config: TrainConfig | None, em_config: EmConfig | None = None
-                      ) -> dict[str, LogisticScorer | EmFit]:
-    """``{group name: scorer}``: a ``negative`` or ``supervised`` scorer, or
-    for ``em`` the whole ``EmFit``, fit on each group's own rows."""
+                      ) -> dict[str, LogisticScorer]:
+    """``{group name: scorer}``: a ``negative``, ``supervised`` or ``em``
+    (an ``EmFit``) scorer, fit on each group's own rows."""
     out = {}
     for gid in groups:
         name = train.group_names[gid]
@@ -226,12 +224,12 @@ def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, gro
     return out
 
 
-def group_scores(scorers: dict, data: LabeledDataset) -> np.ndarray:
+def group_scores(scorers: dict[str, LogisticScorer], data: LabeledDataset) -> np.ndarray:
     """Each row's condition score from its own group's scorer.
 
-    ``scorers`` maps group names to scorers (``LogisticScorer`` or ``EmFit``)
-    and must cover every group present in ``data``. Groups that share one
-    scorer (the core method's ``sigmoid(w.x+b)``) are scored in one pass.
+    ``scorers`` maps group names to scorers and must cover every group
+    present in ``data``. Groups that share one scorer (the core method's
+    ``sigmoid(w.x+b)``) are scored in one pass.
     """
     by_scorer: dict[int, tuple[LogisticScorer, list[int]]] = {}
     for gid in data.present_groups():
@@ -246,14 +244,6 @@ def group_scores(scorers: dict, data: LabeledDataset) -> np.ndarray:
                     else data.features.take_rows(np.flatnonzero(mask)))
         scores[mask] = scorer.predict(features)
     return scores
-
-
-def purple_scorers(result: FitResult, names) -> dict[str, LogisticScorer]:
-    """The core model itself, a ``LogisticScorer`` shared by every group in
-    ``names``. A degenerate fit raises ``ValueError``."""
-    if result.degenerate:
-        raise ValueError("core fit is degenerate (no observed positives in training)")
-    return {name: result.model for name in names}
 
 
 def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledDataset,
@@ -271,9 +261,8 @@ def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledD
     estimators; the built-in fits draw no random numbers.
     """
     flags: list[str] = []
-    if kind == "purple":
-        scorers = purple_scorers(fit_purple(train, val, config), eval_data.group_names)
-        scores = group_scores(scorers, eval_data)
+    if kind == "purple":  # one scorer shared by every group
+        scores = fit_purple(train, val, config).model.predict(eval_data.features)
     elif kind in BUILTIN_KINDS:
         fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
                                  config or _UNREGULARIZED, em_config)

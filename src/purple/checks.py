@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import _UNREGULARIZED, fit_group_scorers, group_scores
 from .data import LabeledDataset
 from .metrics import CalibrationResult, auc, auprc, calibration
-from .model import FitResult, TrainConfig, fit as fit_purple, predict_diagnosis
+from .model import PurpleModel, TrainConfig, fit as fit_purple, predict_diagnosis
 
 MIN_GROUP_ROWS = 30
 
@@ -61,12 +61,12 @@ class ModelFitComparison:
 def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset,
                                       test: LabeledDataset,
                                       config: TrainConfig | None = None,
-                                      constrained: FitResult | None = None,
+                                      constrained: PurpleModel | None = None,
                                       ) -> ModelFitComparison:
     """Held-out AUC/AUPRC of the constrained product model versus one
     independent scorer per group, pooled over groups.
 
-    ``constrained`` reuses an existing fit instead of refitting.
+    ``constrained`` is a fitted core model to use instead of refitting.
     """
     config = config or _UNREGULARIZED
     groups = train.present_groups()
@@ -82,8 +82,8 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
             raise ValueError(
                 f"group {train.group_names[gid]!r} has single-class observed labels in "
                 "training; its own scorer needs both classes")
-    result = constrained or fit_purple(train, val, config)
-    constrained_scores = predict_diagnosis(result.model, test.features, test.group)
+    model = constrained or fit_purple(train, val, config).model
+    constrained_scores = predict_diagnosis(model, test.features, test.group)
 
     unconstrained_scores = group_scores(
         fit_group_scorers("negative", train, val, groups, config), test)
@@ -131,24 +131,24 @@ class AssumptionCheckReport:
         }
 
 
-def assumption_check_report(result: FitResult, train: LabeledDataset,
+def assumption_check_report(model: PurpleModel, train: LabeledDataset,
                             val: LabeledDataset, test: LabeledDataset,
                             config: TrainConfig | None = None, n_bins: int = DEFAULT_N_BINS,
                             ece_warn: float = DEFAULT_ECE_WARN,
                             delta_auc_warn: float = DEFAULT_DELTA_AUC_WARN
                             ) -> AssumptionCheckReport:
-    """Run both checks for a fitted model on held-out data.
+    """Run both checks for a fitted core model on held-out data.
 
     Calibration is computed on the diagnosis probability against the
     observed labels (the only observable target), per group. Warn
     thresholds are artifact defaults, configurable and echoed in the
     output.
     """
-    probs = predict_diagnosis(result.model, test.features, test.group)
+    probs = predict_diagnosis(model, test.features, test.group)
     cal = {}
     for gid in test.present_groups():
         mask = test.group == gid
         cal[test.group_names[gid]] = calibration(probs[mask], test.s[mask], n_bins)
     comparison = compare_constrained_unconstrained(train, val, test, config,
-                                                   constrained=result)
+                                                   constrained=model)
     return AssumptionCheckReport(cal, comparison, ece_warn, delta_auc_warn)

@@ -18,14 +18,14 @@ import numpy as np
 from ._version import VERSION
 # fit_em is unused here but kept importable: perfbench's tracer wraps cli.fit_em.
 from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
-                        fit_group_scorers, group_scores, purple_scorers)
+                        fit_group_scorers, group_scores)
 from .checks import (DEFAULT_DELTA_AUC_WARN, DEFAULT_ECE_WARN, DEFAULT_N_BINS,
                      assumption_check_report)
 from .data import (SPLIT_FRACTIONS, LabeledDataset, SplitSpec, load_dataset, split,
                    split_indices, write_dataset)
 from .gauss import GaussSynthConfig, generate_gauss
 from .harness import _CORPUS, SUITE_NAMES, emit_report, make_suite, run_suite
-from .model import FitResult, TrainConfig, fit as fit_purple, mean_score_ratio
+from .model import PurpleModel, TrainConfig, fit as fit_purple, mean_score_ratio
 from .visits import (SYMPTOM_MODES, SemiSynthConfig, generate_visit_corpus,
                      load_symptom_indices, select_symptoms, simulate_labels)
 
@@ -266,18 +266,21 @@ def _vector(value, name: str) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _purple_fit(entry: dict, name: str) -> FitResult:
-    """A stored core fit, every entry ``FitResult.from_dict`` reads checked."""
-    model = _typed(entry["model"], dict, f"{name}.model")
+def _purple_model(entry: dict, name: str) -> PurpleModel:
+    """A stored core fit's model, every entry it reads checked; the fit's
+    history beside it is not read. Files written before ``purple fit``
+    refused training data without a positive label can flag such a fit
+    ``degenerate``; it is refused."""
+    where = f"{name}.model"
+    model = _typed(entry["model"], dict, where)
     for key in ("w", "theta"):
-        _vector(model[key], f"{name}.model.{key}")
-    _typed(model["b"], _NUMBER, f"{name}.model.b")
-    for j, group in enumerate(_typed(model["group_names"], list, f"{name}.model.group_names")):
-        _typed(group, str, f"{name}.model.group_names[{j}]")
-    for j, step in enumerate(_typed(entry["loss_trace"], list, f"{name}.loss_trace")):
-        _typed(step, list, f"{name}.loss_trace[{j}]")
-    _typed(entry["degenerate"], bool, f"{name}.degenerate")
-    return FitResult.from_dict(entry)
+        _vector(model[key], f"{where}.{key}")
+    _typed(model["b"], _NUMBER, f"{where}.b")
+    for j, group in enumerate(_typed(model["group_names"], list, f"{where}.group_names")):
+        _typed(group, str, f"{where}.group_names[{j}]")
+    if entry.get("degenerate"):
+        raise ValueError("core fit is degenerate (no observed positives in training)")
+    return PurpleModel.from_dict(model)
 
 
 def _baseline_scorers(entry: dict, name: str) -> dict[str, LogisticScorer]:
@@ -294,14 +297,14 @@ def _baseline_scorers(entry: dict, name: str) -> dict[str, LogisticScorer]:
 def _load_model_file(path: str) -> dict:
     """A saved model file, its ``train`` entry read as a ``TrainConfig``, its
     ``split`` entry as a ``SplitSpec`` and its ``fits`` as a map from split
-    index to that split's fit: a ``FitResult`` for purple, else each group's
-    ``LogisticScorer``. Every entry that ``purple estimate`` and ``purple
-    check`` read is checked for its JSON type."""
+    index to that split's fit: a ``PurpleModel`` for purple, else each
+    group's ``LogisticScorer``. Every entry that ``purple estimate`` and
+    ``purple check`` read is checked for its JSON type."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh, object_hook=_ModelFileObject)
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
-    read_fit = _purple_fit if _typed(payload["method"], str, "method") == "purple" \
+    read_fit = _purple_model if _typed(payload["method"], str, "method") == "purple" \
         else _baseline_scorers
     _typed(_typed(payload["data"], dict, "data")["sha256"], str, "data.sha256")
     fits = {}
@@ -325,7 +328,7 @@ def _load_model_file(path: str) -> dict:
 def _check_widths(fits: dict, data, data_path: str) -> None:
     """Refuse a stored scorer whose weight count is not the data's column count."""
     for j, fit in enumerate(fits.values()):  # in the file's order
-        scorers = ({"model": fit.model} if isinstance(fit, FitResult)
+        scorers = ({"model": fit} if isinstance(fit, PurpleModel)
                    else {f"scorers.{group}": scorer for group, scorer in fit.items()})
         for where, scorer in scorers.items():
             if scorer.w.size != data.n_dims:
@@ -387,7 +390,7 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
     if vs_complement:
         requests.append(("vs-complement", vs_complement.strip(), None))
     rows_by_split = _eval_rows(payload, data, data_path, all_rows)
-    scorers = {i: purple_scorers(fit, data.group_names) if payload["method"] == "purple"
+    scorers = {i: dict.fromkeys(data.group_names, fit) if isinstance(fit, PurpleModel)
                else fit for i, fit in payload["fits"].items()}
     for kind, a, b in requests:
         per_split = []
@@ -425,11 +428,11 @@ def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn
         raise click.UsageError("data file differs from the one the model was fit on")
     data = load_dataset(data_path)
     _check_widths(payload["fits"], data, data_path)
-    result = payload["fits"].get(split_index)
-    if result is None:
+    model = payload["fits"].get(split_index)
+    if model is None:
         raise click.UsageError(f"model file has no split {split_index}")
     train, val, test = split(data, payload["split"], split_index)
-    report = assumption_check_report(result, train, val, test,
+    report = assumption_check_report(model, train, val, test,
                                      payload["train"], n_bins=bins,
                                      ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
     _write_json({"version": VERSION, "model": model_path, "data": data_path,

@@ -29,16 +29,13 @@ features. That scale makes the solver's initial inverse Hessian the
 diagonal ``gamma * diag(scale)``, not ``gamma * I``; it only shrinks, bringing
 each weight column whose mean square exceeds the intercept's 1 down to it,
 so on binary features it is all ones and a fit is bit-identical to the
-scalar solver's. Full Jacobi scaling, which also enlarges rare columns, was
-rejected: on the semisynth suite it moved per-split ``negative`` estimates
-by up to 40% and added 5% of iterations. Every sigmoid and softplus of a
+scalar solver's. Every sigmoid and softplus of a
 fit, a score or a data generator, the baselines' included, comes from
 ``_logistic``, one numpy kernel built on the vectorised ``exp`` and ``log1p``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -151,20 +148,11 @@ class FitResult:
     val_cross_entropy: float
     epochs_run: int
     loss_trace: list[tuple[int, float, float]]
-    degenerate: bool = False
     lambda_metrics: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "model": self.model.to_dict(),
                 "loss_trace": [list(t) for t in self.loss_trace]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        """Inverse of ``to_dict``; keys it does not write are ignored."""
-        kept = ("selected_lambda", "val_auc", "val_cross_entropy", "epochs_run",
-                "degenerate", "lambda_metrics")
-        return cls(model=PurpleModel.from_dict(d["model"]),
-                   loss_trace=[tuple(t) for t in d["loss_trace"]], **{k: d[k] for k in kept})
 
 
 @dataclass
@@ -520,6 +508,10 @@ def fit(train: LabeledDataset, val: LabeledDataset,
     metrics, the iterations run and the stop reason (``"converged"``,
     ``"early-stopped"`` or ``"budget"``) are retained per grid value for
     inspection. Deterministic: a fit draws no random numbers.
+
+    Training rows without an observed positive raise ``ValueError`` before
+    any fit: the labeling frequency ``c = p(s=1|y=1)`` has nothing to be fit
+    to there (Elkan & Noto 2008).
     """
     config = config or TrainConfig()
     if train.n_dims != val.n_dims:
@@ -530,10 +522,8 @@ def fit(train: LabeledDataset, val: LabeledDataset,
     if missing:
         names = [train.group_names[g] for g in sorted(missing)]
         raise ValueError(f"groups present in val but absent in train: {names}")
-    degenerate = int(train.s.sum()) == 0
-    if degenerate:
-        warnings.warn("training data has no positive observed labels; fit is degenerate",
-                      RuntimeWarning, stacklevel=2)
+    if not train.s.any():
+        raise ValueError("the core fit requires at least one observed positive in training")
 
     fits, lambda_metrics = [], []
     for lam in config.lambda_grid:
@@ -554,7 +544,7 @@ def fit(train: LabeledDataset, val: LabeledDataset,
     (model, trace), chosen = fits[best], lambda_metrics[best]
     return FitResult(model=model, selected_lambda=chosen["lambda"], val_auc=chosen["val_auc"],
                      val_cross_entropy=chosen["val_cross_entropy"], epochs_run=chosen["epochs"],
-                     loss_trace=trace, degenerate=degenerate, lambda_metrics=lambda_metrics)
+                     loss_trace=trace, lambda_metrics=lambda_metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def test_criterion_6_semisynth_sweep(semisynth_run):
 def _check_report_for(dataset, seed):
     train, val, test = split(dataset, SplitSpec(seed=seed), 0)
     result = fit(train, val, _GAUSS_TRAIN)
-    return assumption_check_report(result, train, val, test, _GAUSS_TRAIN)
+    return assumption_check_report(result.model, train, val, test, _GAUSS_TRAIN)
 
 
 def test_criterion_7_checks_well_specified():

@@ -18,7 +18,6 @@ from purple.baselines import (
     fit_negative,
     fit_supervised,
     group_scores,
-    purple_scorers,
     register_estimator,
 )
 from purple.data import FeatureMatrix, SplitSpec, split
@@ -184,9 +183,8 @@ class TestEmSteps:
 
 
 def assert_same_em(first, second):
-    assert (first.c_hat, first.n_iters, first.scorer.b) == (
-        second.c_hat, second.n_iters, second.scorer.b)
-    np.testing.assert_array_equal(first.scorer.w, second.scorer.w)
+    assert (first.c_hat, first.n_iters, first.b) == (second.c_hat, second.n_iters, second.b)
+    np.testing.assert_array_equal(first.w, second.w)
 
 
 class TestEmFit:
@@ -204,14 +202,8 @@ class TestEmFit:
         em = fit_em(tr, va, EmConfig(), FAST)
         assert em.c_hat > 0.9
         sup = fit_supervised(tr, va, FAST)
-        gap = np.abs(em.scorer.predict(va.features) - sup.predict(va.features))
+        gap = np.abs(em.predict(va.features) - sup.predict(va.features))
         assert gap.mean() < 0.05
-
-    def test_c_init_recorded(self):
-        data = identical_groups_data(n=1000, seed=8)
-        tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        em = fit_em(tr, va, EmConfig(max_iters=2), FAST)
-        assert em.c_init == pytest.approx(min(2.0 * tr.s.mean(), 1.0 - 1e-3), abs=1e-12)
 
     @staticmethod
     def reference_em(tr, va, em_config, memory):
@@ -238,8 +230,8 @@ class TestEmFit:
         em_config = EmConfig(max_iters=5)
         em = fit_em(tr, va, em_config, FAST)
         iters, c_hat, scorer = self.reference_em(tr, va, em_config, memory=[])
-        assert (em.n_iters, em.c_hat, em.scorer.b) == (iters, c_hat, scorer.b)
-        np.testing.assert_array_equal(em.scorer.w, scorer.w)
+        assert (em.n_iters, em.c_hat, em.b) == (iters, c_hat, scorer.b)
+        np.testing.assert_array_equal(em.w, scorer.w)
 
     def test_shared_memory_stays_close_to_cold_m_steps(self):
         # The M-steps share one L-BFGS memory; each still stops inside its
@@ -251,7 +243,7 @@ class TestEmFit:
         iters, c_hat, scorer = self.reference_em(tr, va, em_config, memory=None)
         assert em.n_iters == iters
         assert abs(em.c_hat - c_hat) < 1e-4
-        np.testing.assert_allclose(np.append(em.scorer.w, em.scorer.b),
+        np.testing.assert_allclose(np.append(em.w, em.b),
                                    np.append(scorer.w, scorer.b), rtol=0, atol=1e-3)
 
     def test_fits_share_no_memory(self):
@@ -285,10 +277,11 @@ class TestEmFit:
         tr, va, te = split(data, SplitSpec(seed=0), 0)
         fits = fit_group_scorers("em", tr, va, tr.present_groups(), FAST, EmConfig(max_iters=3))
         assert list(fits) == ["a", "b"]
-        for em in fits.values():
-            assert isinstance(em, EmFit)
-            np.testing.assert_array_equal(em.predict(te.features),
-                                          em.scorer.predict(te.features))
+        scores = group_scores(fits, te)
+        for name, em in fits.items():
+            assert isinstance(em, EmFit) and isinstance(em, LogisticScorer)
+            mask = te.group_mask(name)
+            np.testing.assert_allclose(scores[mask], em.predict(te.features)[mask], rtol=1e-14)
         negative = fit_group_scorers("negative", tr, va, tr.present_groups(), FAST)
         assert all(isinstance(f, LogisticScorer) for f in negative.values())
 
@@ -308,7 +301,7 @@ class TestEstimatorContract:
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=300, patience=300)
         result = fit_purple(tr, va, cfg)
         direct = relative_prevalence(result.model, te, "a", "b")
-        scores = group_scores(purple_scorers(result, te.group_names), te)
+        scores = group_scores(dict.fromkeys(te.group_names, result.model), te)
         assert mean_score_ratio(scores, te, "a", "b") == direct
         assert baseline_relative_prevalence("purple", tr, va, te, "a", "b",
                                             config=cfg).value == direct
@@ -321,17 +314,6 @@ class TestEstimatorContract:
         for b in ("b", None):
             assert relative_prevalence(scorer, te, "a", b) == mean_score_ratio(
                 scorer.predict(te.features), te, "a", b)
-
-    def test_purple_scorers_share_one_scorer_and_reject_degenerate_fits(self):
-        data = generate_gauss(GaussSynthConfig(n_a=200, n_b=300), 10)
-        tr, va, _ = split(data, SplitSpec(seed=0), 0)
-        result = fit_purple(tr, va, TrainConfig(lambda_grid=(0.0,), max_epochs=20))
-        scorers = purple_scorers(result, ["a", "b", "c"])
-        assert list(scorers) == ["a", "b", "c"]
-        assert scorers["a"] is scorers["b"] is scorers["c"] is result.model
-        result.degenerate = True
-        with pytest.raises(ValueError, match="^core fit is degenerate"):
-            purple_scorers(result, ["a", "b"])
 
     def test_group_scores_use_each_rows_own_scorer(self):
         data = generate_gauss(GaussSynthConfig(n_a=50, n_b=70), 15)

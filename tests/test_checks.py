@@ -85,7 +85,7 @@ class TestAssumptionReport:
     def test_well_specified_passes(self):
         tr, va, te = split(well_specified(6), SplitSpec(seed=3), 0)
         result = fit(tr, va, CFG)
-        report = assumption_check_report(result, tr, va, te, CFG)
+        report = assumption_check_report(result.model, tr, va, te, CFG)
         assert report.calibration_verdict == "pass"
         assert report.model_fit_verdict == "pass"
         assert set(report.calibration_by_group) == {"a", "b"}
@@ -93,14 +93,14 @@ class TestAssumptionReport:
     def test_interaction_warns_on_model_fit(self):
         tr, va, te = split(interaction_violating(7), SplitSpec(seed=4), 0)
         result = fit(tr, va, CFG)
-        report = assumption_check_report(result, tr, va, te, CFG)
+        report = assumption_check_report(result.model, tr, va, te, CFG)
         assert report.model_fit_verdict == "warn"
 
     def test_corrupted_frequency_warns_on_calibration(self):
         tr, va, te = split(well_specified(8), SplitSpec(seed=5), 0)
         result = fit(tr, va, CFG)
         result.model.theta[1] += 2.0  # deliberately mis-set one group's frequency
-        report = assumption_check_report(result, tr, va, te, CFG)
+        report = assumption_check_report(result.model, tr, va, te, CFG)
         assert report.calibration_by_group["b"].ece > 0.05
         assert report.calibration_verdict == "warn"
 
@@ -108,7 +108,7 @@ class TestAssumptionReport:
         tr, va, te = split(well_specified(9, 1500, 1500), SplitSpec(seed=6), 0)
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=400, patience=400)
         result = fit(tr, va, cfg)
-        report = assumption_check_report(result, tr, va, te, cfg, n_bins=5,
+        report = assumption_check_report(result.model, tr, va, te, cfg, n_bins=5,
                                          ece_warn=0.2, delta_auc_warn=0.5)
         d = report.to_dict()
         assert d["thresholds"] == {"ece_warn": 0.2, "delta_auc_warn": 0.5}

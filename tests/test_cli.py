@@ -185,6 +185,10 @@ BROKEN_MODEL_FILES = {
                         "[0.6, 0.2, 0.2] every split uses", "purple"),
     "repeated-split": (lambda blob: blob["fits"].append(blob["fits"][0]),
                        "model file holds two fits of split 0", "purple"),
+    # Only files written before `purple fit` refused data without a positive
+    # label flag a fit degenerate.
+    "degenerate": (lambda blob: blob["fits"][0].update(degenerate=True),
+                   "core fit is degenerate (no observed positives in training)", "purple"),
 }
 
 
@@ -212,7 +216,6 @@ BROKEN_MODEL_FILES.update({
         ("fits.0.split", "0", "an integer"),
         ("fits.0.split", True, "an integer"),
         ("fits.0.model", "x", "an object"),
-        ("fits.0.loss_trace", 5, "a list"),
         ("split", [0], "an object"),
         ("split.seed", 0.5, "an integer"),
         ("split.n_repeats", "2", "an integer"),
@@ -281,8 +284,43 @@ class TestFitEstimateCheck:
         _, model = self.fit_model(runner, tmp_path, method="em",
                                   extra=("--em-max-iters", "3"))
         blob = json.loads(open(model).read())
-        entry = blob["fits"][0]["scorers"]["a"]
-        assert {"c_hat", "converged", "n_iters", "c_init"} <= set(entry)
+        for fit in blob["fits"]:
+            for entry in fit["scorers"].values():
+                assert set(entry) == {"w", "b", "c_hat", "converged", "n_iters"}
+
+    def test_fit_purple_without_a_positive_is_one_error_line(self, runner, tmp_path):
+        base = load_dataset(simulate_small(runner, str(tmp_path / "d.csv")))
+        data = str(tmp_path / "unlabeled.csv")
+        write_dataset(replace(base, s=np.zeros_like(base.s)), data)
+        model = tmp_path / "m.json"
+        result = runner.invoke(main, ["fit", "--data", data, "--method", "purple",
+                                      "--splits", "1", "--out", str(model)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result
+        assert result.output.splitlines() == [
+            "Error: the core fit requires at least one observed positive in training"]
+        assert not model.exists()
+
+    def test_purple_fit_history_is_not_read(self, runner, tmp_path):
+        data, model = self.fit_model(runner, tmp_path)
+        bare = str(tmp_path / "bare.json")
+        blob = json.loads(open(model).read())
+        history = ("loss_trace", "lambda_metrics", "val_auc", "val_cross_entropy",
+                   "epochs_run", "selected_lambda")
+        for fit in blob["fits"]:
+            for key in history:
+                del fit[key]
+        with open(bare, "w") as fh:
+            json.dump(blob, fh)
+        reports = []
+        for path in (model, bare):
+            est = estimate(runner, path, data, "--pairs", "a:b,b:a", "--vs-complement", "a")
+            out = str(tmp_path / "checks.json")
+            result = runner.invoke(main, ["check", "--model", path, "--data", data,
+                                          "--out", out])
+            assert result.exit_code == 0, result.output
+            check = json.loads(open(out).read())
+            reports.append((est["estimates"], {k: v for k, v in check.items() if k != "model"}))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("suffix", [".csv", ".pu"])
     @pytest.mark.parametrize("method", METHODS)

@@ -46,6 +46,20 @@ class TestFeatureMatrix:
         assert m.is_binary()
         assert not FeatureMatrix(np.array([[0.5]])).is_binary()
 
+    def test_binary_reads_repeated_csr_entries_summed(self):
+        # Two stored 1.0 at one position are one 2.0 to the products, so the
+        # matrix is not binary; two stored 0.5 are one 1.0, so it is.
+        def one_row(values, cols):
+            return FeatureMatrix(sp.csr_matrix(
+                (np.array(values), np.array(cols), np.array([0, len(cols)])), shape=(1, 2)))
+
+        doubled = one_row([1.0, 1.0, 1.0], [0, 0, 1])
+        assert not doubled.raw.has_canonical_format
+        np.testing.assert_array_equal(doubled.column_mean_square(), [4.0, 1.0])
+        assert not doubled.is_binary()
+        assert one_row([0.5, 0.5, 1.0], [0, 0, 1]).is_binary()
+        assert not doubled.raw.has_canonical_format  # the stored matrix is left as it is
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_non_finite_values_rejected(self, bad, sparse):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import (
     PROB_FLOOR,
     _LBFGS_MEMORY,
-    FitResult,
     LogisticScorer,
     PurpleModel,
     RelativePrevalenceEstimate,
@@ -473,15 +473,17 @@ class TestFit:
         assert res.selected_lambda in cfg.lambda_grid
         assert len(res.lambda_metrics) == 2
 
-    def test_degenerate_warns_and_downstream_raises(self):
+    def test_training_without_a_positive_refused(self):
         tr, va, te = self.small_data()
         tr.s = np.zeros_like(tr.s)
         cfg = TrainConfig(lambda_grid=(0.0,), max_epochs=5, patience=5)
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            res = fit(tr, va, cfg)
-        assert res.degenerate
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="degenerate"):
-            baseline_relative_prevalence("purple", tr, va, te, "a", "b", config=cfg)
+        message = "^the core fit requires at least one observed positive in training$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(ValueError, match=message):
+                fit(tr, va, cfg)
+            with pytest.raises(ValueError, match=message):
+                baseline_relative_prevalence("purple", tr, va, te, "a", "b", config=cfg)
 
     def test_group_missing_from_train_rejected(self):
         tr, va, _ = self.small_data()
@@ -511,12 +513,6 @@ class TestFit:
         stop = {m["lambda"]: m["stop"] for m in res.lambda_metrics}[res.selected_lambda]
         assert stop in ("converged", "budget" if patience > max_epochs else "early-stopped")
         assert (res.epochs_run == max_epochs) == (stop == "budget")
-
-    def test_fit_result_round_trip(self):
-        tr, va, _ = self.small_data()
-        res = fit(tr, va, TrainConfig(lambda_grid=(1e-3, 0.0), max_epochs=20))
-        assert FitResult.from_dict(res.to_dict()) == res
-        assert FitResult.from_dict(json.loads(json.dumps(res.to_dict()))) == res
 
     def test_labeling_frequency_ratio_recovered(self):
         # individual frequencies are not identifiable; their ratio is.
