@@ -58,7 +58,7 @@ class EmConfig:
             raise ValueError("EM tol must be finite and non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
 class EmFit(LogisticScorer):
     """An EM fit's condition scorer, with its labeling-frequency estimate
     ``c_hat`` and whether EM converged within ``n_iters`` iterations."""

@@ -194,7 +194,9 @@ def _train_config(lambda_grid, max_epochs, patience):
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--method", default="purple", show_default=True,
               help="purple, negative, supervised, or em.")
-@click.option("--lambda-grid", default=None, help="Comma-separated L1 strengths.")
+@click.option("--lambda-grid", default=None,
+              help="Comma-separated L1 strengths; default "
+                   f"{','.join(f'{lam:g}' for lam in TrainConfig.lambda_grid)}.")
 @click.option("--max-epochs", default=None, type=int,
               help="Budget per fit, in L-BFGS iterations.")
 @click.option("--patience", default=None, type=int,

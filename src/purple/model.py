@@ -71,8 +71,14 @@ class LogisticScorer:
     def to_dict(self) -> dict:
         return {"w": self.w.tolist(), "b": self.b}
 
+    def __eq__(self, other) -> bool:
+        """Same class and equal ``to_dict()``. Subclasses are declared with
+        ``eq=False`` so that they keep this definition: the generated one
+        compares ``w`` arrays inside a tuple, which raises."""
+        return type(other) is type(self) and self.to_dict() == other.to_dict()
 
-@dataclass
+
+@dataclass(eq=False)
 class PurpleModel(LogisticScorer):
     """The condition scorer plus one labeling-frequency logit per group."""
 
@@ -98,16 +104,23 @@ class PurpleModel(LogisticScorer):
     def from_dict(cls, d: dict) -> "PurpleModel":
         return cls(np.asarray(d["w"]), d["b"], np.asarray(d["theta"]), list(d["group_names"]))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PurpleModel) and self.to_dict() == other.to_dict()
-
 
 @dataclass
 class TrainConfig:
     """The L1 grid, and each fit's budget and early-stopping patience, both
-    counted in L-BFGS iterations."""
+    counted in L-BFGS iterations.
 
-    lambda_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0)
+    The default grid is (1e-2, 1e-3, 0): below 1e-3, early stopping is the
+    regularizer (Yao, Rosasco & Caponnetto 2007). On the semisynth suite at
+    seed 0 (100 fits per λ), λ = 1e-4, 1e-5 and 1e-6 each stopped early in
+    all 100 fits, as λ = 0 did, in 1396, 1381 and 1379 iterations against
+    λ = 0's 1372, and were selected 17, 6 and 6 times against its 12. λ =
+    1e-2 converged in all 100 (693 iterations, selected 22 times) and 1e-3
+    stopped early in 90 (2175, selected 37 times). Without those three the
+    grid runs 4240 iterations, not 8396, and no point's mean estimate moved
+    by more than 1.6% at seeds 0 to 2."""
+
+    lambda_grid: tuple[float, ...] = (1e-2, 1e-3, 0.0)
     max_epochs: int = 500
     patience: int = 10
 

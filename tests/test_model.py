@@ -10,7 +10,8 @@ from scipy.optimize import minimize
 from scipy.special import expit
 from helpers import fd_gradients, random_model, rel_err, tiny_batch
 
-from purple.baselines import baseline_relative_prevalence
+from purple import model as model_module
+from purple.baselines import EmFit, baseline_relative_prevalence
 from purple.data import FeatureMatrix, LabeledDataset, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
 from purple.model import (
@@ -32,6 +33,8 @@ from purple.model import (
     predict_diagnosis,
     relative_prevalence,
 )
+from purple.visits import (SemiSynthConfig, generate_visit_corpus, select_symptoms,
+                           simulate_labels)
 
 SIGMOID_1 = 1.0 / (1.0 + math.exp(-1.0))
 
@@ -527,6 +530,37 @@ class TestFit:
         assert abs(np.mean(ratios) - 2.0) < 0.3
 
 
+class TestLambdaGrid:
+    """The default grid drops the old six-value grid's 1e-4, 1e-5 and 1e-6
+    fits and nothing else: each fit depends on its own λ, not on the rest
+    of the grid."""
+
+    def test_each_fit_is_the_same_in_either_grid(self, monkeypatch):
+        visits, group, names = generate_visit_corpus(300, 450, 60, seed=0)
+        visits, v_sym = select_symptoms(visits, group, names, "common", 0)
+        data = simulate_labels(visits, group, names, v_sym,
+                               SemiSynthConfig(c={"a": 0.5, "b": 0.3}, seed=0))
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        assert tr.features.is_sparse
+        six_fits = {}
+        train_one = model_module._train_one_lambda
+
+        def recording(train, val, config, lam):
+            out = train_one(train, val, config, lam)
+            six_fits[lam] = out[0]
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_train_one_lambda", recording)
+            six = fit(tr, va, TrainConfig(lambda_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0)))
+        new = fit(tr, va, TrainConfig())
+        assert [m["lambda"] for m in new.lambda_metrics] == [0.01, 0.001, 0.0]
+        six_metrics = {m["lambda"]: m for m in six.lambda_metrics}
+        for metrics in new.lambda_metrics:
+            assert metrics == six_metrics[metrics["lambda"]]
+        assert new.model == six_fits[new.selected_lambda]
+
+
 class TestLossTrace:
     """Each ``loss_trace`` train loss is ``loss`` at that iteration's end
     point, replayed by running ``_lbfgs_fit``, with ``_train_one_lambda``'s
@@ -586,9 +620,16 @@ class TestSerialization:
             TrainConfig.from_dict({**TrainConfig().to_dict(), "bogus": 1})
 
     def test_train_config_reads_older_model_files(self):
+        # An old file reads back the six-value grid it stores, not today's default.
         old = json.loads(self.OLD_TRAIN)
-        assert TrainConfig.from_dict(old) == TrainConfig()
-        assert TrainConfig.from_dict(dict(old, learning_rate=0.5, adam_eps=1e-3)) == TrainConfig()
+        stored = TrainConfig(lambda_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0))
+        assert TrainConfig.from_dict(old) == stored
+        assert TrainConfig.from_dict(dict(old, learning_rate=0.5, adam_eps=1e-3)) == stored
+
+    def test_train_config_without_a_grid_reads_the_default_grid(self):
+        entry = {k: v for k, v in json.loads(self.OLD_TRAIN).items() if k != "lambda_grid"}
+        assert TrainConfig.from_dict(entry) == TrainConfig()
+        assert TrainConfig().lambda_grid == (1e-2, 1e-3, 0.0)
 
     @pytest.mark.parametrize("key,value", [("batch_size", 1024), ("batch_size", 0),
                                            ("weight_decay", 0.1)])
@@ -614,6 +655,16 @@ class TestSerialization:
         m = PurpleModel(np.array([1.0, 2.0]), 0.5, np.zeros(2), ["a", "b"])
         assert m == PurpleModel.from_dict(m.to_dict())
         assert m != PurpleModel(np.array([1.0, 2.5]), 0.5, np.zeros(2), ["a", "b"])
+        # Every scorer compares by class and values, and no comparison raises.
+        scorer = LogisticScorer(np.ones(5), 0.0)
+        purple = PurpleModel(np.ones(5), 0.0, np.zeros(2), ["a", "b"])
+        em = EmFit(np.ones(5), 0.0, 0.5, True, 3)
+        assert scorer == LogisticScorer(np.ones(5), 0.0)
+        assert scorer != LogisticScorer(np.array([1.0, 1.0, 1.0, 1.0, 2.0]), 0.0)
+        assert scorer != purple and purple != scorer
+        assert em == EmFit(np.ones(5), 0.0, 0.5, True, 3)
+        assert em != EmFit(np.ones(5), 0.0, 0.5, True, 4)
+        assert em != scorer and scorer != em
 
     def test_estimate_from_splits(self):
         est = RelativePrevalenceEstimate.from_splits("a", "b", [1.0, 2.0, 3.0], 4.0, ["x"])
