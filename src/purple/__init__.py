@@ -50,11 +50,7 @@ from .model import (
 )
 from .stats import paired_t_test, student_t_cdf
 from .visits import (
-    SemiSynthConfig,
     SymptomSet,
     generate_visit_corpus,
-    select_common_symptoms,
-    select_correlated_symptoms,
-    select_high_rp_symptoms,
     simulate_labels,
 )

@@ -16,7 +16,7 @@ unobserved true labels can be proven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,16 +46,6 @@ class ModelFitComparison:
     @property
     def delta_auprc(self) -> float:
         return self.unconstrained_auprc - self.constrained_auprc
-
-    def to_dict(self) -> dict:
-        return {
-            "constrained_auc": self.constrained_auc,
-            "unconstrained_auc": self.unconstrained_auc,
-            "constrained_auprc": self.constrained_auprc,
-            "unconstrained_auprc": self.unconstrained_auprc,
-            "delta_auc": self.delta_auc,
-            "delta_auprc": self.delta_auprc,
-        }
 
 
 def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset,
@@ -121,12 +111,14 @@ class AssumptionCheckReport:
             },
             "calibration": {
                 "verdict": self.calibration_verdict,
-                "by_group": {g: r.to_dict() for g, r in
+                "by_group": {g: asdict(r) for g, r in
                              sorted(self.calibration_by_group.items())},
             },
             "model_fit": {
                 "verdict": self.model_fit_verdict,
-                **self.comparison.to_dict(),
+                **asdict(self.comparison),
+                "delta_auc": self.comparison.delta_auc,
+                "delta_auprc": self.comparison.delta_auprc,
             },
         }
 

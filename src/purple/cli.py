@@ -26,8 +26,8 @@ from .data import (SPLIT_FRACTIONS, LabeledDataset, SplitSpec, load_dataset, spl
 from .gauss import GaussSynthConfig, generate_gauss
 from .harness import _CORPUS, SUITE_NAMES, emit_report, make_suite, run_suite
 from .model import PurpleModel, TrainConfig, fit as fit_purple, mean_score_ratio
-from .visits import (SYMPTOM_MODES, SemiSynthConfig, generate_visit_corpus,
-                     load_symptom_indices, select_symptoms, simulate_labels)
+from .visits import (SYMPTOM_MODES, generate_visit_corpus, load_symptom_indices,
+                     select_symptoms, simulate_labels)
 
 
 def _parse_c(text: str) -> dict[str, float]:
@@ -171,8 +171,7 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, group_num, group_den
         except OSError:
             raise ValueError(f"--symptoms {symptoms!r} is neither a mode "
                              f"({', '.join(SYMPTOM_MODES)}) nor a readable file") from None
-    cfg = SemiSynthConfig(c=_parse_c(c_text), seed=seed)
-    data = simulate_labels(visits, base.group, base.group_names, v_sym, cfg)
+    data = simulate_labels(visits, base.group, base.group_names, v_sym, _parse_c(c_text), seed)
     write_dataset(data, out)
     click.echo(f"wrote {out} ({data.n_rows} rows, {data.n_dims} dims, "
                f"{len(v_sym)} suspicious symptoms)")

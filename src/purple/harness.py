@@ -36,8 +36,7 @@ from .data import SPLIT_FRACTIONS, LabeledDataset, SplitSpec, split
 from .gauss import GaussSynthConfig, generate_gauss
 from .model import RelativePrevalenceEstimate, TrainConfig, mean_score_ratio
 from .stats import paired_t_test
-from .visits import (SYMPTOM_MODES, SemiSynthConfig, generate_visit_corpus, select_symptoms,
-                     simulate_labels)
+from .visits import SYMPTOM_MODES, generate_visit_corpus, select_symptoms, simulate_labels
 
 # The group names every suite's generators produce: each cell estimates the
 # prevalence of the first relative to the second.
@@ -197,9 +196,8 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
             by_mode[mode] = select_symptoms(corpus, group, names, mode,
                                             derive_seed(suite.base_seed, _TAG_SYMPTOMS, mode))
         visits, v_sym = by_mode[mode]
-        cfg = SemiSynthConfig(c=dict(_C, b=float(cb_str)),
-                              seed=derive_seed(suite.base_seed, _TAG_LABELS, mode))
-        out.append((sv, simulate_labels(visits, group, names, v_sym, cfg)))
+        out.append((sv, simulate_labels(visits, group, names, v_sym, dict(_C, b=float(cb_str)),
+                                        derive_seed(suite.base_seed, _TAG_LABELS, mode))))
     return out
 
 
@@ -284,7 +282,7 @@ def _t_test_entry(method: str, sweep_value: str, other: list[float],
         return entry
     try:
         # Positive t means the baseline is less accurate.
-        entry.update(paired_t_test(other, purple).to_dict())
+        entry.update(asdict(paired_t_test(other, purple)))
     except ValueError as e:
         entry["error"] = str(e)
     return entry

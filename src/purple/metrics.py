@@ -64,17 +64,6 @@ class CalibrationResult:
     ece: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "ece": self.ece,
-            "n": self.n,
-            "bins": [
-                {"lower": b.lower, "upper": b.upper, "mean_predicted": b.mean_predicted,
-                 "empirical_rate": b.empirical_rate, "count": b.count}
-                for b in self.bins
-            ],
-        }
-
 
 def calibration(preds, labels, n_bins: int = 10) -> CalibrationResult:
     """Equal-width reliability bins on [0, 1] plus the expected calibration

@@ -28,9 +28,6 @@ class TTestResult:
     df: int
     p: float
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "df": self.df, "p": self.p}
-
 
 def paired_t_test(acc_a, acc_b) -> TTestResult:
     """Two-sided paired t-test on the differences acc_a - acc_b."""

@@ -6,9 +6,13 @@ condition probability is a logistic function of the number of suspicious
 symptoms present, identical across groups, and observed labels thin the
 true labels by a per-group frequency. A symptom set is a bare set of
 feature indices, and the labels are a pure function of the visit matrix,
-the set and the ``SemiSynthConfig``. ``select_symptoms`` chooses the set in
-one of the four ``SYMPTOM_MODES`` of the paper's semi-synthetic evaluation;
-the semisynth suite and ``purple simulate semisynth`` both call it.
+the set, the per-group labeling frequencies and the seed.
+
+``select_symptoms`` chooses the set in one of the four ``SYMPTOM_MODES`` of
+the paper's semi-synthetic evaluation, each mode's rule and sizes stated
+once there; the semisynth suite and ``purple simulate semisynth`` both call
+it. A set of any other size is written to a symptom file, one index a line,
+and read with ``load_symptom_indices`` (``--symptoms PATH``).
 
 Note on the probability formula: the condition probability is
 ``sigmoid(k / sqrt(|v_sym|))`` where ``k`` counts the active suspicious
@@ -19,7 +23,7 @@ generator's ``sigmoid(w.x / ||w||)`` form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +51,6 @@ class SymptomSet:
         return len(self.indices)
 
 
-@dataclass
-class SemiSynthConfig:
-    c: dict[str, float] = field(default_factory=lambda: {"a": 0.5, "b": 0.5})
-    seed: int = 0
-
-    def __post_init__(self):
-        if any(not (0.0 <= v <= 1.0) for v in self.c.values()):
-            raise ValueError("labeling frequencies must lie in [0, 1]")
-
-
 def _check_binary(visits: FeatureMatrix):
     if not visits.is_binary():
         raise ValueError("visit matrix must be binary-valued")
@@ -74,26 +68,30 @@ def symptom_counts(visits: FeatureMatrix, v_sym: SymptomSet) -> np.ndarray:
 
 
 def simulate_labels(visits: FeatureMatrix, groups: np.ndarray, group_names: list[str],
-                    v_sym: SymptomSet, cfg: SemiSynthConfig) -> LabeledDataset:
+                    v_sym: SymptomSet, c: dict[str, float], seed: int) -> LabeledDataset:
     """Simulate (y, s) on top of a visit matrix from a suspicious-symptom set.
 
     ``latent_p = sigmoid(k / sqrt(|v_sym|))`` with k the per-row count of
     active suspicious symptoms; y ~ Bernoulli(latent_p); s ~ Bernoulli(c_g y).
     The condition probability depends on the row only through k, never on
     the group, so the shared-condition-probability assumption holds exactly.
+    ``c`` maps each group name to its labeling frequency c_g; ``seed``
+    drives both draws.
     """
+    if any(not (0.0 <= v <= 1.0) for v in c.values()):
+        raise ValueError("labeling frequencies must lie in [0, 1]")
     _check_binary(visits)
-    missing = [name for name in group_names if name not in cfg.c]
+    missing = [name for name in group_names if name not in c]
     if missing:
         raise ValueError(f"no labeling frequency for group(s) {', '.join(map(repr, missing))}")
     groups = np.asarray(groups, dtype=np.int64)
     k = symptom_counts(visits, v_sym)
     latent_p = _logistic(k / np.sqrt(len(v_sym)))
-    ss = np.random.SeedSequence([int(cfg.seed)])
+    ss = np.random.SeedSequence([int(seed)])
     rng_y, rng_s = [np.random.default_rng(child) for child in ss.spawn(2)]
     n = visits.n_rows
     y = (rng_y.uniform(size=n) < latent_p).astype(np.int8)
-    c_row = np.asarray([cfg.c[name] for name in group_names])[groups]
+    c_row = np.asarray([c[name] for name in group_names])[groups]
     s = ((rng_s.uniform(size=n) < c_row) & (y == 1)).astype(np.int8)
     return LabeledDataset(
         features=visits,
@@ -105,104 +103,29 @@ def simulate_labels(visits: FeatureMatrix, groups: np.ndarray, group_names: list
     )
 
 
-class _TooFewCodes(ValueError):
-    """A selection rule found too few codes to choose from."""
-
-
-def select_common_symptoms(visits: FeatureMatrix, pool: int = 50, pick: int = 25,
-                           seed: int = 0) -> SymptomSet:
-    """Uniformly sample ``pick`` symptoms from the ``pool`` most frequent ones.
-
-    Frequency ranking is by occurrence count descending with ties broken by
-    index, so the pool is a deterministic function of the matrix.
-    """
-    if pick > pool:
-        raise ValueError("pick must not exceed pool")
+def _draw_frequent(visits: FeatureMatrix, pool: int, pick: int, seed: int,
+                   what: str, remedy: str) -> SymptomSet:
+    """``pick`` codes drawn uniformly from the ``pool`` most frequent, ranked
+    by occurrence count descending with ties by index."""
     counts = visits.column_counts()
     seen = int((counts > 0).sum())
     if seen < pool:
-        raise _TooFewCodes(f"only {seen} features ever occur, fewer than the {pool} "
-                           "most frequent to draw from")
+        raise ValueError(f"{what}: only {seen} features ever occur, fewer than the {pool} "
+                         f"most frequent to draw from; pass {remedy}")
     order = np.lexsort((np.arange(counts.size), -counts))
-    pool_idx = order[:pool]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    chosen = rng.choice(pool_idx, size=pick, replace=False)
+    chosen = rng.choice(order[:pool], size=pick, replace=False)
     return SymptomSet(tuple(int(i) for i in chosen))
 
 
-def select_high_rp_symptoms(visits: FeatureMatrix, groups: np.ndarray,
-                            group_names: list[str], group_num: str, group_den: str,
-                            min_count: int = 50, top: int = 10) -> SymptomSet:
-    """Symptoms with the highest occurrence-rate ratio between two groups.
-
-    Features occurring fewer than ``min_count`` times in either group are
-    dropped first (which guarantees a positive denominator); the survivors
-    are ranked by rate(group_num) / rate(group_den) descending, ties by
-    index.
-    """
-    groups = np.asarray(groups, dtype=np.int64)
-    for name in (group_num, group_den):
-        if name not in group_names:
-            raise ValueError(f"unknown group {name!r}; the data holds groups "
-                             f"{', '.join(map(repr, group_names))}")
-    gi_num = group_names.index(group_num)
-    gi_den = group_names.index(group_den)
-    mask_num = groups == gi_num
-    mask_den = groups == gi_den
-    if not mask_num.any() or not mask_den.any():
-        raise ValueError("both groups must be present")
-    counts_num = visits.column_counts(mask_num)
-    counts_den = visits.column_counts(mask_den)
-    keep = (counts_num >= min_count) & (counts_den >= min_count)
-    if not keep.any():
-        raise _TooFewCodes(f"no feature occurs at least {min_count} times in both groups")
-    rate_num = counts_num / mask_num.sum()
-    rate_den = counts_den / mask_den.sum()
-    ratio = np.where(keep, rate_num / np.where(keep, rate_den, 1.0), -np.inf)
+def _top_by_ratio(ratio: np.ndarray, top: int) -> tuple[int, ...]:
+    """The ``top`` codes of largest finite ratio, ties by index."""
     order = np.lexsort((np.arange(ratio.size), -ratio))
-    chosen = [int(i) for i in order if keep[i]][:top]
-    return SymptomSet(tuple(chosen))
-
-
-def select_correlated_symptoms(visits: FeatureMatrix, anchor: SymptomSet,
-                               top: int = 25) -> SymptomSet:
-    """Symptoms most over-represented among rows carrying an anchor feature.
-
-    Per feature: (rate among anchor-positive rows) / (rate among all rows),
-    ranked descending with ties by index. Anchor features themselves are
-    excluded from the result; callers are expected to also drop the anchor
-    columns from the matrix before simulating labels downstream.
-    """
-    _check_binary(visits)
-    anchor_rows = symptom_counts(visits, anchor) > 0
-    n_pos = int(anchor_rows.sum())
-    if n_pos == 0:
-        raise ValueError("no row carries an anchor feature")
-    counts_pos = visits.column_counts(anchor_rows)
-    counts_all = visits.column_counts()
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(counts_all > 0,
-                         (counts_pos / n_pos) / (counts_all / visits.n_rows),
-                         -np.inf)
-    ratio[np.asarray(anchor.indices, dtype=np.intp)] = -np.inf
-    order = np.lexsort((np.arange(ratio.size), -ratio))
-    chosen = [int(i) for i in order if np.isfinite(ratio[i])][:top]
-    if not chosen:
-        raise ValueError("no candidate feature outside the anchor set")
-    return SymptomSet(tuple(chosen))
-
-
-def drop_anchor_features(visits: FeatureMatrix, anchor: SymptomSet,
-                         selected: SymptomSet) -> tuple[FeatureMatrix, SymptomSet]:
-    """Remove anchor columns from the matrix and remap the selected indices."""
-    reduced, index_map = visits.drop_columns(anchor.indices)
-    remapped = tuple(int(index_map[i]) for i in selected.indices)
-    if any(i < 0 for i in remapped):
-        raise ValueError("selected symptoms overlap the anchor set")
-    return reduced, SymptomSet(remapped)
+    return tuple(int(i) for i in order[np.isfinite(ratio[order])][:top])
 
 
 SYMPTOM_MODES = ("common", "high-rp", "correlated", "recognized")
+_SYMPTOM_FILE = "a symptom file with --symptoms PATH"
 
 
 def select_symptoms(visits: FeatureMatrix, groups: np.ndarray, group_names: list[str],
@@ -210,42 +133,79 @@ def select_symptoms(visits: FeatureMatrix, groups: np.ndarray, group_names: list
                     group_num: str | None = None, group_den: str | None = None,
                     ) -> tuple[FeatureMatrix, SymptomSet]:
     """The visit matrix to simulate labels on and the symptom set of one of
-    the ``SYMPTOM_MODES``:
+    the ``SYMPTOM_MODES``, at the sizes of the paper's evaluation:
 
     - ``common``: 25 codes drawn from the 50 most frequent;
     - ``high-rp``: the 10 codes with the highest rate in ``group_num`` over
       ``group_den`` (default: the last group over the first), among codes
-      that occur at least 50 times in both;
-    - ``correlated``: the 25 codes most over-represented around ``anchors``,
-      or else around 10 codes drawn from the 100 most frequent; the anchor
-      columns are dropped from the returned matrix;
+      that occur at least 50 times in both, which keeps every rate positive;
+    - ``correlated``: the 25 codes whose rate among rows carrying one of the
+      ``anchors`` most exceeds their overall rate, the anchors excluded;
+      default anchors are 10 codes drawn from the 100 most frequent. The
+      anchor columns are dropped from the returned matrix and the indices
+      refer to the columns that remain;
     - ``recognized``: 100 codes drawn from those that occur at least 10
       times (all of them if fewer do).
 
     Every mode but ``correlated`` returns ``visits`` itself. ``seed`` drives
-    the draws. Where a mode finds too few codes to choose from, the
-    ``ValueError`` says what to pass instead: anchors (``--anchors``) or a
-    symptom file (``--symptoms PATH``).
+    the draws; rankings break ties by index. Where a mode finds too few
+    codes to choose from, the ``ValueError`` says what to pass instead:
+    anchors (``--anchors``) or a symptom file (``--symptoms PATH``).
     """
-    try:
-        if mode == "common":
-            return visits, select_common_symptoms(visits, seed=seed)
-        if mode == "high-rp":
-            return visits, select_high_rp_symptoms(visits, groups, group_names,
-                                                   group_num or group_names[-1],
-                                                   group_den or group_names[0])
-        if mode == "correlated" and anchors is None:
-            anchors = select_common_symptoms(visits, pool=100, pick=10, seed=seed)
-    except _TooFewCodes as e:
-        what, remedy = f"{mode} symptoms", "a symptom file with --symptoms PATH"
-        if mode == "correlated":
-            what, remedy = "correlated anchors", f"anchor indices with --anchors PATH or {remedy}"
-        raise ValueError(f"{what}: {e}; pass {remedy}") from None
+    if mode == "common":
+        return visits, _draw_frequent(visits, 50, 25, seed, "common symptoms", _SYMPTOM_FILE)
+    if mode == "high-rp":
+        group_num = group_num or group_names[-1]
+        group_den = group_den or group_names[0]
+        for name in (group_num, group_den):
+            if name not in group_names:
+                raise ValueError(f"unknown group {name!r}; the data holds groups "
+                                 f"{', '.join(map(repr, group_names))}")
+        if group_num == group_den:
+            raise ValueError(f"high-rp symptoms: group {group_num!r} is both the numerator "
+                             "and the denominator of the rate ratio; pass two different "
+                             "groups")
+        groups = np.asarray(groups, dtype=np.int64)
+        mask_num = groups == group_names.index(group_num)
+        mask_den = groups == group_names.index(group_den)
+        if not mask_num.any() or not mask_den.any():
+            raise ValueError("both groups must be present")
+        counts_num = visits.column_counts(mask_num)
+        counts_den = visits.column_counts(mask_den)
+        keep = (counts_num >= 50) & (counts_den >= 50)
+        if not keep.any():
+            raise ValueError("high-rp symptoms: no feature occurs at least 50 times in both "
+                             f"groups; pass {_SYMPTOM_FILE}")
+        rate_num = counts_num / mask_num.sum()
+        rate_den = counts_den / mask_den.sum()
+        ratio = np.where(keep, rate_num / np.where(keep, rate_den, 1.0), -np.inf)
+        return visits, SymptomSet(_top_by_ratio(ratio, 10))
     if mode == "correlated":
-        return drop_anchor_features(visits, anchors,
-                                    select_correlated_symptoms(visits, anchors))
+        if anchors is None:
+            anchors = _draw_frequent(visits, 100, 10, seed, "correlated anchors",
+                                     f"anchor indices with --anchors PATH or {_SYMPTOM_FILE}")
+        _check_binary(visits)
+        anchor_rows = symptom_counts(visits, anchors) > 0
+        n_pos = int(anchor_rows.sum())
+        if n_pos == 0:
+            raise ValueError("no row carries an anchor feature")
+        counts_pos = visits.column_counts(anchor_rows)
+        counts_all = visits.column_counts()
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(counts_all > 0,
+                             (counts_pos / n_pos) / (counts_all / visits.n_rows),
+                             -np.inf)
+        ratio[np.asarray(anchors.indices, dtype=np.intp)] = -np.inf
+        chosen = _top_by_ratio(ratio, 25)
+        if not chosen:
+            raise ValueError("no candidate feature outside the anchor set")
+        reduced, index_map = visits.drop_columns(anchors.indices)
+        return reduced, SymptomSet(tuple(int(index_map[i]) for i in chosen))
     if mode == "recognized":
         eligible = np.flatnonzero(visits.column_counts() >= 10)
+        if eligible.size == 0:
+            raise ValueError("recognized symptoms: no feature occurs at least 10 times; "
+                             f"pass {_SYMPTOM_FILE}")
         rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
         chosen = rng.choice(eligible, size=min(100, eligible.size), replace=False)
         return visits, SymptomSet(tuple(int(i) for i in chosen))

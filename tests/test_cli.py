@@ -9,8 +9,7 @@ from purple.baselines import EmConfig, baseline_relative_prevalence
 from purple.cli import main
 from purple.data import SplitSpec, load_dataset, split, write_dataset
 from purple.model import TrainConfig
-from purple.visits import (SYMPTOM_MODES, SemiSynthConfig, SymptomSet, select_symptoms,
-                           simulate_labels)
+from purple.visits import SYMPTOM_MODES, SymptomSet, select_symptoms, simulate_labels
 
 
 @pytest.fixture()
@@ -99,7 +98,7 @@ class TestSimulate:
     @staticmethod
     def assert_same_labels(got, visits, base, v_sym):
         want = simulate_labels(visits, base.group, base.group_names, v_sym,
-                               SemiSynthConfig(c={"a": 0.5, "b": 0.3}, seed=4))
+                               {"a": 0.5, "b": 0.3}, 4)
         np.testing.assert_array_equal(got.features.dense_rows(), want.features.dense_rows())
         np.testing.assert_array_equal(got.y, want.y)
         np.testing.assert_array_equal(got.s, want.s)
@@ -601,6 +600,30 @@ class TestBadOptionValues:
                                       "--symptoms", symptoms, "--c", "a=0.5,b=0.3",
                                       "--out", str(tmp_path / "s.pu")])
         self.assert_one_error_line(result, message)
+
+    def test_simulate_semisynth_recognized_without_eligible_code(self, runner, tmp_path):
+        corpus = str(tmp_path / "visits.pu")
+        result = runner.invoke(main, ["simulate", "corpus", "--n-a", "3", "--n-b", "3",
+                                      "--out", corpus])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus,
+                                      "--symptoms", "recognized", "--c", "a=0.5,b=0.3",
+                                      "--out", str(tmp_path / "s.pu")])
+        self.assert_one_error_line(
+            result, "recognized symptoms: no feature occurs at least 10 times; " + FILE_REMEDY)
+
+    @pytest.mark.parametrize("group", ["a", "b"])
+    def test_simulate_semisynth_high_rp_same_group(self, runner, tmp_path, group):
+        corpus = self.small_corpus(runner, tmp_path)
+        out = tmp_path / "s.pu"
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus,
+                                      "--symptoms", "high-rp", "--group-num", group,
+                                      "--group-den", group, "--c", "a=0.5,b=0.3",
+                                      "--out", str(out)])
+        self.assert_one_error_line(
+            result, f"high-rp symptoms: group {group!r} is both the numerator and the "
+                    "denominator of the rate ratio; pass two different groups")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
         (["--splits", "0"], "n_repeats must be positive"),

@@ -33,8 +33,7 @@ from purple.model import (
     predict_diagnosis,
     relative_prevalence,
 )
-from purple.visits import (SemiSynthConfig, generate_visit_corpus, select_symptoms,
-                           simulate_labels)
+from purple.visits import generate_visit_corpus, select_symptoms, simulate_labels
 
 SIGMOID_1 = 1.0 / (1.0 + math.exp(-1.0))
 
@@ -538,8 +537,7 @@ class TestLambdaGrid:
     def test_each_fit_is_the_same_in_either_grid(self, monkeypatch):
         visits, group, names = generate_visit_corpus(300, 450, 60, seed=0)
         visits, v_sym = select_symptoms(visits, group, names, "common", 0)
-        data = simulate_labels(visits, group, names, v_sym,
-                               SemiSynthConfig(c={"a": 0.5, "b": 0.3}, seed=0))
+        data = simulate_labels(visits, group, names, v_sym, {"a": 0.5, "b": 0.3}, 0)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
         assert tr.features.is_sparse
         six_fits = {}
