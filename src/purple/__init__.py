@@ -8,6 +8,7 @@ from .baselines import (
     baseline_relative_prevalence,
     fit_em,
     fit_negative,
+    fit_scorers,
     fit_supervised,
     register_estimator,
 )

@@ -1,20 +1,21 @@
 """Reference absolute-prevalence estimators behind one common contract.
 
-Each baseline is fit separately on a single group's rows. Every built-in
-estimator, the core method included, scores each row with its own group's
-scorer, a plug-in estimator registered by name returns one score per row,
-and the relative prevalence is ``model.mean_score_ratio`` of those scores;
-for a baseline the group means are its absolute prevalence estimates. Every
-baseline scorer is a ``model.LogisticScorer``, the class the core model
-extends: the core estimator's function class with the labeling-frequency
-factor frozen at one. An EM fit is one too: ``EmFit`` subclasses it and
-adds EM's labeling-frequency estimate and convergence record. The
-baselines train through the core solver, ``model._lbfgs_fit``;
-``fit_logistic`` supplies only the cross-entropy and its gradient and,
-given validation rows, the cross-entropy that stops it early, with every
-sigmoid and softplus from ``model._logistic``. The M-steps of one EM fit get
-no validation rows and share one L-BFGS memory: the soft targets enter the
-objective linearly, so each pair is exact for the next.
+``fit_scorers`` fits every built-in estimator, for suites, checks and the
+CLI alike, as a map from group name to scorer: the core method maps every
+group to its one model, and each baseline is fit on a single group's rows.
+Each row is scored with its own group's scorer (``group_scores``), a plug-in
+estimator registered by name returns one score per row, and the relative
+prevalence is ``model.mean_score_ratio`` of those scores; for a baseline the
+group means are its absolute prevalence estimates. Every scorer is a
+``model.LogisticScorer``, the core estimator's function class with the
+labeling-frequency factor frozen at one, which ``PurpleModel`` extends.
+``EmFit`` subclasses it too, adding EM's labeling-frequency estimate and
+convergence record. The baselines train through the core solver,
+``model._lbfgs_fit``; ``fit_logistic`` supplies only the cross-entropy and
+its gradient and, given validation rows, the cross-entropy that stops it
+early, with every sigmoid and softplus from ``model._logistic``. The M-steps
+of one EM fit get no validation rows and share one L-BFGS memory: the soft
+targets enter the objective linearly, so each pair is exact for the next.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import (
+    FitResult,
     LogisticScorer,
     RelativePrevalenceEstimate,
     TrainConfig,
@@ -39,8 +41,6 @@ from .model import (
 )
 
 BUILTIN_KINDS = ("negative", "supervised", "em", "purple")
-
-_UNREGULARIZED = TrainConfig(lambda_grid=(0.0,))
 
 
 @dataclass
@@ -119,7 +119,7 @@ def fit_negative(train: LabeledDataset, val: LabeledDataset,
     s = train.s
     if s.min() == s.max():
         raise ValueError("observed labels are single-class; cannot fit")
-    return fit_logistic(train.features, s, val.features, val.s, config or _UNREGULARIZED)
+    return fit_logistic(train.features, s, val.features, val.s, config or TrainConfig())
 
 
 def fit_supervised(train: LabeledDataset, val: LabeledDataset,
@@ -127,8 +127,7 @@ def fit_supervised(train: LabeledDataset, val: LabeledDataset,
     """Fit to the true labels; an oracle upper bound, unusable on real data."""
     if train.y is None or val.y is None:
         raise ValueError("supervised baseline requires true labels y")
-    return fit_logistic(train.features, train.y, val.features, val.y,
-                        config or _UNREGULARIZED)
+    return fit_logistic(train.features, train.y, val.features, val.y, config or TrainConfig())
 
 
 def em_soft_labels(f: np.ndarray, s: np.ndarray, c_hat: float) -> np.ndarray:
@@ -163,7 +162,7 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
     ``max_iters`` is reported, not masked.
     """
     em_config = em_config or EmConfig()
-    config = config or _UNREGULARIZED
+    config = config or TrainConfig()
     m_step = replace(config, max_epochs=em_config.inner_epochs)
     s = train.s.astype(np.float64)
     if s.sum() == 0:
@@ -203,25 +202,32 @@ def register_estimator(name: str, fn: Callable) -> None:
     _EXTERNAL[name] = fn
 
 
-def fit_group_scorers(kind: str, train: LabeledDataset, val: LabeledDataset, groups,
-                      config: TrainConfig | None, em_config: EmConfig | None = None
-                      ) -> dict[str, LogisticScorer]:
-    """``{group name: scorer}``: a ``negative``, ``supervised`` or ``em``
-    (an ``EmFit``) scorer, fit on each group's own rows."""
-    out = {}
-    for gid in groups:
+def fit_scorers(kind: str, train: LabeledDataset, val: LabeledDataset,
+                config: TrainConfig | None = None, em_config: EmConfig | None = None
+                ) -> tuple[dict[str, LogisticScorer], FitResult | None]:
+    """A built-in estimator's ``{group name: scorer}``, and the core fit's
+    ``FitResult`` (None for a baseline). ``purple`` maps every group name of
+    ``train`` to its one ``PurpleModel``; a baseline fits one scorer (an
+    ``EmFit`` for ``em``) on the rows of each group present in ``train``."""
+    if kind == "purple":
+        result = fit_purple(train, val, config)
+        return dict.fromkeys(train.group_names, result.model), result
+    if kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown built-in estimator {kind!r}; expected one of {BUILTIN_KINDS}")
+    scorers = {}
+    for gid in train.present_groups():
         name = train.group_names[gid]
         sub_train = train.take_rows(np.flatnonzero(train.group == gid))
         sub_val = val.take_rows(np.flatnonzero(val.group == gid))
         try:
             if kind == "em":
-                out[name] = fit_em(sub_train, sub_val, em_config, config)
+                scorers[name] = fit_em(sub_train, sub_val, em_config, config)
             else:
                 fit_one = fit_negative if kind == "negative" else fit_supervised
-                out[name] = fit_one(sub_train, sub_val, config)
+                scorers[name] = fit_one(sub_train, sub_val, config)
         except ValueError as e:
             raise ValueError(f"{kind} baseline failed for group {name!r}: {e}") from e
-    return out
+    return scorers, None
 
 
 def group_scores(scorers: dict[str, LogisticScorer], data: LabeledDataset) -> np.ndarray:
@@ -237,12 +243,12 @@ def group_scores(scorers: dict[str, LogisticScorer], data: LabeledDataset) -> np
         if name not in scorers:
             raise ValueError(f"no scorer for group {name!r}")
         by_scorer.setdefault(id(scorers[name]), (scorers[name], []))[1].append(gid)
+    if len(by_scorer) == 1:  # one scorer for every row
+        return next(iter(by_scorer.values()))[0].predict(data.features)
     scores = np.empty(data.n_rows, dtype=np.float64)
     for scorer, gids in by_scorer.values():
         mask = np.isin(data.group, gids)
-        features = (data.features if mask.all()
-                    else data.features.take_rows(np.flatnonzero(mask)))
-        scores[mask] = scorer.predict(features)
+        scores[mask] = scorer.predict(data.features.take_rows(np.flatnonzero(mask)))
     return scores
 
 
@@ -254,18 +260,15 @@ def baseline_relative_prevalence(kind: str, train: LabeledDataset, val: LabeledD
     """Fit the named estimator on ``train``/``val`` and estimate the
     prevalence of ``group_a`` relative to ``group_b`` on ``eval_data``.
 
-    A built-in kind scores each row with its own group's scorer
-    (``group_scores``), a registered estimator returns one finite,
-    non-negative score per row of ``eval_data``, and the estimate is
+    A built-in kind is fit by ``fit_scorers`` and scores each row with its
+    own group's scorer (``group_scores``), a registered estimator returns one
+    finite, non-negative score per row of ``eval_data``, and the estimate is
     ``mean_score_ratio`` of the scores. ``seed`` goes to registered
     estimators; the built-in fits draw no random numbers.
     """
     flags: list[str] = []
-    if kind == "purple":  # one scorer shared by every group
-        scores = fit_purple(train, val, config).model.predict(eval_data.features)
-    elif kind in BUILTIN_KINDS:
-        fits = fit_group_scorers(kind, train, val, eval_data.present_groups(),
-                                 config or _UNREGULARIZED, em_config)
+    if kind in BUILTIN_KINDS:
+        fits, _ = fit_scorers(kind, train, val, config, em_config)
         scores = group_scores(fits, eval_data)
         if kind == "em" and not all(fits[n].converged for n in (group_a, group_b)
                                     if n in fits):

@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import _UNREGULARIZED, fit_group_scorers, group_scores
+from .baselines import fit_scorers, group_scores
 from .data import LabeledDataset
 from .metrics import CalibrationResult, auc, auprc, calibration
-from .model import PurpleModel, TrainConfig, fit as fit_purple, predict_diagnosis
+from .model import PurpleModel, TrainConfig, predict_diagnosis
 
 MIN_GROUP_ROWS = 30
 
@@ -56,9 +56,10 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
     """Held-out AUC/AUPRC of the constrained product model versus one
     independent scorer per group, pooled over groups.
 
-    ``constrained`` is a fitted core model to use instead of refitting.
+    ``constrained`` is a fitted core model to use instead of refitting;
+    the refit defaults to no L1 penalty.
     """
-    config = config or _UNREGULARIZED
+    config = config or TrainConfig(lambda_grid=(0.0,))
     groups = train.present_groups()
     if len(groups) < 2:
         raise ValueError("model-fit comparison needs at least two groups")
@@ -72,11 +73,10 @@ def compare_constrained_unconstrained(train: LabeledDataset, val: LabeledDataset
             raise ValueError(
                 f"group {train.group_names[gid]!r} has single-class observed labels in "
                 "training; its own scorer needs both classes")
-    model = constrained or fit_purple(train, val, config).model
+    model = constrained or fit_scorers("purple", train, val, config)[1].model
     constrained_scores = predict_diagnosis(model, test.features, test.group)
 
-    unconstrained_scores = group_scores(
-        fit_group_scorers("negative", train, val, groups, config), test)
+    unconstrained_scores = group_scores(fit_scorers("negative", train, val, config)[0], test)
 
     s = test.s
     return ModelFitComparison(

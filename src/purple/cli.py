@@ -16,16 +16,17 @@ import click
 import numpy as np
 
 from ._version import VERSION
-# fit_em is unused here but kept importable: perfbench's tracer wraps cli.fit_em.
+# fit_em and fit_purple are unused here, kept importable only because perfbench's
+# tracer wraps cli.fit_em and cli.fit_purple: every fit goes through fit_scorers.
 from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
-                        fit_group_scorers, group_scores)
+                        fit_purple, fit_scorers, group_scores)
 from .checks import (DEFAULT_DELTA_AUC_WARN, DEFAULT_ECE_WARN, DEFAULT_N_BINS,
                      assumption_check_report)
 from .data import (SPLIT_FRACTIONS, LabeledDataset, SplitSpec, load_dataset, split,
                    split_indices, write_dataset)
 from .gauss import GaussSynthConfig, generate_gauss
 from .harness import _CORPUS, SUITE_NAMES, emit_report, make_suite, run_suite
-from .model import PurpleModel, TrainConfig, fit as fit_purple, mean_score_ratio
+from .model import PurpleModel, TrainConfig, mean_score_ratio
 from .visits import (SYMPTOM_MODES, generate_visit_corpus, load_symptom_indices,
                      select_symptoms, simulate_labels)
 
@@ -163,11 +164,11 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, group_num, group_den
     if symptoms in SYMPTOM_MODES:
         visits, v_sym = select_symptoms(
             visits, base.group, base.group_names, symptoms, seed,
-            anchors=load_symptom_indices(anchors) if anchors else None,
+            anchors=load_symptom_indices(anchors, visits.n_dims) if anchors else None,
             group_num=group_num, group_den=group_den)
     else:
         try:
-            v_sym = load_symptom_indices(symptoms)
+            v_sym = load_symptom_indices(symptoms, visits.n_dims)
         except OSError:
             raise ValueError(f"--symptoms {symptoms!r} is neither a mode "
                              f"({', '.join(SYMPTOM_MODES)}) nor a readable file") from None
@@ -218,14 +219,11 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
     fits = []
     for i in range(splits):
         train, val, _ = split(data, spec, i)
-        if method == "purple":
-            result = fit_purple(train, val, config)
-            fits.append({"split": i, **result.to_dict()})
-        else:
-            scorers = fit_group_scorers(method, train, val, train.present_groups(), config,
-                                        em_config)
-            fits.append({"split": i, "scorers": {name: scorer.to_dict()
-                                                 for name, scorer in scorers.items()}})
+        scorers, result = fit_scorers(method, train, val, config, em_config)
+        # A core fit is stored with its history, a baseline fit as its groups' scorers.
+        entry = result.to_dict() if result is not None else {
+            "scorers": {name: scorer.to_dict() for name, scorer in scorers.items()}}
+        fits.append({"split": i, **entry})
     payload = {
         "version": VERSION,
         "method": method,
@@ -267,46 +265,46 @@ def _vector(value, name: str) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _purple_model(entry: dict, name: str) -> PurpleModel:
-    """A stored core fit's model, every entry it reads checked; the fit's
-    history beside it is not read. Files written before ``purple fit``
-    refused training data without a positive label can flag such a fit
-    ``degenerate``; it is refused."""
+def _split_scorers(entry: dict, name: str, purple: bool, data, data_path: str
+                   ) -> dict[str, LogisticScorer]:
+    """A stored split's scorer for each group name: a core fit's one model
+    for every group of ``data``, seen in training or not, or a baseline's
+    scorer for each group it was fit on. Every entry read is checked, each
+    weight count against the data's columns; a core fit's history is not
+    read, and one flagged ``degenerate`` (by files written before ``purple
+    fit`` refused training data without a positive label) is refused."""
+    def scorer(stored, where: str) -> LogisticScorer:
+        w = _vector(_typed(stored, dict, where)["w"], f"{where}.w")
+        if w.size != data.n_dims:
+            raise ValueError(f"model file entry '{where}.w' has length {w.size}, but data "
+                             f"file {data_path!r} has {data.n_dims} columns")
+        return LogisticScorer(w, _typed(stored["b"], _NUMBER, f"{where}.b"))
+
+    if not purple:
+        return {group: scorer(stored, f"{name}.scorers.{group}")
+                for group, stored in _typed(entry["scorers"], dict, f"{name}.scorers").items()}
     where = f"{name}.model"
-    model = _typed(entry["model"], dict, where)
-    for key in ("w", "theta"):
-        _vector(model[key], f"{where}.{key}")
-    _typed(model["b"], _NUMBER, f"{where}.b")
+    model = entry["model"]
+    scorer(model, where)
+    _vector(model["theta"], f"{where}.theta")
     for j, group in enumerate(_typed(model["group_names"], list, f"{where}.group_names")):
         _typed(group, str, f"{where}.group_names[{j}]")
     if entry.get("degenerate"):
         raise ValueError("core fit is degenerate (no observed positives in training)")
-    return PurpleModel.from_dict(model)
+    return dict.fromkeys(data.group_names, PurpleModel.from_dict(model))
 
 
-def _baseline_scorers(entry: dict, name: str) -> dict[str, LogisticScorer]:
-    """A stored baseline fit's scorer for each group name."""
-    scorers = {}
-    for group, stored in _typed(entry["scorers"], dict, f"{name}.scorers").items():
-        where = f"{name}.scorers.{group}"
-        _typed(stored, dict, where)
-        scorers[group] = LogisticScorer(_vector(stored["w"], f"{where}.w"),
-                                        _typed(stored["b"], _NUMBER, f"{where}.b"))
-    return scorers
-
-
-def _load_model_file(path: str) -> dict:
-    """A saved model file, its ``train`` entry read as a ``TrainConfig``, its
-    ``split`` entry as a ``SplitSpec`` and its ``fits`` as a map from split
-    index to that split's fit: a ``PurpleModel`` for purple, else each
-    group's ``LogisticScorer``. Every entry that ``purple estimate`` and
+def _load_model_file(path: str, data, data_path: str) -> dict:
+    """A saved model file, read to score ``data``: its ``train`` entry as a
+    ``TrainConfig``, its ``split`` entry as a ``SplitSpec`` and its ``fits``
+    as a map from split index to that split's ``{group name: scorer}``
+    (``_split_scorers``). Every entry that ``purple estimate`` and
     ``purple check`` read is checked for its JSON type."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh, object_hook=_ModelFileObject)
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
-    read_fit = _purple_model if _typed(payload["method"], str, "method") == "purple" \
-        else _baseline_scorers
+    purple = _typed(payload["method"], str, "method") == "purple"
     _typed(_typed(payload["data"], dict, "data")["sha256"], str, "data.sha256")
     fits = {}
     for i, entry in enumerate(_typed(payload["fits"], list, "fits")):
@@ -314,7 +312,7 @@ def _load_model_file(path: str) -> dict:
         split_i = _typed(_typed(entry, dict, name)["split"], int, f"{name}.split")
         if split_i in fits:
             raise ValueError(f"model file holds two fits of split {split_i}")
-        fits[split_i] = read_fit(entry, name)
+        fits[split_i] = _split_scorers(entry, name, purple, data, data_path)
     payload["fits"] = fits
     stored = _typed(payload["split"], dict, "split")
     if stored["fractions"] != list(SPLIT_FRACTIONS):
@@ -324,18 +322,6 @@ def _load_model_file(path: str) -> dict:
                                  _typed(stored["n_repeats"], int, "split.n_repeats"))
     payload["train"] = TrainConfig.from_dict(_typed(payload["train"], dict, "train"))
     return payload
-
-
-def _check_widths(fits: dict, data, data_path: str) -> None:
-    """Refuse a stored scorer whose weight count is not the data's column count."""
-    for j, fit in enumerate(fits.values()):  # in the file's order
-        scorers = ({"model": fit} if isinstance(fit, PurpleModel)
-                   else {f"scorers.{group}": scorer for group, scorer in fit.items()})
-        for where, scorer in scorers.items():
-            if scorer.w.size != data.n_dims:
-                raise ValueError(f"model file entry 'fits[{j}].{where}.w' has length "
-                                 f"{scorer.w.size}, but data file {data_path!r} has "
-                                 f"{data.n_dims} columns")
 
 
 def _eval_rows(payload: dict, data, data_path: str, all_rows: bool) -> dict:
@@ -375,9 +361,8 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
     """Relative prevalence estimates from a saved model."""
     if not pairs and not vs_complement:
         raise click.UsageError("nothing to do: pass --pairs and/or --vs-complement")
-    payload = _load_model_file(model_path)
     data = load_dataset(data_path)
-    _check_widths(payload["fits"], data, data_path)
+    payload = _load_model_file(model_path, data, data_path)
     report = {"version": VERSION, "method": payload["method"], "model": model_path,
               "data": data_path, "eval_rows": "all" if all_rows else "test-partitions",
               "estimates": []}
@@ -391,13 +376,11 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
     if vs_complement:
         requests.append(("vs-complement", vs_complement.strip(), None))
     rows_by_split = _eval_rows(payload, data, data_path, all_rows)
-    scorers = {i: dict.fromkeys(data.group_names, fit) if isinstance(fit, PurpleModel)
-               else fit for i, fit in payload["fits"].items()}
     for kind, a, b in requests:
         per_split = []
         for split_i, rows in rows_by_split.items():
             try:
-                per_split.append(_split_rp(data, rows, scorers[split_i], a, b))
+                per_split.append(_split_rp(data, rows, payload["fits"][split_i], a, b))
             except KeyError as e:  # an unknown group name
                 raise click.ClickException(e.args[0]) from None
         report["estimates"].append({
@@ -422,18 +405,18 @@ def estimate_cmd(model_path, data_path, pairs, vs_complement, all_rows, out):
 @_value_errors_as_errors
 def check_cmd(model_path, data_path, bins, split_index, ece_warn, delta_auc_warn, out):
     """Assumption checks (calibration, constrained-vs-unconstrained fit)."""
-    payload = _load_model_file(model_path)
+    data = load_dataset(data_path)
+    payload = _load_model_file(model_path, data, data_path)
     if payload["method"] != "purple":
         raise click.UsageError("assumption checks apply to purple models")
     if _file_sha256(data_path) != payload["data"]["sha256"]:
         raise click.UsageError("data file differs from the one the model was fit on")
-    data = load_dataset(data_path)
-    _check_widths(payload["fits"], data, data_path)
-    model = payload["fits"].get(split_index)
-    if model is None:
+    scorers = payload["fits"].get(split_index)
+    if scorers is None:
         raise click.UsageError(f"model file has no split {split_index}")
     train, val, test = split(data, payload["split"], split_index)
-    report = assumption_check_report(model, train, val, test,
+    # A purple split maps every group to its one model.
+    report = assumption_check_report(scorers[data.group_names[0]], train, val, test,
                                      payload["train"], n_bins=bins,
                                      ece_warn=ece_warn, delta_auc_warn=delta_auc_warn)
     _write_json({"version": VERSION, "model": model_path, "data": data_path,

@@ -263,7 +263,7 @@ class LabeledDataset:
         )
 
     def present_groups(self) -> list[int]:
-        return sorted(np.unique(self.group).tolist())
+        return np.flatnonzero(np.bincount(self.group, minlength=len(self.group_names))).tolist()
 
     def label_runs(self) -> tuple[FeatureMatrix, list[tuple[int, int, int, int]]]:
         """The feature rows in a stable (group, s) order, and the runs of rows

@@ -60,7 +60,7 @@ def symptom_counts(visits: FeatureMatrix, v_sym: SymptomSet) -> np.ndarray:
     """Number of active suspicious symptoms per row."""
     idx = np.asarray(v_sym.indices, dtype=np.intp)
     if idx.max() >= visits.n_dims:
-        raise ValueError("symptom index outside feature dimensionality")
+        raise ValueError(f"symptom index {idx.max()} is not one of the {visits.n_dims} columns")
     sub = visits.raw[:, idx]
     if visits.is_sparse:
         return np.asarray(sub.sum(axis=1)).ravel()
@@ -213,18 +213,25 @@ def select_symptoms(visits: FeatureMatrix, groups: np.ndarray, group_names: list
                      f"{', '.join(SYMPTOM_MODES)}")
 
 
-def load_symptom_indices(path: str) -> SymptomSet:
-    """Read a newline-separated list of feature indices."""
-    indices = []
+def load_symptom_indices(path: str, n_dims: int) -> SymptomSet:
+    """Read a newline-separated list of feature indices, each one of the
+    ``n_dims`` columns of the visit matrix it selects from."""
+    columns = f"the data's {n_dims} columns, 0 to {n_dims - 1}"
+    indices: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                indices.append(int(line))
+                index = int(line)
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: expected an integer index") from None
+            if not 0 <= index < n_dims:
+                raise ValueError(f"{path} line {lineno}: index {index} is not one of {columns}")
+            indices.append(index)
+    if not indices:
+        raise ValueError(f"{path} lists no index; expected one or more of {columns}")
     return SymptomSet(tuple(indices))
 
 

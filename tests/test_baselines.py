@@ -13,9 +13,9 @@ from purple.baselines import (
     em_soft_labels,
     em_update_c,
     fit_em,
-    fit_group_scorers,
     fit_logistic,
     fit_negative,
+    fit_scorers,
     fit_supervised,
     group_scores,
     register_estimator,
@@ -257,9 +257,10 @@ class TestEmFit:
         data = identical_groups_data(n=800, seed=19)
         tr, va, _ = split(data, SplitSpec(seed=0), 0)
         em_config = EmConfig(max_iters=4)
-        both = fit_group_scorers("em", tr, va, [0, 1], FAST, em_config)
-        alone = fit_group_scorers("em", tr, va, [1], FAST, em_config)
-        assert_same_em(both["b"], alone["b"])
+        both, _ = fit_scorers("em", tr, va, FAST, em_config)
+        alone = fit_em(tr.take_rows(np.flatnonzero(tr.group_mask("b"))),
+                       va.take_rows(np.flatnonzero(va.group_mask("b"))), em_config, FAST)
+        assert_same_em(both["b"], alone)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iters": 0}, "EM max_iters and inner_epochs must be at least 1"),
@@ -275,14 +276,15 @@ class TestEmFit:
     def test_fit_is_a_scorer(self):
         data = identical_groups_data(n=800, seed=17)
         tr, va, te = split(data, SplitSpec(seed=0), 0)
-        fits = fit_group_scorers("em", tr, va, tr.present_groups(), FAST, EmConfig(max_iters=3))
+        fits, result = fit_scorers("em", tr, va, FAST, EmConfig(max_iters=3))
+        assert result is None
         assert list(fits) == ["a", "b"]
         scores = group_scores(fits, te)
         for name, em in fits.items():
             assert isinstance(em, EmFit) and isinstance(em, LogisticScorer)
             mask = te.group_mask(name)
             np.testing.assert_allclose(scores[mask], em.predict(te.features)[mask], rtol=1e-14)
-        negative = fit_group_scorers("negative", tr, va, tr.present_groups(), FAST)
+        negative, _ = fit_scorers("negative", tr, va, FAST)
         assert all(isinstance(f, LogisticScorer) for f in negative.values())
 
     def test_non_convergence_flag_propagates(self):
@@ -305,6 +307,14 @@ class TestEstimatorContract:
         assert mean_score_ratio(scores, te, "a", "b") == direct
         assert baseline_relative_prevalence("purple", tr, va, te, "a", "b",
                                             config=cfg).value == direct
+
+    def test_purple_maps_every_group_to_one_model(self):
+        data = generate_gauss(GaussSynthConfig(n_a=300, n_b=450), 10)
+        tr, va, _ = split(data, SplitSpec(seed=0), 0)
+        scorers, result = fit_scorers("purple", tr, va,
+                                      TrainConfig(lambda_grid=(0.0,), max_epochs=100))
+        assert list(scorers) == list(tr.group_names)
+        assert all(scorer is result.model for scorer in scorers.values())
 
     def test_relative_prevalence_takes_a_baseline_scorer(self):
         data = identical_groups_data(n=800, seed=3)
@@ -392,6 +402,8 @@ class TestEstimatorContract:
         tr, va, te = split(data, SplitSpec(seed=0), 0)
         with pytest.raises(ValueError, match="unknown estimator"):
             baseline_relative_prevalence("km17", tr, va, te, "a", "b", seed=0)
+        with pytest.raises(ValueError, match="unknown built-in estimator 'km17'"):
+            fit_scorers("km17", tr, va)
 
     def test_soft_target_fit_accepts_probabilities(self):
         data = identical_groups_data(n=500, seed=14)

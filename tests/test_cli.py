@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from purple.baselines import EmConfig, baseline_relative_prevalence
 from purple.cli import main
 from purple.data import SplitSpec, load_dataset, split, write_dataset
-from purple.model import TrainConfig
+from purple.model import PurpleModel, TrainConfig, mean_score_ratio
 from purple.visits import SYMPTOM_MODES, SymptomSet, select_symptoms, simulate_labels
 
 
@@ -409,6 +409,17 @@ class TestFitEstimateCheck:
         output = estimate_error(runner, model, other, "--all-rows", "--pairs", "a:c")
         assert "Error: no scorer for group 'c'" in output
 
+    def test_purple_model_scores_a_group_it_was_not_fit_on(self, runner, tmp_path):
+        # The core model's sigmoid(w.x+b) takes no group, so it scores any group's rows.
+        _, model = self.fit_model(runner, tmp_path)
+        other = with_group_names(runner, tmp_path, ["a", "c"])
+        got = estimate(runner, model, other, "--all-rows", "--pairs", "a:c")
+        data = load_dataset(other)
+        want = [mean_score_ratio(PurpleModel.from_dict(fit["model"]).predict(data.features),
+                                 data, "a", "c")
+                for fit in json.loads(open(model).read())["fits"]]
+        assert got["estimates"][0]["per_split_values"] == want
+
     def test_unknown_method(self, runner, tmp_path):
         data = simulate_small(runner, str(tmp_path / "d.csv"))
         result = runner.invoke(main, ["fit", "--data", data, "--method", "km2",
@@ -611,6 +622,30 @@ class TestBadOptionValues:
                                       "--out", str(tmp_path / "s.pu")])
         self.assert_one_error_line(
             result, "recognized symptoms: no feature occurs at least 10 times; " + FILE_REMEDY)
+
+    @pytest.mark.parametrize("symptoms, option, text, message", [
+        ("indices.txt", None, "500\n", "line 1: index 500 is not one of the data's 60 columns, "
+                                        "0 to 59"),
+        ("correlated", "--anchors", "500\n", "line 1: index 500 is not one of the data's 60 "
+                                              "columns, 0 to 59"),
+        ("indices.txt", None, "", "lists no index; expected one or more of the data's 60 "
+                                  "columns, 0 to 59"),
+        ("indices.txt", None, "-3\n", "line 1: index -3 is not one of the data's 60 columns, "
+                                       "0 to 59"),
+    ])
+    def test_simulate_semisynth_index_file_outside_the_columns(self, runner, tmp_path,
+                                                              symptoms, option, text, message):
+        corpus = self.small_corpus(runner, tmp_path)
+        path = tmp_path / "indices.txt"
+        path.write_text(text)
+        args = ["--symptoms", str(path) if option is None else symptoms]
+        if option is not None:
+            args += [option, str(path)]
+        out = tmp_path / "s.pu"
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", corpus, *args,
+                                      "--c", "a=0.5,b=0.3", "--out", str(out)])
+        self.assert_one_error_line(result, f"{path} {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("group", ["a", "b"])
     def test_simulate_semisynth_high_rp_same_group(self, runner, tmp_path, group):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,11 +362,22 @@ class TestSymptomFile:
     def test_load(self, tmp_path):
         p = tmp_path / "sym.txt"
         p.write_text("# comment\n3\n1\n7\n")
-        s = load_symptom_indices(str(p))
+        s = load_symptom_indices(str(p), 8)
         assert s.indices == (1, 3, 7)
 
     def test_bad_line(self, tmp_path):
         p = tmp_path / "sym.txt"
         p.write_text("3\nxyz\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_symptom_indices(str(p))
+            load_symptom_indices(str(p), 8)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3\n8\n", "line 2: index 8 is not one of the data's 8 columns, 0 to 7"),
+        ("-3\n", "line 1: index -3 is not one of the data's 8 columns, 0 to 7"),
+        ("# none\n", "lists no index; expected one or more of the data's 8 columns, 0 to 7"),
+    ])
+    def test_index_outside_the_columns_names_file_and_index(self, tmp_path, text, message):
+        p = tmp_path / "sym.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p} {message}')}$"):
+            load_symptom_indices(str(p), 8)
