@@ -13,10 +13,14 @@ Feature values must be finite in both; ``nan`` and ``inf`` are parse errors.
 rows, so working memory is bounded by a block. A block is read as text, so
 ``\r\n`` and ``\r`` end lines as ``\n`` does, and encoded once; the reader
 takes every field from the byte positions of its spaces, newlines and
-colons, and converts each distinct index and value token once, with
-Python's own ``int()`` and ``float()``. The writer formats each distinct
-row head and ``<i>:<v>`` entry of a block once and joins the block's bytes
-from them.
+colons. An index of 1 to 8 ASCII digits is read by arithmetic on the
+8-byte word that ends at its colon; every other index token, and every
+value token, is converted by Python's own ``int()`` or ``float()``, once
+per distinct token, and grouping tokens sorts nothing when they are all
+equal, as binary data's values are. The writer formats each `` <i>:<v>``
+entry once per file, through a memo kept across blocks, and each row head
+once per block; each block's bytes are one numpy gather from that
+vocabulary.
 
 Group identifiers are stored as dense small integers plus a name table;
 all reports and files use the names. A load builds the table from the
@@ -364,7 +368,7 @@ _SPACE, _NEWLINE, _COLON = b" \n:"
 _Y_CODES = np.full(256, -2, dtype=np.int8)  # a y byte's label; -1 for '?', -2 if invalid
 _Y_CODES[list(b"01?")] = 0, 1, -1
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # n low bytes set
-_SPACES = np.uint64(int.from_bytes(b" " * 8, "little"))
+_ZERO = ord("0")
 
 
 def _format_value(v: float) -> str:
@@ -435,6 +439,41 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else mask.size
 
 
+def _words(buf: np.ndarray, fill: int, pad: int) -> np.ndarray:
+    """Every little-endian 8-byte word of ``buf`` read in place after ``pad``
+    bytes ``fill``: ``words[e + pad - 8]`` holds ``buf[e - 8:e]``, any byte
+    before ``buf``'s start reading as ``fill``."""
+    padded = np.concatenate([np.full(pad, fill, dtype=np.uint8), buf])
+    return np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+
+
+def _each_byte(b: int) -> np.uint64:
+    """The word whose eight bytes are all ``b``."""
+    return np.uint64(0x0101010101010101 * b)
+
+
+def _digit_indices(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The value of each token ``buf[starts[k]:ends[k]]`` of 1 to 8 ASCII
+    digits, the value ``int()`` gives it, and -1 for every other token.
+
+    A token is read from the little-endian word that ends at its last byte,
+    the bytes before its start set to ``'0'``. A SWAR test checks that each
+    byte is a digit (its high nibble is 3, and still is after adding 6),
+    and three multiply-shift steps combine adjacent digits, then pairs,
+    then quads (Lemire, "Number parsing at a gigabyte per second"); uint64
+    products wrap, as the method needs.
+    """
+    lens = ends - starts
+    dead = _LOW_BYTES[np.clip(8 - lens, 0, 8)]
+    x = (_words(buf, _ZERO, 8)[ends] & ~dead) | (_each_byte(_ZERO) & dead)
+    high = _each_byte(0xF0)
+    digits = ((x & high) | (((x + _each_byte(6)) & high) >> np.uint64(4))) == _each_byte(0x33)
+    x = (x & _each_byte(0x0F)) * np.uint64(10 << 8 | 1) >> np.uint64(8)
+    x = (x & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1) >> np.uint64(16)
+    x = (x & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1) >> np.uint64(32)
+    return np.where(digits & (lens >= 1) & (lens <= 8), x.astype(np.int64), -1)
+
+
 def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """Group the byte strings ``buf[starts[k]:ends[k]]`` by content.
 
@@ -444,16 +483,19 @@ def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     by spaces, which no token holds, so equal keys mean equal strings. The
     last bytes of a number vary most, so distinct numbers are usually told
     apart by their last eight bytes, and keying stops once every string is.
+    A pass whose keys are all equal, as every ``1.0`` of binary data is,
+    tells no string apart and sorts nothing.
     """
     lens = ends - starts
     width = int(lens.max(initial=0))
-    padded = np.concatenate([np.full(width + 8, _SPACE, dtype=np.uint8), buf])
-    words = np.ndarray((buf.size + width + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    words = _words(buf, _SPACE, width + 8)
     inverse = np.zeros(starts.size, dtype=np.intp)
     for w in range(8, width + 8, 8):  # the word that ends w - 8 bytes before the end
         dead = _LOW_BYTES[np.clip(w - lens, 0, 8)]
-        _, word = np.unique((words[ends + width + 8 - w] & ~dead) | (_SPACES & dead),
-                            return_inverse=True)
+        keys = (words[ends + width + 8 - w] & ~dead) | (_each_byte(_SPACE) & dead)
+        if (keys[1:] == keys[:-1]).all():
+            continue
+        _, word = np.unique(keys, return_inverse=True)
         if w > 8:
             _, word = np.unique(inverse * (word.max() + 1) + word, return_inverse=True)
         inverse = word
@@ -487,13 +529,16 @@ def _parse_pu_block(text: str, lineno: int, d: int):
 
     Works on byte positions: every field of a line ends at a space or at the
     line's newline, and an entry's colon splits it into its index and value,
-    none of those bytes occurring inside a multi-byte UTF-8 character. Each
-    distinct index and value token is converted once, by Python's own
-    ``int()`` and ``float()``. Returns the group names in order of first
-    appearance, then per non-empty line its group's position in that list,
-    s, y (-1 for ``?``) and entry count, then the entries' indices and
-    values. Each rule is checked over the whole block and cuts it short at
-    its first failure, so what is raised is the first failure in file
+    none of those bytes occurring inside a multi-byte UTF-8 character. An
+    index of 1 to 8 ASCII digits is read by arithmetic (``_digit_indices``),
+    which gives the value ``int()`` gives; any other index (a sign, ``_``,
+    a tab, a non-ASCII digit, more than 8 bytes) and every value is
+    converted by Python's own ``int()`` or ``float()``, once per distinct
+    token as ``_distinct`` groups them. Returns the group names in order of
+    first appearance, then per non-empty line its group's position in that
+    list, s, y (-1 for ``?``) and entry count, then the entries' indices
+    and values. Each rule is checked over the whole block and cuts it short
+    at its first failure, so what is raised is the first failure in file
     order, with the message of the first rule that line or entry breaks.
     """
     if not text.endswith("\n"):
@@ -542,18 +587,24 @@ def _parse_pu_block(text: str, lineno: int, d: int):
         entry = entry[:k]
     colon = marks[end_at[entry] - 1]
 
-    # Python's own int() and float() decide which tokens are numbers, each
-    # distinct token converted once.
-    i_rep, i_of = _distinct(buf, starts[entry], colon)
+    # An index of 1 to 8 ASCII digits is read by arithmetic. Python's own
+    # int() reads every other index and float() every value, each distinct
+    # token converted once, so they decide which tokens are numbers.
+    idx = _digit_indices(buf, starts[entry], colon)
+    other = np.flatnonzero(idx < 0)
+    i_rep, i_of = _distinct(buf, starts[entry[other]], colon[other])
+    ints, i_bad = _convert_each(int, raw, starts[entry[other[i_rep]]], colon[other[i_rep]])
     v_rep, v_of = _distinct(buf, colon + 1, ends[entry])
-    ints, i_bad = _convert_each(int, raw, starts[entry[i_rep]], colon[i_rep])
     floats, v_bad = _convert_each(float, raw, colon[v_rep] + 1, ends[entry[v_rep]])
-    k = _first(i_bad[i_of] | v_bad[v_of])
+    # An index outside [0, d) becomes -1, so that every int() result fits.
+    idx[idx >= d] = -1
+    idx[other] = np.array([v if 0 <= v < d else -1 for v in ints], dtype=np.int64)[i_of]
+    bad = v_bad[v_of]
+    bad[other] |= i_bad[i_of]
+    k = _first(bad)
     if k < entry.size:
         fault = (lineno + line_of[entry[k]], f"bad entry {token(entry[k])!r}")
-        entry, i_of, v_of = entry[:k], i_of[:k], v_of[:k]
-    # An index outside [0, d) becomes -1, so that every int() result fits.
-    idx = np.array([v if 0 <= v < d else -1 for v in ints], dtype=np.int64)[i_of]
+        entry, idx, v_of = entry[:k], idx[:k], v_of[:k]
     val = np.array(floats, dtype=np.float64)[v_of]
     outside = idx < 0
     nonfinite = ~np.isfinite(val)
@@ -562,7 +613,8 @@ def _parse_pu_block(text: str, lineno: int, d: int):
     descending[pos[entry] == 3] = False  # a line's first entry
     k = _first(outside | nonfinite | descending)
     if k < entry.size:
-        fault = (lineno + line_of[entry[k]], f"index {ints[i_of[k]]} outside [0, {d})"
+        index = int(raw[starts[entry[k]]:colon[k]].decode())  # the token's int(), not -1
+        fault = (lineno + line_of[entry[k]], f"index {index} outside [0, {d})"
                  if outside[k] else f"non-finite feature value in {token(entry[k])!r}"
                  if nonfinite[k] else "indices must be strictly ascending")
     if fault:
@@ -634,34 +686,55 @@ def _write_dense_csv(data: LabeledDataset, fh) -> None:
         fh.write(f"{names[data.group[i]]},{int(data.s[i])},{ytok},{feats}\n".encode())
 
 
+class _EntryTexts(dict):
+    """The `` <j>:<v>`` bytes of each (column, value bits) key, formatted on
+    the first lookup of the key and kept."""
+
+    def __missing__(self, key):
+        j, bits = key
+        text = self[key] = f" {j}:{_format_value(np.uint64(bits).view(np.float64))}".encode()
+        return text
+
+
 def _write_sparse_pu(data: LabeledDataset, fh) -> None:
     """Write the stored entries of each row, a block of rows per ``write``.
 
-    A block's text is gathered from a small vocabulary: its distinct
-    ``<g> <s> <y>`` heads and its distinct `` <j>:<v>`` entries, each value
-    keyed by its bit pattern so that ``-0.0`` keeps its sign, and each
-    formatted once. A CSR with unsorted or repeated column indices is
-    written as its canonical copy, duplicates summed, since the loader
-    requires ascending indices.
+    A block's bytes are gathered from a small vocabulary: its distinct
+    ``<g> <s> <y>`` heads, its distinct `` <j>:<v>`` entries and a newline.
+    Each entry is keyed by its column and its value's bit pattern, so that
+    ``-0.0`` keeps its sign, and a memo kept across the file's blocks
+    formats each once per file; the memo is emptied before a block that
+    has fewer entries than it holds, so it never holds more than twice a
+    block's entries. A block whose values share one bit pattern, as binary
+    data's do, sorts its entries by column alone. The block's bytes are one
+    numpy gather from the vocabulary's concatenated bytes. A CSR with unsorted or repeated column
+    indices is written as its canonical copy, duplicates summed, since the
+    loader requires ascending indices.
     """
     m = data.features.raw
     csr = _summed(m) if data.features.is_sparse else _scipy_sparse().csr_matrix(m)
     names, indptr = data.group_names, csr.indptr
     y = np.full(data.n_rows, 2) if data.y is None else data.y  # 2 writes '?'
     head_keys = data.group * 6 + data.s * 3 + y
+    entry_texts = _EntryTexts()
     fh.write(f"#sparse d={data.n_dims}\n".encode())
     for lo in range(0, data.n_rows, _PU_BLOCK_ROWS):
         hi = min(lo + _PU_BLOCK_ROWS, data.n_rows)
         a, b = indptr[lo], indptr[hi]
+        if len(entry_texts) > b - a:
+            entry_texts.clear()
         heads, head_of = np.unique(head_keys[lo:hi], return_inverse=True)
-        cols, col_of = np.unique(csr.indices[a:b], return_inverse=True)
-        bits, val_of = np.unique(csr.data[a:b].view(np.uint64), return_inverse=True)
-        pairs, pair_of = np.unique(col_of * bits.size + val_of, return_inverse=True)
-        cols, texts = cols.tolist(), [_format_value(v) for v in bits.view(np.float64).tolist()]
-        vocab = [b"\n"]  # ends a row
-        vocab += [f"{names[h // 6]} {h // 3 % 2} {'01?'[h % 3]}".encode() for h in heads.tolist()]
-        vocab += [f" {cols[c]}:{texts[v]}".encode()
-                  for c, v in zip(*(x.tolist() for x in np.divmod(pairs, bits.size)))]
+        cols, pair_of = np.unique(csr.indices[a:b], return_inverse=True)
+        bits = csr.data[a:b].view(np.uint64)
+        if (bits[1:] == bits[:-1]).all():  # one value: a pair is its column
+            keys = zip(cols.tolist(), bits[:1].tolist() * cols.size)
+        else:
+            bits, val_of = np.unique(bits, return_inverse=True)
+            pairs, pair_of = np.unique(pair_of * bits.size + val_of, return_inverse=True)
+            keys = zip(cols[pairs // bits.size].tolist(), bits[pairs % bits.size].tolist())
+        texts = [b"\n"]  # ends a row
+        texts += [f"{names[h // 6]} {h // 3 % 2} {'01?'[h % 3]}".encode() for h in heads.tolist()]
+        texts += map(entry_texts.__getitem__, keys)
         # Each row is its head, its entries and a newline.
         ptr = indptr[lo:hi + 1] - a + 2 * np.arange(hi - lo + 1)  # where each row starts
         pieces = np.zeros(ptr[-1], dtype=np.intp)
@@ -669,7 +742,14 @@ def _write_sparse_pu(data: LabeledDataset, fh) -> None:
         entry[ptr[:-1]] = entry[ptr[1:] - 1] = False
         pieces[ptr[:-1]] = 1 + head_of
         pieces[entry] = 1 + heads.size + pair_of
-        fh.write(b"".join(map(vocab.__getitem__, pieces.tolist())))
+        # Piece k's bytes start at ``at[pieces[k]]`` of the vocabulary and at
+        # ``ends[k] - sizes[k]`` of the block.
+        lens = np.fromiter(map(len, texts), np.intp, len(texts))
+        at = np.cumsum(lens) - lens
+        sizes = lens[pieces]
+        ends = np.cumsum(sizes)
+        vocab = np.frombuffer(b"".join(texts), dtype=np.uint8)
+        fh.write(vocab[np.repeat(at[pieces] - ends + sizes, sizes) + np.arange(ends[-1])])
 
 
 def write_dataset(data: LabeledDataset, path: str) -> None:

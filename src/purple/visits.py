@@ -214,10 +214,10 @@ def select_symptoms(visits: FeatureMatrix, groups: np.ndarray, group_names: list
 
 
 def load_symptom_indices(path: str, n_dims: int) -> SymptomSet:
-    """Read a newline-separated list of feature indices, each one of the
-    ``n_dims`` columns of the visit matrix it selects from."""
+    """Read a newline-separated list of distinct feature indices, each one of
+    the ``n_dims`` columns of the visit matrix it selects from."""
     columns = f"the data's {n_dims} columns, 0 to {n_dims - 1}"
-    indices: list[int] = []
+    line_of: dict[int, int] = {}  # index -> the line that lists it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -229,10 +229,13 @@ def load_symptom_indices(path: str, n_dims: int) -> SymptomSet:
                 raise ValueError(f"{path} line {lineno}: expected an integer index") from None
             if not 0 <= index < n_dims:
                 raise ValueError(f"{path} line {lineno}: index {index} is not one of {columns}")
-            indices.append(index)
-    if not indices:
+            if index in line_of:
+                raise ValueError(f"{path} line {lineno}: index {index} is already listed "
+                                 f"on line {line_of[index]}")
+            line_of[index] = lineno
+    if not line_of:
         raise ValueError(f"{path} lists no index; expected one or more of {columns}")
-    return SymptomSet(tuple(indices))
+    return SymptomSet(tuple(line_of))
 
 
 _ZIPF_EXPONENT = 0.9

@@ -153,6 +153,23 @@ class TestSparsePu:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(str(p))
 
+    def test_index_tokens_read_as_int_reads_them(self, tmp_path):
+        # 1 to 8 ASCII digits are read by arithmetic, every other index by int().
+        tokens = ["99999999", "00000007", "000000007", "100000000", "+7"]
+        p = tmp_path / "d.pu"
+        p.write_text("#sparse d=1000000000\n" + "".join(f"a 0 ? {t}:1\n" for t in tokens))
+        got = load_dataset(str(p)).features.raw
+        np.testing.assert_array_equal(got.indices, [int(t) for t in tokens])
+        np.testing.assert_array_equal(got.indptr, np.arange(len(tokens) + 1))
+
+    @pytest.mark.parametrize("d,token", [(99999999, "99999999"), (7, "00000007")])
+    def test_eight_digit_index_outside_names_its_line_and_value(self, tmp_path, d, token):
+        p = tmp_path / "d.pu"
+        p.write_text(f"#sparse d={d}\na 0 ? 1:1\na 0 ? 2:1 {token}:1\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(p))
+        assert str(err.value) == f"line 3: index {int(token)} outside [0, {d})"
+
     def test_non_ascending_indices(self, tmp_path):
         p = tmp_path / "d.pu"
         p.write_text("#sparse d=5\na 0 ? 3:1 2:1\n")

@@ -426,6 +426,22 @@ def test_pu_bytes_equal_a_line_by_line_writer(tmp_path_factory, dataset, rows, s
         assert write_bytes(dataset, path) == expected
 
 
+def test_pu_writer_keeps_every_value_bit_when_a_block_has_one_value(tmp_path):
+    """Blocks of 2 rows: the first holds only 1.0, the next 1.0, -0.0 and
+    1e-320 in columns the first used, and the last a single entry."""
+    rows = [[(0, 1.0), (2, 1.0)], [(1, 1.0)], [(0, 1.0), (1, -0.0)], [(0, 1e-320), (2, 1.0)],
+            [(2, 1.0)]]
+    x = sp.csr_matrix(([v for row in rows for _, v in row], [j for row in rows for j, _ in row],
+                       np.r_[0, np.cumsum([len(row) for row in rows])]), shape=(len(rows), 3))
+    dataset = LabeledDataset(FeatureMatrix(x), np.zeros(len(rows), dtype=np.int64), ["a"],
+                             np.zeros(len(rows), dtype=np.int8))
+    path = tmp_path / "d.pu"
+    with mock.patch.object(data, "_PU_BLOCK_ROWS", 2):
+        assert write_bytes(dataset, path) == reference_pu(dataset)
+        back = load_dataset(str(path))
+    assert_same_rows(back, dataset)
+
+
 @IO_PROPERTY
 @given(dataset=datasets(sparse=False))
 def test_csv_round_trip_is_exact(tmp_path_factory, dataset):

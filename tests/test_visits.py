@@ -381,3 +381,10 @@ class TestSymptomFile:
         p.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{p} {message}')}$"):
             load_symptom_indices(str(p), 8)
+
+    def test_repeated_index_names_file_both_lines_and_index(self, tmp_path):
+        p = tmp_path / "sym.txt"
+        p.write_text("3\n# again\n1\n 3\n")
+        message = f"{p} line 4: index 3 is already listed on line 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_symptom_indices(str(p), 8)
