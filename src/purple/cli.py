@@ -320,7 +320,13 @@ def _load_model_file(path: str, data, data_path: str) -> dict:
                          f"the {list(SPLIT_FRACTIONS)} every split uses")
     payload["split"] = SplitSpec(_typed(stored["seed"], int, "split.seed"),
                                  _typed(stored["n_repeats"], int, "split.n_repeats"))
-    payload["train"] = TrainConfig.from_dict(_typed(payload["train"], dict, "train"))
+    train = _typed(payload["train"], dict, "train")
+    if "lambda_grid" in train:
+        _vector(train["lambda_grid"], "train.lambda_grid")
+    for key in ("max_epochs", "patience"):
+        if key in train:
+            _typed(train[key], int, f"train.{key}")
+    payload["train"] = TrainConfig.from_dict(train)
     return payload
 
 

@@ -134,9 +134,16 @@ _SUITES = {
         ("purple", "supervised"), (0.0, 0.1, 0.2, 0.3, 0.4), _GAUSS_TRAIN,
         lambda v: GaussSynthConfig(c=dict(_C), mean_a=np.ones(5), mean_b=-np.ones(5),
                                    violation_delta=float(v))),
+    # The default grid without λ = 0: on 1200 sparse columns the L1 path
+    # regularizes and early stopping alone does not. Over the 500 purple
+    # cells at seeds 0 to 4, λ = 0 stopped early in every fit, took 6805 of
+    # the grid's 21 073 iterations and was selected in 194 cells. Without it
+    # the other two fits are unchanged, 1e-2 is selected in 114 cells and
+    # 1e-3 in 386, and the mean over points of |mean ratio_to_true - 1|
+    # fell at every seed, from 0.0175-0.0358 to 0.0105-0.0276.
     "semisynth": _Suite(
         ("purple", "negative"), tuple(f"{m}:{cb}" for m in SYMPTOM_MODES for cb in _CB_SWEEP),
-        TrainConfig(max_epochs=250, patience=10), None),
+        TrainConfig(lambda_grid=(1e-2, 1e-3), max_epochs=250, patience=10), None),
 }
 SUITE_NAMES = tuple(_SUITES)
 

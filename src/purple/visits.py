@@ -263,16 +263,14 @@ def generate_visit_corpus(n_a: int, n_b: int, n_dims: int, mean_active: float = 
     p_b = np.clip(base / tilt, 0.0, 0.6)
 
     def draw_block(rng, n_rows, p):
-        rows_parts, cols_parts = [], []
+        counts, rows_parts = [], []
         for j in range(n_dims):
             n_hits = rng.binomial(n_rows, p[j])
-            if n_hits == 0:
-                continue
-            hit_rows = rng.choice(n_rows, size=n_hits, replace=False)
-            rows_parts.append(hit_rows)
-            cols_parts.append(np.full(n_hits, j, dtype=np.int64))
+            counts.append(n_hits)
+            if n_hits:
+                rows_parts.append(rng.choice(n_rows, size=n_hits, replace=False))
         rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(cols_parts) if cols_parts else np.empty(0, dtype=np.int64)
+        cols = np.repeat(np.arange(n_dims, dtype=np.int64), counts)
         return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n_rows, n_dims))
 
     block_a = draw_block(rng_a, n_a, p_a)

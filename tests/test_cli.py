@@ -219,6 +219,11 @@ BROKEN_MODEL_FILES.update({
         ("split.seed", 0.5, "an integer"),
         ("split.n_repeats", "2", "an integer"),
         ("train", [], "an object"),
+        ("train.max_epochs", "7", "an integer"),
+        ("train.max_epochs", 2.5, "an integer"),
+        ("train.patience", True, "an integer"),
+        ("train.lambda_grid", ["a"], "a list of numbers"),
+        ("train.lambda_grid", 0.01, "a list"),
     ]})
 # A baseline fit holds scorers, which a purple model file cannot express.
 BROKEN_MODEL_FILES["negative-fits.0.scorers-list"] = (

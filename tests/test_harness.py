@@ -113,7 +113,7 @@ class TestSuiteConstruction:
         assert "em" in sep.methods
         semi = make_suite("semisynth")
         assert len(semi.sweep_values) == 20
-        assert semi.train == TrainConfig(max_epochs=250, patience=10)
+        assert semi.train == TrainConfig(lambda_grid=(1e-2, 1e-3), max_epochs=250, patience=10)
         shift = make_suite("covariate-shift")
         assert shift.sweep_values == (-1.0, 0.0, 0.5, 0.75, 1.0)
         viol = make_suite("violation")

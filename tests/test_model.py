@@ -14,6 +14,7 @@ from purple import model as model_module
 from purple.baselines import EmFit, baseline_relative_prevalence
 from purple.data import FeatureMatrix, LabeledDataset, SplitSpec, split
 from purple.gauss import GaussSynthConfig, generate_gauss
+from purple.harness import make_suite
 from purple.model import (
     PROB_FLOOR,
     _LBFGS_MEMORY,
@@ -531,8 +532,8 @@ class TestFit:
 
 class TestLambdaGrid:
     """The default grid drops the old six-value grid's 1e-4, 1e-5 and 1e-6
-    fits and nothing else: each fit depends on its own λ, not on the rest
-    of the grid."""
+    fits and nothing else, and the semisynth suite's grid drops λ = 0 too:
+    each fit depends on its own λ, not on the rest of the grid."""
 
     def test_each_fit_is_the_same_in_either_grid(self, monkeypatch):
         visits, group, names = generate_visit_corpus(300, 450, 60, seed=0)
@@ -557,6 +558,9 @@ class TestLambdaGrid:
         for metrics in new.lambda_metrics:
             assert metrics == six_metrics[metrics["lambda"]]
         assert new.model == six_fits[new.selected_lambda]
+        semi = fit(tr, va, TrainConfig(lambda_grid=make_suite("semisynth").train.lambda_grid))
+        assert semi.lambda_metrics == new.lambda_metrics[:2]
+        assert semi.model == six_fits[semi.selected_lambda]
 
 
 class TestLossTrace:
