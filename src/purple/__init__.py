@@ -23,7 +23,6 @@ from .data import (
     LabeledDataset,
     ParseError,
     SplitSpec,
-    group_summary,
     load_dataset,
     split,
     write_dataset,
@@ -49,7 +48,7 @@ from .model import (
     predict_diagnosis,
     relative_prevalence,
 )
-from .stats import paired_t_test, student_t_cdf
+from .stats import paired_t_test
 from .visits import (
     SymptomSet,
     generate_visit_corpus,

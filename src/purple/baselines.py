@@ -67,10 +67,6 @@ class EmFit(LogisticScorer):
     converged: bool
     n_iters: int
 
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "c_hat": self.c_hat, "converged": self.converged,
-                "n_iters": self.n_iters}
-
 
 def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
                  init: LogisticScorer | None = None,

@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
@@ -35,8 +36,7 @@ def _parse_c(text: str) -> dict[str, float]:
     out = {}
     for part in text.split(","):
         if "=" not in part:
-            raise click.UsageError(f"bad labeling-frequency entry {part!r}; "
-                                   "expected name=value")
+            raise ValueError(f"bad labeling-frequency entry {part!r}; expected name=value")
         name, value = part.split("=", 1)
         name = name.strip()
         if name in out:
@@ -69,7 +69,7 @@ def _file_sha256(path: str) -> str:
 
 
 def _write_json(obj: dict, out: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -221,8 +221,8 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
         train, val, _ = split(data, spec, i)
         scorers, result = fit_scorers(method, train, val, config, em_config)
         # A core fit is stored with its history, a baseline fit as its groups' scorers.
-        entry = result.to_dict() if result is not None else {
-            "scorers": {name: scorer.to_dict() for name, scorer in scorers.items()}}
+        entry = asdict(result) if result is not None else {
+            "scorers": {name: asdict(scorer) for name, scorer in scorers.items()}}
         fits.append({"split": i, **entry})
     payload = {
         "version": VERSION,
@@ -231,7 +231,7 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
                  "n_rows": data.n_rows, "n_dims": data.n_dims},
         "split": {"fractions": list(SPLIT_FRACTIONS), "seed": spec.seed,
                   "n_repeats": spec.n_repeats},
-        "train": config.to_dict(),
+        "train": asdict(config),
         "em": {"max_iters": em_max_iters, "tol": em_tol} if method == "em" else None,
         "fits": fits,
     }
@@ -258,11 +258,24 @@ def _typed(value, kind, name: str):
     return value
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as float64, or a ValueError naming the model file entry if
+    any of it is NaN, infinite or an integer beyond a float's range, all of
+    which Python's ``json`` reads."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        array = np.array(np.inf)
+    if not np.isfinite(array).all():
+        raise ValueError(f"model file entry {name!r} must be finite")
+    return array
+
+
 def _vector(value, name: str) -> np.ndarray:
-    """A model file's list of numbers as a float array."""
+    """A model file's list of finite numbers as a float array."""
     if not set(map(type, _typed(value, list, name))) <= set(_NUMBER):
         raise ValueError(f"model file entry {name!r} must be a list of numbers")
-    return np.asarray(value, dtype=np.float64)
+    return _finite(value, name)
 
 
 def _split_scorers(entry: dict, name: str, purple: bool, data, data_path: str
@@ -278,20 +291,25 @@ def _split_scorers(entry: dict, name: str, purple: bool, data, data_path: str
         if w.size != data.n_dims:
             raise ValueError(f"model file entry '{where}.w' has length {w.size}, but data "
                              f"file {data_path!r} has {data.n_dims} columns")
-        return LogisticScorer(w, _typed(stored["b"], _NUMBER, f"{where}.b"))
+        b = _typed(stored["b"], _NUMBER, f"{where}.b")
+        return LogisticScorer(w, _finite(b, f"{where}.b"))
 
     if not purple:
         return {group: scorer(stored, f"{name}.scorers.{group}")
                 for group, stored in _typed(entry["scorers"], dict, f"{name}.scorers").items()}
     where = f"{name}.model"
-    model = entry["model"]
-    scorer(model, where)
-    _vector(model["theta"], f"{where}.theta")
-    for j, group in enumerate(_typed(model["group_names"], list, f"{where}.group_names")):
+    stored = entry["model"]
+    fitted = scorer(stored, where)
+    theta = _vector(stored["theta"], f"{where}.theta")
+    groups = _typed(stored["group_names"], list, f"{where}.group_names")
+    for j, group in enumerate(groups):
         _typed(group, str, f"{where}.group_names[{j}]")
+    if theta.size != len(groups):
+        raise ValueError(f"model file entry '{where}.theta' has length {theta.size}, but "
+                         f"'{where}.group_names' has {len(groups)} entries")
     if entry.get("degenerate"):
         raise ValueError("core fit is degenerate (no observed positives in training)")
-    return dict.fromkeys(data.group_names, PurpleModel.from_dict(model))
+    return dict.fromkeys(data.group_names, PurpleModel(fitted.w, fitted.b, theta, groups))
 
 
 def _load_model_file(path: str, data, data_path: str) -> dict:
@@ -299,7 +317,9 @@ def _load_model_file(path: str, data, data_path: str) -> dict:
     ``TrainConfig``, its ``split`` entry as a ``SplitSpec`` and its ``fits``
     as a map from split index to that split's ``{group name: scorer}``
     (``_split_scorers``). Every entry that ``purple estimate`` and
-    ``purple check`` read is checked for its JSON type."""
+    ``purple check`` read is checked for its JSON type. A ``train`` entry
+    may leave out settings, which take their defaults, but holds no other
+    key: the minibatch Adam settings of older files are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh, object_hook=_ModelFileObject)
     if not isinstance(payload, dict):
@@ -321,12 +341,15 @@ def _load_model_file(path: str, data, data_path: str) -> dict:
     payload["split"] = SplitSpec(_typed(stored["seed"], int, "split.seed"),
                                  _typed(stored["n_repeats"], int, "split.n_repeats"))
     train = _typed(payload["train"], dict, "train")
+    unknown = sorted(set(train) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"unknown training settings: {unknown}")
+    settings = {key: _typed(train[key], int, f"train.{key}")
+                for key in ("max_epochs", "patience") if key in train}
     if "lambda_grid" in train:
-        _vector(train["lambda_grid"], "train.lambda_grid")
-    for key in ("max_epochs", "patience"):
-        if key in train:
-            _typed(train[key], int, f"train.{key}")
-    payload["train"] = TrainConfig.from_dict(train)
+        grid = _vector(train["lambda_grid"], "train.lambda_grid")
+        settings["lambda_grid"] = tuple(grid.tolist())
+    payload["train"] = TrainConfig(**settings)
     return payload
 
 

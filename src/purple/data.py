@@ -342,19 +342,6 @@ def split(data: LabeledDataset, spec: SplitSpec, repeat_index: int):
     return data.take_rows(tr), data.take_rows(va), data.take_rows(te)
 
 
-def group_summary(data: LabeledDataset) -> dict[str, tuple[int, int, float]]:
-    """Per-group (row count, count of s=1, observed rate)."""
-    out: dict[str, tuple[int, int, float]] = {}
-    for gid, name in enumerate(data.group_names):
-        mask = data.group == gid
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        pos = int(data.s[mask].sum())
-        out[name] = (n, pos, pos / n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # File I/O
 

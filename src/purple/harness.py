@@ -96,7 +96,7 @@ class ExperimentSuite:
             "c_a": _C["a"],
             "c_b": _C["b"],
             "fractions": list(SPLIT_FRACTIONS),
-            "train": self.train.to_dict(),
+            "train": asdict(self.train),
             "em": asdict(self.em),
             "accuracy_definition": "abs(ratio_to_true - 1) per split",
             "split_stratification": "by group",
@@ -275,9 +275,9 @@ def _aggregate(method: str, sweep_value, true_rp: float, cells: list[dict]) -> d
         "accuracy_per_split": [abs(c["rp_estimate"] / true_rp - 1.0) for c in ok],
     }
     if ok:
-        entry["estimate"] = RelativePrevalenceEstimate.from_splits(
+        entry["estimate"] = asdict(RelativePrevalenceEstimate.from_splits(
             *_PAIR, per_split_values=[c["rp_estimate"] for c in ok], true_value=true_rp,
-            flags=sorted({f for c in ok for f in c["flags"]})).to_dict()
+            flags=sorted({f for c in ok for f in c["flags"]})))
     return entry
 
 

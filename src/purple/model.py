@@ -36,7 +36,7 @@ fit, a score or a data generator, the baselines' included, comes from
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,14 +68,12 @@ class LogisticScorer:
         """sigmoid(w.x + b) of a feature row, a 2-d array or a FeatureMatrix."""
         return _logistic(_linear(features, self.w, self.b))
 
-    def to_dict(self) -> dict:
-        return {"w": self.w.tolist(), "b": self.b}
-
     def __eq__(self, other) -> bool:
-        """Same class and equal ``to_dict()``. Subclasses are declared with
-        ``eq=False`` so that they keep this definition: the generated one
-        compares ``w`` arrays inside a tuple, which raises."""
-        return type(other) is type(self) and self.to_dict() == other.to_dict()
+        """Same class and ``np.array_equal`` fields. Subclasses are declared
+        with ``eq=False`` so that they keep this definition: the generated
+        one compares ``w`` arrays inside a tuple, which raises."""
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(eq=False)
@@ -95,14 +93,6 @@ class PurpleModel(LogisticScorer):
     def c(self) -> np.ndarray:
         """Per-group labeling frequencies sigmoid(theta), each in (0, 1)."""
         return _logistic(self.theta)
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "theta": self.theta.tolist(),
-                "group_names": list(self.group_names)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PurpleModel":
-        return cls(np.asarray(d["w"]), d["b"], np.asarray(d["theta"]), list(d["group_names"]))
 
 
 @dataclass
@@ -131,26 +121,6 @@ class TrainConfig:
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be at least 1")
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "lambda_grid": list(self.lambda_grid)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of ``to_dict``. Also reads configs from when fits could run
-        minibatch Adam with weight decay: the Adam settings are dropped, and
-        ``batch_size``/``weight_decay`` are accepted only at the values that
-        meant a full-batch fit without decay; other keys raise ValueError."""
-        d = {k: v for k, v in d.items() if k not in ("learning_rate", "adam_eps")}
-        for key, plain in (("batch_size", None), ("weight_decay", 0.0)):
-            value = d.pop(key, plain)
-            if value != plain:
-                raise ValueError(f"unsupported {key}={value!r}: every fit is full batch "
-                                 "without weight decay")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown training settings: {unknown}")
-        return cls(**{**d, "lambda_grid": tuple(d.get("lambda_grid", cls.lambda_grid))})
-
 
 @dataclass
 class FitResult:
@@ -161,10 +131,6 @@ class FitResult:
     epochs_run: int
     loss_trace: list[tuple[int, float, float]]
     lambda_metrics: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "model": self.model.to_dict(),
-                "loss_trace": [list(t) for t in self.loss_trace]}
 
 
 @dataclass
@@ -187,9 +153,6 @@ class RelativePrevalenceEstimate:
         value = float(np.mean(per_split_values))
         return cls(group_a, group_b, value, list(per_split_values), true_value,
                    None if true_value is None else value / true_value, list(flags or []))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Paired t-test and the Student-t CDF behind it.
+"""Paired t-test.
 
-Both evaluate the regularized incomplete beta function through
+Its two-sided p-value is the regularized incomplete beta function from
 ``scipy.special``, imported on the first call so that a process that runs
 no t-test never loads scipy; ``scipy.stats`` is avoided because importing
 it costs about a second.
@@ -11,15 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def student_t_cdf(t: float, df: int) -> float:
-    """P(T <= t) for Student's t with ``df`` degrees of freedom."""
-    if df < 1:
-        raise ValueError("degrees of freedom must be at least 1")
-    from scipy.special import stdtr
-
-    return float(stdtr(df, t))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from purple.baselines import EmConfig, baseline_relative_prevalence
-from purple.cli import main
+from purple.baselines import EmConfig, baseline_relative_prevalence, fit_scorers
+from purple.cli import _load_model_file, main
 from purple.data import SplitSpec, load_dataset, split, write_dataset
-from purple.model import PurpleModel, TrainConfig, mean_score_ratio
+from purple.model import LogisticScorer, TrainConfig, mean_score_ratio
 from purple.visits import SYMPTOM_MODES, SymptomSet, select_symptoms, simulate_labels
 
 
@@ -230,6 +231,41 @@ BROKEN_MODEL_FILES["negative-fits.0.scorers-list"] = (
     _retyped("fits.0.scorers", [1]), "model file entry 'fits[0].scorers' must be an object",
     "negative")
 
+# The "train" entry of a default model file written when fits could also run
+# minibatch Adam with weight decay, as ``purple fit`` wrote it.
+ADAM_ERA_TRAIN = {"adam_eps": 1e-08, "batch_size": None,
+                  "lambda_grid": [0.01, 0.001, 0.0001, 1e-05, 1e-06, 0.0],
+                  "learning_rate": 0.001, "max_epochs": 500, "patience": 10,
+                  "weight_decay": 0.0}
+
+# Values that JSON as Python reads it can hold but no fit writes, a theta
+# without one entry per group, and the settings of a fit that no longer runs.
+BROKEN_MODEL_FILES.update({
+    f"{path}-{value}": (_retyped(path, value), f"model file entry {entry!r} must be finite",
+                        method)
+    for path, value, entry, method in [
+        ("fits.0.model.w.0", float("nan"), "fits[0].model.w", "purple"),
+        ("fits.0.model.w.1", float("inf"), "fits[0].model.w", "purple"),
+        ("fits.0.model.b", float("-inf"), "fits[0].model.b", "purple"),
+        ("fits.0.model.theta.1", float("nan"), "fits[0].model.theta", "purple"),
+        ("train.lambda_grid.0", float("inf"), "train.lambda_grid", "purple"),
+        ("fits.0.scorers.a.w.0", float("nan"), "fits[0].scorers.a.w", "negative"),
+        ("fits.0.scorers.b.b", float("nan"), "fits[0].scorers.b.b", "negative"),
+    ]})
+BROKEN_MODEL_FILES.update({
+    f"{path}-int-beyond-float": (_retyped(path, 10**400),
+                                 f"model file entry {entry!r} must be finite", "purple")
+    for path, entry in [("fits.0.model.w.0", "fits[0].model.w"),
+                        ("fits.0.model.b", "fits[0].model.b")]})
+BROKEN_MODEL_FILES.update({
+    "theta-of-one-group": (lambda blob: blob["fits"][0]["model"]["theta"].pop(),
+                           "model file entry 'fits[0].model.theta' has length 1, but "
+                           "'fits[0].model.group_names' has 2 entries", "purple"),
+    "adam-era-train": (_retyped("train", ADAM_ERA_TRAIN),
+                       "unknown training settings: ['adam_eps', 'batch_size', "
+                       "'learning_rate', 'weight_decay']", "purple"),
+})
+
 
 class TestFitEstimateCheck:
     def fit_model(self, runner, tmp_path, method="purple", extra=(), data=None):
@@ -420,10 +456,47 @@ class TestFitEstimateCheck:
         other = with_group_names(runner, tmp_path, ["a", "c"])
         got = estimate(runner, model, other, "--all-rows", "--pairs", "a:c")
         data = load_dataset(other)
-        want = [mean_score_ratio(PurpleModel.from_dict(fit["model"]).predict(data.features),
-                                 data, "a", "c")
-                for fit in json.loads(open(model).read())["fits"]]
+        stored = [fit["model"] for fit in json.loads(open(model).read())["fits"]]
+        want = [mean_score_ratio(LogisticScorer(m["w"], m["b"]).predict(data.features),
+                                 data, "a", "c") for m in stored]
         assert got["estimates"][0]["per_split_values"] == want
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_model_file_round_trip(self, runner, tmp_path, method):
+        # The reader gives back the training settings and, bit for bit, the
+        # scorers of a refit; of an EM fit it reads only the condition scorer.
+        data, model = self.fit_model(runner, tmp_path, method)
+        dataset = load_dataset(data)
+        payload = _load_model_file(model, dataset, data)
+        config = TrainConfig(lambda_grid=(0.0,), max_epochs=150)
+        assert payload["train"] == config
+        for i in range(2):
+            train, val, _ = split(dataset, SplitSpec(seed=0, n_repeats=2), i)
+            scorers, _ = fit_scorers(method, train, val, config, EmConfig())
+            if method != "purple":
+                scorers = {g: LogisticScorer(s.w, s.b) for g, s in scorers.items()}
+            assert payload["fits"][i] == scorers
+
+    def test_train_config_reads_older_model_files(self, runner, tmp_path):
+        data, model = self.fit_model(runner, tmp_path)
+        blob = json.loads(open(model).read())
+
+        def read(train):
+            with open(model, "w") as fh:
+                json.dump(dict(blob, train=train), fh)
+            return _load_model_file(model, load_dataset(data), data)["train"]
+
+        # A file reads back the grid it stores, not today's default, and a
+        # setting it leaves out takes its default.
+        stored = {k: v for k, v in ADAM_ERA_TRAIN.items()
+                  if k in ("lambda_grid", "max_epochs", "patience")}
+        assert read(stored) == TrainConfig(lambda_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0))
+        assert read({"max_epochs": 7}) == TrainConfig(max_epochs=7)
+        # The entry of a file from when fits could run minibatch Adam is refused.
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown training settings: ['adam_eps', 'batch_size', 'learning_rate', "
+                "'weight_decay']")):
+            read(ADAM_ERA_TRAIN)
 
     def test_unknown_method(self, runner, tmp_path):
         data = simulate_small(runner, str(tmp_path / "d.csv"))
@@ -531,6 +604,7 @@ class TestBadOptionValues:
         (["--n-a", "0"], "n_a and n_b must be at least 1, got 0, 30"),
         (["--n-a", "0", "--n-b", "0"], "n_a and n_b must be at least 1, got 0, 0"),
         (["--c", "a=0.5,b=0.2,a=0.9"], "labeling frequency for group 'a' given twice"),
+        (["--c", "a=0.5,b"], "bad labeling-frequency entry 'b'; expected name=value"),
     ])
     def test_simulate_gauss(self, runner, tmp_path, args, message):
         out = tmp_path / "d.csv"
@@ -547,6 +621,17 @@ class TestBadOptionValues:
                                       "--symptoms", "common", "--c", "a=0.5",
                                       "--out", str(tmp_path / "s.pu")])
         self.assert_one_error_line(result, "no labeling frequency for group(s) 'b'")
+
+    def test_simulate_semisynth_entry_without_value(self, runner, tmp_path):
+        data = str(tmp_path / "visits.pu")
+        runner.invoke(main, ["simulate", "corpus", "--n-a", "200", "--n-b", "200",
+                             "--dims", "60", "--seed", "5", "--out", data])
+        out = tmp_path / "s.pu"
+        result = runner.invoke(main, ["simulate", "semisynth", "--visits", data,
+                                      "--symptoms", "common", "--c", "a=0.5,b",
+                                      "--out", str(out)])
+        self.assert_one_error_line(result, "bad labeling-frequency entry 'b'; expected name=value")
+        assert not out.exists()
 
     def test_simulate_semisynth_unknown_group(self, runner, tmp_path):
         data = simulate_small(runner, str(tmp_path / "d.pu"))

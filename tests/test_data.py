@@ -10,7 +10,6 @@ from purple.data import (
     LabeledDataset,
     ParseError,
     SplitSpec,
-    group_summary,
     load_dataset,
     split,
     split_indices,
@@ -354,15 +353,3 @@ class TestSplit:
                 mask = part.group == g
                 se = np.sqrt(overall[g] * (1 - overall[g]) / mask.sum())
                 assert abs(part.s[mask].mean() - overall[g]) < 3 * se
-
-
-class TestGroupSummary:
-    def test_counts(self):
-        data = LabeledDataset(FeatureMatrix(np.zeros((4, 1))), [0] * 4, ["a"],
-                              s=[1, 0, 0, 1])
-        assert group_summary(data) == {"a": (4, 2, 0.5)}
-
-    def test_empty_dataset(self):
-        data = LabeledDataset(FeatureMatrix(np.zeros((0, 1))),
-                              np.zeros(0, dtype=np.int64), [], np.zeros(0, dtype=np.int8))
-        assert group_summary(data) == {}

@@ -6,7 +6,7 @@ import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -406,7 +406,7 @@ class TestRunSuite:
         cfg = report.config
         assert cfg["accuracy_definition"].startswith("abs(ratio_to_true")
         assert cfg["split_stratification"] == "by group"
-        assert cfg["train"] == TINY_TRAIN.to_dict()
+        assert cfg["train"] == asdict(TINY_TRAIN)
         assert set(cfg["em"]) == {"max_iters", "tol", "inner_epochs"}
 
 

@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -467,7 +467,8 @@ class TestFit:
         cfg = TrainConfig(lambda_grid=(0.0, 1e-3), max_epochs=60, patience=10)
         r1 = fit(tr, va, cfg)
         r2 = fit(tr, va, cfg)
-        assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
+        assert json.dumps(asdict(r1), default=np.ndarray.tolist) == \
+            json.dumps(asdict(r2), default=np.ndarray.tolist)
 
     def test_selected_lambda_in_grid(self):
         tr, va, _ = self.small_data()
@@ -605,40 +606,6 @@ class TestLossTrace:
 
 
 class TestSerialization:
-    def test_train_config_round_trip(self):
-        cfg = TrainConfig(lambda_grid=(0.5, 0.0), max_epochs=7, patience=2)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
-
-    # The "train" entry of a default m.json written when fits could also run
-    # minibatch Adam with weight decay, as ``purple fit`` wrote it.
-    OLD_TRAIN = ('{"adam_eps": 1e-08, "batch_size": null, "lambda_grid": [0.01, 0.001, 0.0001, '
-                 '1e-05, 1e-06, 0.0], "learning_rate": 0.001, "max_epochs": 500, '
-                 '"patience": 10, "weight_decay": 0.0}')
-
-    def test_train_config_defaults_missing_keys_and_refuses_unknown_ones(self):
-        assert TrainConfig.from_dict({"max_epochs": 7}) == TrainConfig(max_epochs=7)
-        with pytest.raises(ValueError, match=r"^unknown training settings: \['bogus'\]$"):
-            TrainConfig.from_dict({**TrainConfig().to_dict(), "bogus": 1})
-
-    def test_train_config_reads_older_model_files(self):
-        # An old file reads back the six-value grid it stores, not today's default.
-        old = json.loads(self.OLD_TRAIN)
-        stored = TrainConfig(lambda_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0))
-        assert TrainConfig.from_dict(old) == stored
-        assert TrainConfig.from_dict(dict(old, learning_rate=0.5, adam_eps=1e-3)) == stored
-
-    def test_train_config_without_a_grid_reads_the_default_grid(self):
-        entry = {k: v for k, v in json.loads(self.OLD_TRAIN).items() if k != "lambda_grid"}
-        assert TrainConfig.from_dict(entry) == TrainConfig()
-        assert TrainConfig().lambda_grid == (1e-2, 1e-3, 0.0)
-
-    @pytest.mark.parametrize("key,value", [("batch_size", 1024), ("batch_size", 0),
-                                           ("weight_decay", 0.1)])
-    def test_train_config_rejects_retired_settings(self, key, value):
-        with pytest.raises(ValueError, match=key):
-            TrainConfig.from_dict(dict(json.loads(self.OLD_TRAIN), **{key: value}))
-
     @pytest.mark.parametrize("kwargs, message", [
         ({"lambda_grid": ()}, "lambda_grid must be a non-empty list of finite values"),
         ({"lambda_grid": (1e-3, float("nan"))},
@@ -655,8 +622,11 @@ class TestSerialization:
 
     def test_model_equality_compares_values(self):
         m = PurpleModel(np.array([1.0, 2.0]), 0.5, np.zeros(2), ["a", "b"])
-        assert m == PurpleModel.from_dict(m.to_dict())
+        assert m == PurpleModel([1.0, 2.0], 0.5, [0.0, 0.0], ["a", "b"])
         assert m != PurpleModel(np.array([1.0, 2.5]), 0.5, np.zeros(2), ["a", "b"])
+        assert m != PurpleModel(np.array([1.0, 2.0]), 0.5, np.ones(2), ["a", "b"])
+        assert m != PurpleModel(np.array([1.0, 2.0]), 0.5, np.zeros(2), ["a", "c"])
+        assert m != PurpleModel(np.array([1.0, 2.0]), 0.5, np.zeros(3), ["a", "b", "c"])
         # Every scorer compares by class and values, and no comparison raises.
         scorer = LogisticScorer(np.ones(5), 0.0)
         purple = PurpleModel(np.ones(5), 0.0, np.zeros(2), ["a", "b"])
@@ -671,7 +641,7 @@ class TestSerialization:
     def test_estimate_from_splits(self):
         est = RelativePrevalenceEstimate.from_splits("a", "b", [1.0, 2.0, 3.0], 4.0, ["x"])
         assert est.value == 2.0 and est.ratio_to_true == 0.5
-        assert est.to_dict()["per_split_values"] == [1.0, 2.0, 3.0]
+        assert asdict(est)["per_split_values"] == [1.0, 2.0, 3.0]
         assert RelativePrevalenceEstimate.from_splits("a", "b", [1.0]).ratio_to_true is None
 
     def test_constructor_keeps_its_arguments(self):
