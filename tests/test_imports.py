@@ -65,10 +65,17 @@ def test_loading_a_pu_file_imports_only_scipy_sparse(tmp_path):
     assert not [m for m in loaded if m.startswith("scipy.special")]
 
 
-def test_paired_t_test_imports_scipy_special():
+def test_dense_suite_with_t_tests_never_imports_scipy(tmp_path):
     loaded = scipy_modules_after("""
-        from purple.stats import paired_t_test
+        import sys
+        from purple.harness import emit_report, make_suite, run_suite
+        from purple.model import TrainConfig
 
-        paired_t_test([0.9, 0.8, 0.7], [0.5, 0.6, 0.4])
-    """)
-    assert "scipy.special" in loaded
+        report = run_suite(make_suite(
+            "label-frequency", methods=("purple", "negative"), sweep_values=(0.5,),
+            n_splits=2, gauss_n=(300, 450),
+            train=TrainConfig(lambda_grid=(0.0,), max_epochs=100, patience=100)))
+        assert report.t_tests and all("p" in t for t in report.t_tests), report.t_tests
+        emit_report(report, sys.argv[1])
+    """, str(tmp_path / "out"))
+    assert loaded == []
