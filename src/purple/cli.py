@@ -19,7 +19,7 @@ import numpy as np
 from ._version import VERSION
 # fit_em and fit_purple are unused here, kept importable only because perfbench's
 # tracer wraps cli.fit_em and cli.fit_purple: every fit goes through fit_scorers.
-from .baselines import (BUILTIN_KINDS, EmConfig, LogisticScorer, fit_em,  # noqa: F401
+from .baselines import (BUILTIN_KINDS, LogisticScorer, fit_em,  # noqa: F401
                         fit_purple, fit_scorers, group_scores)
 from .checks import (DEFAULT_DELTA_AUC_WARN, DEFAULT_ECE_WARN, DEFAULT_N_BINS,
                      assumption_check_report)
@@ -179,47 +179,39 @@ def simulate_semisynth(visits_path, symptoms, c_text, seed, group_num, group_den
 
 
 def _train_config(lambda_grid, max_epochs, patience):
-    kwargs = {k: v for k, v in (("max_epochs", max_epochs), ("patience", patience))
-              if v is not None}
-    if lambda_grid is not None:
-        try:
-            kwargs["lambda_grid"] = tuple(float(x) for x in lambda_grid.split(","))
-        except ValueError:
-            raise ValueError(f"bad --lambda-grid {lambda_grid!r}; expected comma-separated "
-                             "numbers") from None
-    return TrainConfig(**kwargs)
+    try:
+        grid = tuple(float(x) for x in lambda_grid.split(","))
+    except ValueError:
+        raise ValueError(f"bad --lambda-grid {lambda_grid!r}; expected comma-separated "
+                         "numbers") from None
+    return TrainConfig(lambda_grid=grid, max_epochs=max_epochs, patience=patience)
 
 
 @main.command("fit")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--method", default="purple", show_default=True,
               help="purple, negative, supervised, or em.")
-@click.option("--lambda-grid", default=None,
-              help="Comma-separated L1 strengths; default "
-                   f"{','.join(f'{lam:g}' for lam in TrainConfig.lambda_grid)}.")
-@click.option("--max-epochs", default=None, type=int,
+@click.option("--lambda-grid", default=",".join(map(str, TrainConfig.lambda_grid)),
+              show_default=True, help="Comma-separated L1 strengths.")
+@click.option("--max-epochs", default=TrainConfig.max_epochs, show_default=True,
               help="Budget per fit, in L-BFGS iterations.")
-@click.option("--patience", default=None, type=int,
+@click.option("--patience", default=TrainConfig.patience, show_default=True,
               help="Early-stopping patience, in L-BFGS iterations.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--splits", default=5, show_default=True)
-@click.option("--em-max-iters", default=EmConfig.max_iters, show_default=True)
-@click.option("--em-tol", default=EmConfig.tol, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @_value_errors_as_errors
-def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
-            em_max_iters, em_tol, out):
+def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits, out):
     """Fit a method on each train/val split and save the models."""
     if method not in BUILTIN_KINDS:
         raise click.UsageError(f"unknown method {method!r}; expected one of {BUILTIN_KINDS}")
     data = load_dataset(data_path)
     config = _train_config(lambda_grid, max_epochs, patience)
-    em_config = EmConfig(max_iters=em_max_iters, tol=em_tol)
     spec = SplitSpec(seed=seed, n_repeats=splits)
     fits = []
     for i in range(splits):
         train, val, _ = split(data, spec, i)
-        scorers, result = fit_scorers(method, train, val, config, em_config)
+        scorers, result = fit_scorers(method, train, val, config)
         # A core fit is stored with its history, a baseline fit as its groups' scorers.
         entry = asdict(result) if result is not None else {
             "scorers": {name: asdict(scorer) for name, scorer in scorers.items()}}
@@ -232,7 +224,6 @@ def fit_cmd(data_path, method, lambda_grid, max_epochs, patience, seed, splits,
         "split": {"fractions": list(SPLIT_FRACTIONS), "seed": spec.seed,
                   "n_repeats": spec.n_repeats},
         "train": asdict(config),
-        "em": {"max_iters": em_max_iters, "tol": em_tol} if method == "em" else None,
         "fits": fits,
     }
     _write_json(payload, out)

@@ -97,10 +97,11 @@ class ExperimentSuite:
             "c_b": _C["b"],
             "fractions": list(SPLIT_FRACTIONS),
             "train": asdict(self.train),
-            "em": asdict(self.em),
             "accuracy_definition": "abs(ratio_to_true - 1) per split",
             "split_stratification": "by group",
         }
+        if "em" in self.methods:
+            echo["em"] = asdict(self.em)
         if _SUITES[self.name].gauss_config is None:
             echo["semisynth_scale"] = dict(_CORPUS)
         if self.gauss_n is not None:
@@ -113,13 +114,19 @@ _ALL_METHODS = ("purple", "negative", "em", "supervised")
 _GAUSS_TRAIN = TrainConfig(lambda_grid=(0.0,), max_epochs=4000, patience=30)
 _CB_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
 
+
+def _separability_config(v) -> GaussSynthConfig:
+    if v not in ("nonseparable", "separable"):
+        raise ValueError(f"separability sweep values are nonseparable and separable, not {v!r}")
+    return GaussSynthConfig(c=dict(_C), separable=(v == "separable"))
+
+
 # Each suite's default methods, sweep values and training config, and the
 # function that builds one sweep point's GaussSynthConfig (None for the
 # semi-synthetic suite, whose points are ``mode:c_b`` over one ``_CORPUS``).
 _SUITES = {
     "separability": _Suite(
-        _ALL_METHODS, ("nonseparable", "separable"), _GAUSS_TRAIN,
-        lambda v: GaussSynthConfig(c=dict(_C), separable=(v == "separable"))),
+        _ALL_METHODS, ("nonseparable", "separable"), _GAUSS_TRAIN, _separability_config),
     "label-frequency": _Suite(
         _ALL_METHODS, _CB_SWEEP, _GAUSS_TRAIN,
         lambda v: GaussSynthConfig(c=dict(_C, b=float(v)))),
@@ -156,10 +163,8 @@ def make_suite(name: str, methods: tuple[str, ...] | None = None, n_splits: int 
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     spec = _SUITES[name]
-    defaults = dict(methods=spec.methods, sweep_values=spec.sweep_values, train=spec.train)
-    if methods is not None:
-        defaults["methods"] = tuple(methods)
-    defaults.update(overrides)
+    defaults = {"methods": spec.methods if methods is None else tuple(methods),
+                "sweep_values": spec.sweep_values, "train": spec.train, **overrides}
     return ExperimentSuite(name=name, n_splits=n_splits, base_seed=base_seed, **defaults)
 
 
@@ -174,13 +179,6 @@ def true_relative_prevalence(data: LabeledDataset, group_a: str, group_b: str) -
 # Sweep-point data generation
 
 
-def _gauss_config_for(suite: ExperimentSuite, sweep_value) -> GaussSynthConfig:
-    cfg = _SUITES[suite.name].gauss_config(sweep_value)
-    if suite.gauss_n is not None:
-        cfg = replace(cfg, n_a=suite.gauss_n[0], n_b=suite.gauss_n[1])
-    return cfg
-
-
 def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]]:
     """Materialize (sweep value, dataset) pairs for every sweep point.
 
@@ -189,10 +187,15 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
     semi-synthetic one, generated once and shared by every symptom mode),
     so sweeps are paired comparisons.
     """
-    if _SUITES[suite.name].gauss_config is not None:
+    gauss_config = _SUITES[suite.name].gauss_config
+    if gauss_config is not None:
         data_seed = derive_seed(suite.base_seed, _TAG_DATA)
-        return [(sv, generate_gauss(_gauss_config_for(suite, sv), data_seed))
+        sizes = dict(zip(("n_a", "n_b"), suite.gauss_n or ()))
+        return [(sv, generate_gauss(replace(gauss_config(sv), **sizes), data_seed))
                 for sv in suite.sweep_values]
+    for sv in suite.sweep_values:
+        if str(sv).count(":") != 1:
+            raise ValueError(f"bad semisynth sweep value {sv!r}; expected mode:c_b")
     corpus, group, names = generate_visit_corpus(
         **_CORPUS, seed=derive_seed(suite.base_seed, _TAG_CORPUS))
     by_mode: dict[str, tuple] = {}

@@ -216,11 +216,11 @@ class TestEmFit:
         for iters in range(1, em_config.max_iters + 1):
             q = em_soft_labels(scorer.predict(tr.features), tr.s, c_hat)
             scorer = fit_logistic(tr.features, q, None, None,
-                                  replace(FAST, max_epochs=em_config.inner_epochs),
+                                  replace(FAST, max_epochs=baselines._M_STEP_MAX_ITERS),
                                   init=scorer, memory=memory)
             c_new = em_update_c(tr.s, scorer.predict(tr.features))
             delta, c_hat = abs(c_new - c_hat), c_new
-            if delta < em_config.tol:
+            if delta < baselines._EM_TOL:
                 break
         return iters, c_hat, scorer
 
@@ -263,11 +263,7 @@ class TestEmFit:
         assert_same_em(both["b"], alone)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"max_iters": 0}, "EM max_iters and inner_epochs must be at least 1"),
-        ({"inner_epochs": 0}, "EM max_iters and inner_epochs must be at least 1"),
-        ({"tol": -1e-5}, "EM tol must be finite and non-negative"),
-        ({"tol": float("nan")}, "EM tol must be finite and non-negative"),
-        ({"tol": float("inf")}, "EM tol must be finite and non-negative"),
+        ({"max_iters": 0}, "EM max_iters must be at least 1"),
     ])
     def test_config_rejects_values_no_fit_can_use(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

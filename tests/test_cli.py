@@ -321,8 +321,7 @@ class TestFitEstimateCheck:
         assert result.exit_code == 0, result.output
 
     def test_fit_em_records_convergence(self, runner, tmp_path):
-        _, model = self.fit_model(runner, tmp_path, method="em",
-                                  extra=("--em-max-iters", "3"))
+        _, model = self.fit_model(runner, tmp_path, method="em")
         blob = json.loads(open(model).read())
         for fit in blob["fits"]:
             for entry in fit["scorers"].values():
@@ -369,7 +368,7 @@ class TestFitEstimateCheck:
         model, out = str(tmp_path / "m.json"), str(tmp_path / "e.json")
         result = runner.invoke(main, [
             "fit", "--data", data_path, "--method", method, "--max-epochs", "60",
-            "--splits", "2", "--seed", "3", "--em-max-iters", "3", "--out", model])
+            "--splits", "2", "--seed", "3", "--out", model])
         assert result.exit_code == 0, result.output
         result = runner.invoke(main, ["estimate", "--model", model, "--data", data_path,
                                       "--pairs", "a:b", "--out", out])
@@ -381,7 +380,7 @@ class TestFitEstimateCheck:
             train, val, test = split(data, SplitSpec(seed=3, n_repeats=2), i)
             want.append(baseline_relative_prevalence(
                 method, train, val, test, "a", "b", seed=3,
-                config=TrainConfig(max_epochs=60), em_config=EmConfig(max_iters=3)).value)
+                config=TrainConfig(max_epochs=60)).value)
         assert got == want
 
     @pytest.mark.parametrize("method", METHODS)
@@ -758,15 +757,29 @@ class TestBadOptionValues:
         (["--lambda-grid", "inf"], "lambda_grid must be a non-empty list of finite values"),
         (["--max-epochs", "0"], "max_epochs and patience must be at least 1"),
         (["--patience", "0"], "max_epochs and patience must be at least 1"),
-        (["--em-max-iters", "0"], "EM max_iters and inner_epochs must be at least 1"),
-        (["--em-max-iters", "-3"], "EM max_iters and inner_epochs must be at least 1"),
-        (["--em-tol", "-1"], "EM tol must be finite and non-negative"),
-        (["--em-tol", "nan"], "EM tol must be finite and non-negative"),
     ])
     def test_fit(self, runner, tmp_path, args, message):
         data = simulate_small(runner, str(tmp_path / "d.csv"))
         out = tmp_path / "m.json"
         result = runner.invoke(main, ["fit", "--data", data, "--method", "negative",
+                                      "--out", str(out), *args])
+        self.assert_one_error_line(result, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--ece-warn", "nan"], "ece_warn must be finite, got nan"),
+        (["--ece-warn", "inf"], "ece_warn must be finite, got inf"),
+        (["--delta-auc-warn", "nan"], "delta_auc_warn must be finite, got nan"),
+        (["--ece-warn", "nan", "--delta-auc-warn", "nan"], "ece_warn must be finite, got nan"),
+    ])
+    def test_check(self, runner, tmp_path, args, message):
+        # A NaN threshold would pass every check and write NaN, which is not JSON.
+        data = simulate_small(runner, str(tmp_path / "d.csv"))
+        model, out = tmp_path / "m.json", tmp_path / "c.json"
+        result = runner.invoke(main, ["fit", "--data", data, "--lambda-grid", "0",
+                                      "--max-epochs", "60", "--splits", "1", "--out", str(model)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["check", "--model", str(model), "--data", data,
                                       "--out", str(out), *args])
         self.assert_one_error_line(result, message)
         assert not out.exists()

@@ -216,6 +216,22 @@ class TestSuiteDatasets:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (sv, attr)
         assert len(calls) == 1 + len(points)
 
+    def test_unknown_separability_value_refused(self):
+        # A typo is not run as the nonseparable point under its own name.
+        suite = make_suite("separability", n_splits=2, sweep_values=("separable", "separabel"))
+        with pytest.raises(ValueError, match="^separability sweep values are nonseparable and "
+                                             "separable, not 'separabel'$"):
+            run_suite(suite)
+
+    def test_semisynth_value_without_c_b_refused(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "generate_visit_corpus", lambda *a, **k: calls.append(a))
+        suite = make_suite("semisynth", n_splits=2, sweep_values=("common:0.3", "common"))
+        with pytest.raises(ValueError, match="^bad semisynth sweep value 'common'; "
+                                             "expected mode:c_b$"):
+            run_suite(suite)
+        assert not calls  # refused before the corpus is drawn
+
 
 class TestEchoedSettings:
     """The labeling frequencies and split fractions a report echoes are the
@@ -407,7 +423,11 @@ class TestRunSuite:
         assert cfg["accuracy_definition"].startswith("abs(ratio_to_true")
         assert cfg["split_stratification"] == "by group"
         assert cfg["train"] == asdict(TINY_TRAIN)
-        assert set(cfg["em"]) == {"max_iters", "tol", "inner_epochs"}
+        # EM's settings are echoed only by a suite that runs EM, so they never
+        # change the config hash of one that does not.
+        assert "em" not in cfg
+        assert report.config == tiny_suite(em=baselines.EmConfig(max_iters=3)).config_echo()
+        assert tiny_suite(methods=("em",)).config_echo()["em"] == {"max_iters": 100}
 
 
 class TestGeneratorKernel:

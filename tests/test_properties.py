@@ -107,8 +107,7 @@ def test_cli_pair_times_reversed_pair_is_one(method, n_a, n_b, seed):
         for args in (["simulate", "gauss", "--n-a", str(n_a), "--n-b", str(n_b),
                       "--seed", str(seed), "--out", data_path],
                      ["fit", "--data", data_path, "--method", method, "--lambda-grid", "0",
-                      "--max-epochs", "100", "--splits", "2", "--em-max-iters", "5",
-                      "--out", model],
+                      "--max-epochs", "100", "--splits", "2", "--out", model],
                      ["estimate", "--model", model, "--data", data_path,
                       "--pairs", "a:b,b:a", "--out", out]):
             result = runner.invoke(main, args)
