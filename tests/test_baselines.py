@@ -264,6 +264,7 @@ class TestEmFit:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iters": 0}, "EM max_iters must be at least 1"),
+        ({"max_iters": -3}, "EM max_iters must be at least 1"),
     ])
     def test_config_rejects_values_no_fit_can_use(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

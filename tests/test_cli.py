@@ -323,6 +323,7 @@ class TestFitEstimateCheck:
     def test_fit_em_records_convergence(self, runner, tmp_path):
         _, model = self.fit_model(runner, tmp_path, method="em")
         blob = json.loads(open(model).read())
+        assert "em" not in blob  # EM's one setting is EmConfig()'s, as in the suites
         for fit in blob["fits"]:
             for entry in fit["scorers"].values():
                 assert set(entry) == {"w", "b", "c_hat", "converged", "n_iters"}
@@ -764,6 +765,17 @@ class TestBadOptionValues:
         result = runner.invoke(main, ["fit", "--data", data, "--method", "negative",
                                       "--out", str(out), *args])
         self.assert_one_error_line(result, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--em-max-iters", "--em-tol"])
+    def test_fit_has_no_em_settings(self, runner, tmp_path, option):
+        # purple fit --method em runs EmConfig(), so an EM setting is a usage error.
+        data = simulate_small(runner, str(tmp_path / "d.csv"))
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["fit", "--data", data, "--method", "em",
+                                      "--out", str(out), option, "3"])
+        assert result.exit_code == 2
+        assert f"Error: No such option '{option}'" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
