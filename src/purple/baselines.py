@@ -12,8 +12,8 @@ labeling-frequency factor frozen at one, which ``PurpleModel`` extends.
 ``EmFit`` subclasses it too, adding EM's labeling-frequency estimate and
 convergence record. The baselines train through the core solver,
 ``model._lbfgs_fit``; ``fit_logistic`` supplies only the cross-entropy and
-its gradient and, given validation rows, the cross-entropy that stops it
-early, with every sigmoid and softplus from ``model._logistic``. The M-steps
+its gradient and, given validation rows, the same cross-entropy on them to
+stop early, with every sigmoid and softplus from ``model._logistic``. The M-steps
 of one EM fit get no validation rows and share one L-BFGS memory: the soft
 targets enter the objective linearly, so each pair is exact for the next.
 """
@@ -31,7 +31,6 @@ from .model import (
     LogisticScorer,
     RelativePrevalenceEstimate,
     TrainConfig,
-    _label_cross_entropy,
     _lbfgs_fit,
     _linear,
     _logistic,
@@ -74,36 +73,37 @@ def fit_logistic(train_X, targets, val_X, val_targets, config: TrainConfig,
     """A ``LogisticScorer`` fit to soft targets in [0, 1] by L-BFGS, within
     ``config.max_epochs`` iterations.
 
-    Given validation rows, the fit stops early on the cross-entropy against
-    0/1 ``val_targets``; stopped so or by its budget, it returns its
-    best-validation parameters. With ``val_X=None`` it runs to convergence
-    or to its budget. ``memory`` is the solver's list of curvature pairs
-    (``model._lbfgs_fit``); fits that differ only in ``targets`` may share one.
+    Given validation rows, the fit stops early on the cross-entropy it
+    minimizes, against 0/1 ``val_targets``; stopped so or by its budget, it
+    returns its best-validation parameters. With ``val_X=None`` it runs to
+    convergence or to its budget. ``memory`` is the solver's list of curvature
+    pairs (``model._lbfgs_fit``); fits that differ only in ``targets`` may share one.
     """
     d = train_X.n_dims
     targets = np.asarray(targets, dtype=np.float64)
 
-    def objective(p):
-        z = _linear(train_X, p[:d], p[d])
+    def cross_entropy(X, t, p):
+        # Mean cross-entropy in its softplus form, and sigmoid(z): exact and
+        # unclamped, so it stays consistent with the gradient when rows saturate.
+        z = _linear(X, p[:d], p[d])
         sigmoid, softplus = _logistic(z, with_softplus=True)
+        return float(np.mean(softplus - t * z)), sigmoid
+
+    def objective(p):
+        f, sigmoid = cross_entropy(train_X, targets, p)
         residual = sigmoid - targets
-        # Mean cross-entropy in its softplus form: exact and unclamped, so it
-        # stays consistent with the gradient when rows saturate.
-        f = float(np.mean(softplus - targets * z))
         return f, np.concatenate([train_X.rtvec(residual) / train_X.n_rows,
                                   [residual.mean()]])
 
-    val_loss = None
-    if val_X is not None:
-        if val_X.n_rows == 0:
-            raise ValueError("validation subset is empty")
-        val_pos = np.asarray(val_targets) == 1
+    if val_X is not None and val_X.n_rows == 0:
+        raise ValueError("validation subset is empty")
 
-        def val_loss(p, _):
-            return _label_cross_entropy(LogisticScorer(p[:d], p[d]).predict(val_X), val_pos)
+    def val_loss(p, _):
+        return cross_entropy(val_X, val_targets, p)[0]
 
     params = np.zeros(d + 1) if init is None else np.concatenate([init.w, [init.b]])
-    params = _lbfgs_fit(objective, params, config.max_epochs, val_loss=val_loss,
+    params = _lbfgs_fit(objective, params, config.max_epochs,
+                        val_loss=None if val_X is None else val_loss,
                         patience=config.patience, memory=memory,
                         scale=_solver_scale(train_X, 1))[0]
     return LogisticScorer(params[:d], float(params[d]))

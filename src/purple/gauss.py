@@ -45,6 +45,10 @@ class GaussSynthConfig:
             self.mean_b = np.ones(self.n_dims)
         self.mean_a = np.asarray(self.mean_a, dtype=np.float64)
         self.mean_b = np.asarray(self.mean_b, dtype=np.float64)
+        for name, value in (("mean_a", self.mean_a), ("mean_b", self.mean_b),
+                            ("variance", self.variance)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if self.variance <= 0:
             raise ValueError("variance must be positive")
         if set(self.c) != {"a", "b"}:

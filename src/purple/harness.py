@@ -117,7 +117,7 @@ _CB_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 def _separability_config(v) -> GaussSynthConfig:
     if v not in ("nonseparable", "separable"):
-        raise ValueError(f"separability sweep values are nonseparable and separable, not {v!r}")
+        raise ValueError("expected nonseparable or separable")
     return GaussSynthConfig(c=dict(_C), separable=(v == "separable"))
 
 
@@ -185,28 +185,47 @@ def suite_datasets(suite: ExperimentSuite) -> list[tuple[object, LabeledDataset]
     Within a suite the non-swept random streams are shared across sweep
     points (feature draws for the Gaussian suites, the visit corpus for the
     semi-synthetic one, generated once and shared by every symptom mode),
-    so sweeps are paired comparisons.
+    so sweeps are paired comparisons. Every sweep value is turned into its
+    point before any data is drawn; one that names no point is refused with
+    ``ValueError("bad <suite> sweep value <value>: <reason>")``.
     """
     gauss_config = _SUITES[suite.name].gauss_config
+
+    def point(sv):  # the value's GaussSynthConfig, or its semisynth (mode, c_b)
+        if gauss_config is not None:
+            return gauss_config(sv)
+        if str(sv).count(":") != 1:
+            raise ValueError("expected mode:c_b")
+        mode, c_b_text = str(sv).split(":")
+        if mode not in SYMPTOM_MODES:
+            raise ValueError(f"unknown symptom mode {mode!r}; expected one of "
+                             f"{', '.join(SYMPTOM_MODES)}")
+        c_b = float(c_b_text)
+        if not 0.0 <= c_b <= 1.0:
+            raise ValueError("labeling frequencies must lie in [0, 1]")
+        return mode, c_b
+
+    points = []
+    for sv in suite.sweep_values:
+        try:
+            points.append(point(sv))
+        except ValueError as e:
+            raise ValueError(f"bad {suite.name} sweep value {sv!r}: {e}") from e
     if gauss_config is not None:
         data_seed = derive_seed(suite.base_seed, _TAG_DATA)
         sizes = dict(zip(("n_a", "n_b"), suite.gauss_n or ()))
-        return [(sv, generate_gauss(replace(gauss_config(sv), **sizes), data_seed))
-                for sv in suite.sweep_values]
-    for sv in suite.sweep_values:
-        if str(sv).count(":") != 1:
-            raise ValueError(f"bad semisynth sweep value {sv!r}; expected mode:c_b")
+        return [(sv, generate_gauss(replace(config, **sizes), data_seed))
+                for sv, config in zip(suite.sweep_values, points)]
     corpus, group, names = generate_visit_corpus(
         **_CORPUS, seed=derive_seed(suite.base_seed, _TAG_CORPUS))
     by_mode: dict[str, tuple] = {}
     out = []
-    for sv in suite.sweep_values:
-        mode, cb_str = str(sv).split(":")
+    for sv, (mode, c_b) in zip(suite.sweep_values, points):
         if mode not in by_mode:
             by_mode[mode] = select_symptoms(corpus, group, names, mode,
                                             derive_seed(suite.base_seed, _TAG_SYMPTOMS, mode))
         visits, v_sym = by_mode[mode]
-        out.append((sv, simulate_labels(visits, group, names, v_sym, dict(_C, b=float(cb_str)),
+        out.append((sv, simulate_labels(visits, group, names, v_sym, dict(_C, b=c_b),
                                         derive_seed(suite.base_seed, _TAG_LABELS, mode))))
     return out
 
@@ -254,15 +273,8 @@ class RunReport:
         raise KeyError(f"no result for ({method}, {sweep_value})")
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "version": self.version,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "n_failed_cells": self.n_failed_cells,
-            "results": self.results,
-            "t_tests": self.t_tests,
-        }
+        return dict(asdict(self), config_hash=self.config_hash,
+                    n_failed_cells=self.n_failed_cells)
 
 
 def _aggregate(method: str, sweep_value, true_rp: float, cells: list[dict]) -> dict:
@@ -303,8 +315,10 @@ def _t_tests_vs_purple(results: list[dict], methods) -> list[dict]:
     method, per sweep point and pooled across points."""
     if "purple" not in methods:
         return []
-    by_key = {(r["method"], r["sweep_value"]): r for r in results}
-    sweep_values = sorted({r["sweep_value"] for r in results})
+    accuracy = {(r["method"], r["sweep_value"]): {s["split"]: abs(s["ratio_to_true"] - 1.0)
+                                                   for s in r["splits"] if "error" not in s}
+                for r in results}
+    sweep_values = sorted({sv for _, sv in accuracy})
     out = []
     for method in methods:
         if method == "purple":
@@ -312,13 +326,7 @@ def _t_tests_vs_purple(results: list[dict], methods) -> list[dict]:
         pooled_purple: list[float] = []
         pooled_other: list[float] = []
         for sv in sweep_values:
-            pu, other = by_key.get(("purple", sv)), by_key.get((method, sv))
-            if pu is None or other is None:
-                continue
-            pu_acc = {s["split"]: abs(s["ratio_to_true"] - 1.0)
-                      for s in pu["splits"] if "error" not in s}
-            ot_acc = {s["split"]: abs(s["ratio_to_true"] - 1.0)
-                      for s in other["splits"] if "error" not in s}
+            pu_acc, ot_acc = accuracy["purple", sv], accuracy[method, sv]
             common = sorted(set(pu_acc) & set(ot_acc))
             a = [ot_acc[i] for i in common]
             b = [pu_acc[i] for i in common]

@@ -203,18 +203,6 @@ def predict_diagnosis(model: PurpleModel, features, group) -> np.ndarray | float
 # Loss and gradient
 
 
-def _label_cross_entropy(p: np.ndarray, pos: np.ndarray) -> float:
-    """Mean cross-entropy of p, clamped to [PROB_FLOOR, 1 - PROB_FLOOR],
-    against the 0/1 labels ``pos``, with one log per row: of the clamped p
-    on positives, of 1 minus it on the rest. Bit for bit the two-log form
-    ``-(s log p + (1 - s) log(1 - p))``, which only adds an exact zero,
-    ``0 * log(finite)``, per row.
-    """
-    q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    q = np.where(pos, q, 1.0 - q)
-    return -float(np.log(q, out=q).mean())
-
-
 def _penalized(model: PurpleModel, cross_entropy: float, lam: float) -> float:
     return cross_entropy + lam * float(np.abs(model.w).sum())
 

@@ -57,14 +57,13 @@ def _check_binary(visits: FeatureMatrix):
 
 
 def symptom_counts(visits: FeatureMatrix, v_sym: SymptomSet) -> np.ndarray:
-    """Number of active suspicious symptoms per row."""
+    """Active suspicious symptoms per row: the product with their 0/1 indicator."""
     idx = np.asarray(v_sym.indices, dtype=np.intp)
     if idx.max() >= visits.n_dims:
         raise ValueError(f"symptom index {idx.max()} is not one of the {visits.n_dims} columns")
-    sub = visits.raw[:, idx]
-    if visits.is_sparse:
-        return np.asarray(sub.sum(axis=1)).ravel()
-    return sub.sum(axis=1)
+    indicator = np.zeros(visits.n_dims)
+    indicator[idx] = 1.0
+    return visits.matvec(indicator)
 
 
 def simulate_labels(visits: FeatureMatrix, groups: np.ndarray, group_names: list[str],

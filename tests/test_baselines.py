@@ -96,20 +96,26 @@ class TestSupervised:
 
 
 class TestFitLogisticObjective:
+    @staticmethod
+    def losses(monkeypatch, x, targets):
+        """The objective and the validation loss that ``fit_logistic`` hands
+        the solver, with ``x`` and ``targets`` as both training and validation rows."""
+        captured = {}
+
+        def capture(objective, params, max_iter, *, val_loss, **_):
+            captured.update(objective=objective, val_loss=val_loss)
+            return params, np.inf, 0, "budget"
+
+        monkeypatch.setattr(baselines, "_lbfgs_fit", capture)
+        fit_logistic(x, targets, x, targets, TrainConfig(lambda_grid=(0.0,)))
+        return captured["objective"], captured["val_loss"]
+
     @pytest.mark.parametrize("scale", [1.0, 100.0])
     def test_gradient_matches_finite_differences(self, monkeypatch, scale):
         rng = np.random.default_rng(3)
         x = FeatureMatrix(rng.standard_normal((60, 3)))
         targets = rng.uniform(0.0, 1.0, 60)
-        captured = {}
-
-        def capture(objective, params, max_iter, **_):
-            captured["objective"] = objective
-            return params, np.inf, 0, "budget"
-
-        monkeypatch.setattr(baselines, "_lbfgs_fit", capture)
-        fit_logistic(x, targets, x, targets, TrainConfig(lambda_grid=(0.0,)))
-        objective = captured["objective"]
+        objective, _ = self.losses(monkeypatch, x, targets)
         p = np.array([0.8, -0.5, 0.3, 0.2]) * scale
         if scale > 1.0:  # most rows saturated
             assert np.mean(np.abs(x.matvec(p[:3]) + p[3]) > 40.0) > 0.5
@@ -118,6 +124,18 @@ class TestFitLogisticObjective:
         fd = np.array([(objective(p + h * e)[0] - objective(p - h * e)[0]) / (2 * h)
                        for e in np.eye(p.size)])
         assert rel_err(g, fd).max() < 1e-6
+
+    def test_stops_early_on_the_loss_it_minimizes(self, monkeypatch):
+        # 0/1 targets, as every caller's validation labels are, at parameters
+        # that saturate most rows: a clamped validation loss would cap each
+        # misfit row's loss at -log(1e-12) = 27.6 and fall below the objective.
+        rng = np.random.default_rng(3)
+        x = FeatureMatrix(rng.standard_normal((60, 3)))
+        targets = rng.integers(0, 2, 60).astype(np.int8)
+        objective, val_loss = self.losses(monkeypatch, x, targets)
+        p = np.array([0.8, -0.5, 0.3, 0.2]) * 100.0
+        f, _ = objective(p)
+        assert val_loss(p, f) == f
 
 
 class TestFitLogisticStopping:

@@ -605,6 +605,9 @@ class TestBadOptionValues:
         (["--n-a", "0", "--n-b", "0"], "n_a and n_b must be at least 1, got 0, 0"),
         (["--c", "a=0.5,b=0.2,a=0.9"], "labeling frequency for group 'a' given twice"),
         (["--c", "a=0.5,b"], "bad labeling-frequency entry 'b'; expected name=value"),
+        (["--variance", "inf"], "variance must be finite"),
+        (["--variance", "nan"], "variance must be finite"),
+        (["--mean-b-scale", "nan"], "mean_b must be finite"),
     ])
     def test_simulate_gauss(self, runner, tmp_path, args, message):
         out = tmp_path / "d.csv"

@@ -98,6 +98,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="^n_a and n_b must be at least 1, got "):
             GaussSynthConfig(**sizes)
 
+    @pytest.mark.parametrize("field, value", [
+        ("variance", np.inf), ("variance", np.nan), ("variance", -np.inf),
+        ("mean_a", np.array([0.0, np.nan, 0.0, 0.0, 0.0])), ("mean_b", np.full(5, np.inf)),
+        ("mean_b", np.full(5, -np.inf)),
+    ])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            GaussSynthConfig(**{field: value})
+
 
 class TestMakeSeparable:
     """``generate_gauss`` with ``separable=True``, checked against the

@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -216,21 +217,48 @@ class TestSuiteDatasets:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (sv, attr)
         assert len(calls) == 1 + len(points)
 
-    def test_unknown_separability_value_refused(self):
+    @staticmethod
+    def refuse_drawing(monkeypatch):
+        """Make drawing any suite data fail, so a refusal must come first."""
+        def draw(*args, **kwargs):
+            raise AssertionError("data drawn before the sweep values were checked")
+
+        monkeypatch.setattr(harness, "generate_gauss", draw)
+        monkeypatch.setattr(harness, "generate_visit_corpus", draw)
+
+    def test_unknown_separability_value_refused(self, monkeypatch):
         # A typo is not run as the nonseparable point under its own name.
+        self.refuse_drawing(monkeypatch)
         suite = make_suite("separability", n_splits=2, sweep_values=("separable", "separabel"))
-        with pytest.raises(ValueError, match="^separability sweep values are nonseparable and "
-                                             "separable, not 'separabel'$"):
+        with pytest.raises(ValueError, match="^bad separability sweep value 'separabel': "
+                                             "expected nonseparable or separable$"):
             run_suite(suite)
 
     def test_semisynth_value_without_c_b_refused(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(harness, "generate_visit_corpus", lambda *a, **k: calls.append(a))
+        self.refuse_drawing(monkeypatch)
         suite = make_suite("semisynth", n_splits=2, sweep_values=("common:0.3", "common"))
-        with pytest.raises(ValueError, match="^bad semisynth sweep value 'common'; "
+        with pytest.raises(ValueError, match="^bad semisynth sweep value 'common': "
                                              "expected mode:c_b$"):
             run_suite(suite)
-        assert not calls  # refused before the corpus is drawn
+
+    @pytest.mark.parametrize("name, value, reason", [
+        ("label-frequency", "abc", "could not convert string to float: 'abc'"),
+        ("label-frequency", 1.5, "labeling frequencies must lie in [0, 1]"),
+        ("covariate-shift", "nan", "mean_b must be finite"),
+        ("covariate-shift", float("inf"), "mean_b must be finite"),
+        ("semisynth", "common:x", "could not convert string to float: 'x'"),
+        ("semisynth", "comon:0.5", "unknown symptom mode 'comon'; expected one of common, "
+                                   "high-rp, correlated, recognized"),
+        ("semisynth", "common:1.5", "labeling frequencies must lie in [0, 1]"),
+    ])
+    def test_bad_value_named_before_any_data_is_drawn(self, monkeypatch, name, value, reason):
+        self.refuse_drawing(monkeypatch)
+        # After a good value, which must not draw its data before the bad one is seen.
+        good = make_suite(name).sweep_values[0]
+        suite = make_suite(name, n_splits=2, sweep_values=(good, value))
+        message = f"bad {name} sweep value {value!r}: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            suite_datasets(suite)
 
 
 class TestEchoedSettings:

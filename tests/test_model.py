@@ -22,7 +22,6 @@ from purple.model import (
     PurpleModel,
     RelativePrevalenceEstimate,
     TrainConfig,
-    _label_cross_entropy,
     _lbfgs_fit,
     _linear,
     _logistic,
@@ -194,16 +193,6 @@ class TestFusedLossAndGradients:
         m = PurpleModel(rng.uniform(0.2, 1.0, 5), 0.3, np.array([-40.0, 0.2, 40.0]),
                         ["a", "b", "c"])
         return m, LabeledDataset(feats, group, ["a", "b", "c"], s)
-
-    def test_one_log_cross_entropy_is_the_two_log_bits(self):
-        rng = np.random.default_rng(9)
-        p = np.concatenate([rng.uniform(size=500), rng.uniform(size=100) * 1e-10,
-                            1.0 - rng.uniform(size=100) * 1e-10,
-                            [0.0, 5e-324, PROB_FLOOR, 0.5, 1.0 - PROB_FLOOR, 1.0]])
-        s = rng.integers(0, 2, p.size)
-        q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-        two_log = -float((s * np.log(q) + (1.0 - s) * np.log(1.0 - q)).mean())
-        assert _label_cross_entropy(p, s == 1) == two_log
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("lam", [0.0, 1e-2])

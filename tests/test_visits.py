@@ -12,6 +12,7 @@ from purple.visits import (
     load_symptom_indices,
     select_symptoms,
     simulate_labels,
+    symptom_counts,
 )
 
 FILE_REMEDY = "pass a symptom file with --symptoms PATH"
@@ -98,6 +99,18 @@ class TestSimulateLabels:
             rate = data.s[mask].mean()
             se = np.sqrt(c * (1 - c) / mask.sum())
             assert abs(rate - c) < 3 * se
+
+
+class TestSymptomCounts:
+    def test_dense_and_csr_give_the_column_sums(self):
+        csr, _, _ = generate_visit_corpus(300, 300, 80, seed=6)
+        rows = csr.dense_rows()
+        v = SymptomSet(tuple(range(0, 80, 3)))
+        want = rows[:, list(v.indices)].sum(axis=1)
+        assert want.max() >= 2  # rows that carry several symptoms
+        for visits in (csr, FeatureMatrix(rows)):
+            got = symptom_counts(visits, v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSelectCommon:
